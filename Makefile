@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke bench-vm verify-table journal-smoke corpus-smoke checkpoint-smoke staticreach-smoke serve-smoke vm-smoke spec-smoke
+.PHONY: all build test race vet lint bench bench-smoke bench-vm verify-table journal-smoke corpus-smoke serve-smoke
 
 all: build test lint
 
@@ -45,7 +45,7 @@ bench-smoke:
 # top-level family alternation.
 bench-vm:
 	( $(GO) test -run=NONE \
-		-bench='BenchmarkBackend(Interp|VerifyEngine|CheckpointReplay)' \
+		-bench='BenchmarkBackend(Interp|VerifyEngine)' \
 		-benchtime=3x . && \
 	  $(GO) test -run=NONE \
 		-bench='BenchmarkBackendLocate/grepsim/V4-F2' \
@@ -77,72 +77,6 @@ corpus-smoke:
 		test $$? -eq 1
 	cmp /tmp/eol-corpus-1.json /tmp/eol-corpus-2.json
 	$(GO) run ./cmd/journalcheck /tmp/eol-corpus-smoke.jsonl
-
-# Checkpoint smoke lane: localize a long-trace grepsim subject with
-# checkpointed switched replay on (default) and off (-checkpoints -1).
-# Results and journal must be byte-identical — the transparency contract
-# of docs/CHECKPOINT.md — and the journal must validate.
-checkpoint-smoke:
-	$(GO) build -o /tmp/eolcorpus-ckpt ./cmd/eolcorpus
-	/tmp/eolcorpus-ckpt -o /tmp/eol-ckpt-on.json \
-		-trace /tmp/eol-ckpt-on.jsonl testdata/corpus/checkpoint.json
-	/tmp/eolcorpus-ckpt -checkpoints -1 -o /tmp/eol-ckpt-off.json \
-		-trace /tmp/eol-ckpt-off.jsonl testdata/corpus/checkpoint.json
-	cmp /tmp/eol-ckpt-on.json /tmp/eol-ckpt-off.json
-	cmp /tmp/eol-ckpt-on.jsonl /tmp/eol-ckpt-off.jsonl
-	$(GO) run ./cmd/journalcheck /tmp/eol-ckpt-on.jsonl
-
-# Static-reach smoke: the SPDG reach filter must fire on the
-# element-disjointness subjects (static_reach_skips > 0), the output
-# must be shard-count invariant, and switching the filter off must
-# change nothing but the skip accounting — the journal byte-for-byte,
-# the JSON up to the two skip counters.
-staticreach-smoke:
-	$(GO) build -o /tmp/eolcorpus-sr ./cmd/eolcorpus
-	/tmp/eolcorpus-sr -shards 1 -o /tmp/eol-sr-on.json \
-		-trace /tmp/eol-sr-on.jsonl testdata/corpus/staticreach.json
-	/tmp/eolcorpus-sr -shards 2 -o /tmp/eol-sr-on2.json \
-		-trace /tmp/eol-sr-on2.jsonl testdata/corpus/staticreach.json
-	cmp /tmp/eol-sr-on.json /tmp/eol-sr-on2.json
-	cmp /tmp/eol-sr-on.jsonl /tmp/eol-sr-on2.jsonl
-	/tmp/eolcorpus-sr -shards 1 -no-static-reach -o /tmp/eol-sr-off.json \
-		-trace /tmp/eol-sr-off.jsonl testdata/corpus/staticreach.json
-	cmp /tmp/eol-sr-on.jsonl /tmp/eol-sr-off.jsonl
-	grep -v -e '"static_reach_skips"' -e '"replay_skips"' /tmp/eol-sr-on.json > /tmp/eol-sr-on.stripped
-	grep -v -e '"static_reach_skips"' -e '"replay_skips"' /tmp/eol-sr-off.json > /tmp/eol-sr-off.stripped
-	cmp /tmp/eol-sr-on.stripped /tmp/eol-sr-off.stripped
-	grep -q '"static_reach_skips": [1-9]' /tmp/eol-sr-on.json
-	$(GO) run ./cmd/journalcheck /tmp/eol-sr-on.jsonl
-
-# VM smoke lane: run the long-trace corpus under both execution
-# backends (docs/VM.md). The JSON reports and the run journals must be
-# byte-identical — the backend byte-identity contract — and the journal
-# must validate.
-vm-smoke:
-	$(GO) build -o /tmp/eolcorpus-vm ./cmd/eolcorpus
-	/tmp/eolcorpus-vm -backend tree -o /tmp/eol-vm-tree.json \
-		-trace /tmp/eol-vm-tree.jsonl testdata/corpus/checkpoint.json
-	/tmp/eolcorpus-vm -backend vm -o /tmp/eol-vm-vm.json \
-		-trace /tmp/eol-vm-vm.jsonl testdata/corpus/checkpoint.json
-	cmp /tmp/eol-vm-tree.json /tmp/eol-vm-vm.json
-	cmp /tmp/eol-vm-tree.jsonl /tmp/eol-vm-vm.jsonl
-	$(GO) run ./cmd/journalcheck /tmp/eol-vm-vm.jsonl
-
-# Speculation smoke lane: localize the long-trace corpus with
-# speculative verification off (default) and on (-speculate). Speculation
-# is results-neutral (docs/SPECULATION.md): the JSON reports and the run
-# journals must be byte-identical — only the in-process Spec* cost
-# counters may differ, and those stay out of both documents — and the
-# journal must validate.
-spec-smoke:
-	$(GO) build -o /tmp/eolcorpus-spec ./cmd/eolcorpus
-	/tmp/eolcorpus-spec -o /tmp/eol-spec-off.json \
-		-trace /tmp/eol-spec-off.jsonl testdata/corpus/checkpoint.json
-	/tmp/eolcorpus-spec -speculate -o /tmp/eol-spec-on.json \
-		-trace /tmp/eol-spec-on.jsonl testdata/corpus/checkpoint.json
-	cmp /tmp/eol-spec-off.json /tmp/eol-spec-on.json
-	cmp /tmp/eol-spec-off.jsonl /tmp/eol-spec-on.jsonl
-	$(GO) run ./cmd/journalcheck /tmp/eol-spec-on.jsonl
 
 # Serve smoke lane: boot the resident server (docs/SERVER.md) on an
 # ephemeral port and drive it with eoloadgen — health probe; a corpus

@@ -31,6 +31,7 @@ import (
 	"eol/internal/staticdep"
 	"eol/internal/trace"
 	"eol/internal/verifyengine"
+	"eol/internal/vm"
 )
 
 // readFile loads a benchmark fixture or fails the benchmark.
@@ -311,17 +312,18 @@ func BenchmarkVerifyEngineLocate(b *testing.B) {
 
 // BenchmarkCheckpointReplay measures what checkpointed forking buys one
 // switched re-execution — the unit of work BenchmarkVerifyEngine runs in
-// batches — on a long trace (the scaled grep analog). Switch targets sit
-// in the last quarter of the trace, where Algorithm 2's demand-driven
-// expansion spends most verifications (candidates near the wrong
-// output); "full" replays the program from the start, "fork" resumes
-// from the nearest checkpoint. The suffix_steps/full_steps metrics show
-// the replay saving behind the time difference.
+// batches — on a long trace (the scaled grep analog), both sides on the
+// bytecode VM. Switch targets sit in the last quarter of the trace,
+// where Algorithm 2's demand-driven expansion spends most verifications
+// (candidates near the wrong output); "full" replays the program from
+// the start, "fork" resumes from the nearest checkpoint. The
+// suffix_steps/full_steps metrics show the replay saving behind the
+// time difference.
 func BenchmarkCheckpointReplay(b *testing.B) {
 	p := prep(b, "grepsim/V4-F2")
 	in := bench.ScaledGrepInput(400)
-	st := interp.NewCheckpointStore(0)
-	run := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
+	st := vm.Backend.NewCheckpoints(0)
+	run := vm.Backend.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
 	if run.Err != nil {
 		b.Fatal(run.Err)
 	}
@@ -342,7 +344,7 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		var steps int
 		for i := 0; i < b.N; i++ {
-			r := implicit.RunSwitchedContext(nil, p.Faulty, in, preds[i%len(preds)], budget)
+			r := implicit.RunSwitchedFrom(nil, vm.Backend, p.Faulty, in, nil, nil, preds[i%len(preds)], budget)
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -354,7 +356,7 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 		var suffix int
 		for i := 0; i < b.N; i++ {
 			pred := preds[i%len(preds)]
-			r := interp.RunSwitchedFromStore(st, tr, p.Faulty, interp.Options{
+			r := vm.Backend.RunSwitchedFrom(st, tr, p.Faulty, interp.Options{
 				Input:      in,
 				Switch:     &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
 				StepBudget: budget,
@@ -647,13 +649,16 @@ func main() {
 // columns and Table 4's cost columns.
 func BenchmarkScaling(b *testing.B) {
 	p := prep(b, "grepsim/V4-F2")
-	for _, lines := range []int{20, 100, 400} {
+	for _, lines := range []int{20, 100, grepCorrectLines} {
 		in := bench.ScaledGrepInput(lines)
 		run := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 		if run.Err != nil {
 			b.Fatal(run.Err)
 		}
 		exp := interp.Run(p.Correct, interp.Options{Input: in})
+		if exp.Err != nil {
+			b.Fatalf("correct version on %d lines: %v", lines, exp.Err)
+		}
 		seq, _, ok := slicing.FirstWrongOutput(run.OutputValues(), exp.OutputValues())
 		if !ok {
 			b.Fatalf("scaled input (%d lines) did not expose the fault", lines)

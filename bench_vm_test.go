@@ -4,6 +4,9 @@
 // (cmd/benchvm); the quick view is
 //
 //	go test -bench=BenchmarkBackend -benchtime 10x .
+//
+// Checkpointed replay exists on the VM only, so every workload here runs
+// with it off on both backends: the ratio is the substrate's.
 package eol
 
 import (
@@ -11,16 +14,20 @@ import (
 	"testing"
 
 	"eol/internal/bench"
-	"eol/internal/cfg"
 	"eol/internal/core"
 	"eol/internal/ddg"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/slicing"
-	"eol/internal/trace"
 	"eol/internal/verifyengine"
 	"eol/internal/vm"
 )
+
+// grepCorrectLines is the largest ScaledGrepInput size the correct
+// grepsim accepts: its match table holds 32 lines, and 150 input lines
+// produce exactly 32 matches (larger sizes abort with an out-of-bounds
+// store). Benchmarks that compare against the correct output use it.
+const grepCorrectLines = 150
 
 // vmBenchBackends pairs each backend with its registry name.
 var vmBenchBackends = []struct {
@@ -54,22 +61,24 @@ func BenchmarkBackendInterp(b *testing.B) {
 }
 
 // BenchmarkBackendVerifyEngine measures the verification hot path — one
-// expand iteration's batch of switched re-executions — per backend in
-// the production configuration: a long failing trace (the scaled grep
-// analog, the paper's Table 4 regime), checkpoints captured during the
-// failing run (core.Spec's default), switched runs forked from them,
-// sequential so the backend is the only variable. Traces are
-// byte-identical across backends, so the requests computed from one
-// tree-walker run of the scaled input are valid against either
-// backend's own failing run.
+// expand iteration's batch of switched re-executions — per backend on a
+// long failing trace (the scaled grep analog, the paper's Table 4
+// regime): every switched run replays in full and runs sequentially, so
+// the backend is the only variable. Traces are byte-identical across
+// backends, so the requests computed from one tree-walker run of the
+// scaled input are valid against either backend's own failing run.
 func BenchmarkBackendVerifyEngine(b *testing.B) {
 	p := prep(b, "grepsim/V4-F2")
-	in := bench.ScaledGrepInput(400)
+	in := bench.ScaledGrepInput(grepCorrectLines)
 	run := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 	if run.Err != nil {
 		b.Fatal(run.Err)
 	}
-	exp := interp.Run(p.Correct, interp.Options{Input: in}).OutputValues()
+	correct := interp.Run(p.Correct, interp.Options{Input: in})
+	if correct.Err != nil {
+		b.Fatalf("correct version: %v", correct.Err)
+	}
+	exp := correct.OutputValues()
 	seq, _, ok := slicing.FirstWrongOutput(run.OutputValues(), exp)
 	if !ok {
 		b.Fatal("scaled input did not expose the fault")
@@ -93,8 +102,7 @@ func BenchmarkBackendVerifyEngine(b *testing.B) {
 		b.Skip("workload too small")
 	}
 	for _, be := range vmBenchBackends {
-		st := be.bk.NewCheckpoints(0)
-		orig := be.bk.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
+		orig := be.bk.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 		if orig.Err != nil {
 			b.Fatal(orig.Err)
 		}
@@ -104,7 +112,7 @@ func BenchmarkBackendVerifyEngine(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v := &implicit.Verifier{
 					C: p.Faulty, Input: in, Orig: orig.Trace, WrongOut: wrong,
-					Backend: be.bk, Checkpoints: st,
+					Backend: be.bk,
 				}
 				if seq < len(exp) {
 					v.Vexp, v.HasVexp = exp[seq], true
@@ -117,7 +125,7 @@ func BenchmarkBackendVerifyEngine(b *testing.B) {
 }
 
 // BenchmarkBackendLocate measures the full demand-driven localization
-// per backend on every benchmark case.
+// per backend on every benchmark case, with checkpointed replay off.
 func BenchmarkBackendLocate(b *testing.B) {
 	for _, name := range allCaseNames() {
 		p := prep(b, name)
@@ -128,6 +136,7 @@ func BenchmarkBackendLocate(b *testing.B) {
 					spec.Backend = be.bk
 					spec.VerifyWorkers = 1
 					spec.VerifyCacheSize = -1
+					spec.Features.Checkpoints = core.FeatureOff
 					rep, err := core.Locate(spec)
 					if err != nil {
 						b.Fatal(err)
@@ -138,47 +147,5 @@ func BenchmarkBackendLocate(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkBackendCheckpointReplay measures one forked switched
-// re-execution from the nearest checkpoint per backend — the unit the
-// VM reimplements as a pc/frame-stack snapshot restore.
-func BenchmarkBackendCheckpointReplay(b *testing.B) {
-	p := prep(b, "grepsim/V4-F2")
-	in := bench.ScaledGrepInput(400)
-	for _, be := range vmBenchBackends {
-		st := be.bk.NewCheckpoints(0)
-		run := be.bk.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
-		if run.Err != nil {
-			b.Fatal(run.Err)
-		}
-		tr := run.Trace
-		budget := 10*tr.Len() + 1000
-		var preds []trace.Instance
-		for i := tr.Len() * 3 / 4; i < tr.Len() && len(preds) < 8; i++ {
-			if e := tr.At(i); e.Branch != cfg.None {
-				preds = append(preds, e.Inst)
-			}
-		}
-		if len(preds) == 0 {
-			b.Fatal("no late predicates in the scaled trace")
-		}
-		b.Run(be.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pred := preds[i%len(preds)]
-				r := be.bk.RunSwitchedFrom(st, tr, p.Faulty, interp.Options{
-					Input:      in,
-					Switch:     &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
-					StepBudget: budget,
-				})
-				if r == nil {
-					b.Fatal("no checkpoint before a late predicate")
-				}
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		})
 	}
 }

@@ -4,13 +4,17 @@
 package cmd_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+
+	"eol/internal/obs"
 )
 
 var (
@@ -562,6 +566,81 @@ func TestEolcorpusSmoke(t *testing.T) {
 			t.Errorf("output missing %s:\n%s", want, out1)
 		}
 	}
+}
+
+// TestEolcorpusAB is the corpus-level A/B over the engine features, the
+// backends and the shard count: every configuration must write the same
+// JSON report and the same run journal as the default, and every
+// journal must validate. Turning the static reach filter off moves only
+// the two skip counters, so that report is compared without them; on
+// staticreach.json the filter must actually fire.
+func TestEolcorpusAB(t *testing.T) {
+	configs := []struct {
+		name string
+		args []string
+	}{
+		{"default", nil},
+		{"no-checkpoints", []string{"-checkpoints", "-1"}},
+		{"no-static-reach", []string{"-no-static-reach"}},
+		{"speculate", []string{"-speculate"}},
+		{"tree", []string{"-backend", "tree"}},
+		{"shards2", []string{"-shards", "2"}},
+	}
+	fired := regexp.MustCompile(`"static_reach_skips": [1-9]`)
+	dir := t.TempDir()
+	for _, manifest := range []string{"checkpoint", "staticreach"} {
+		var wantReport, wantJournal []byte
+		for _, cfg := range configs {
+			t.Run(manifest+"/"+cfg.name, func(t *testing.T) {
+				reportPath := filepath.Join(dir, manifest+"-"+cfg.name+".json")
+				journalPath := filepath.Join(dir, manifest+"-"+cfg.name+".jsonl")
+				args := append([]string{"-o", reportPath, "-trace", journalPath}, cfg.args...)
+				if out, code := runExit(t, "eolcorpus", append(args, "testdata/corpus/"+manifest+".json")...); code != 0 {
+					t.Fatalf("exit code = %d, want 0\n%s", code, out)
+				}
+				report, err := os.ReadFile(reportPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				journal, err := os.ReadFile(journalPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := obs.ValidateJournal(bytes.NewReader(journal)); err != nil {
+					t.Errorf("journal does not validate: %v", err)
+				}
+				if cfg.name == "default" {
+					wantReport, wantJournal = report, journal
+					if manifest == "staticreach" && !fired.Match(report) {
+						t.Errorf("static reach filter never fired:\n%s", report)
+					}
+					return
+				}
+				if !bytes.Equal(journal, wantJournal) {
+					t.Errorf("journal differs from the default configuration's")
+				}
+				want := wantReport
+				if cfg.name == "no-static-reach" {
+					want, report = dropSkipCounters(want), dropSkipCounters(report)
+				}
+				if !bytes.Equal(report, want) {
+					t.Errorf("report differs from the default configuration's:\n got: %s\nwant: %s", report, want)
+				}
+			})
+		}
+	}
+}
+
+// dropSkipCounters removes the report lines of the two filter skip
+// counters, the only fields the static reach filter's switch may move.
+func dropSkipCounters(report []byte) []byte {
+	var kept [][]byte
+	for _, line := range bytes.Split(report, []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"static_reach_skips"`)) && !bytes.Contains(line, []byte(`"replay_skips"`)) {
+			kept = append(kept, line)
+		}
+	}
+	return bytes.Join(kept, []byte("\n"))
 }
 
 // TestEolocDeadline exercises eoloc's -deadline flag: a generous bound

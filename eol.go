@@ -304,7 +304,9 @@ type Settings struct {
 	// tree-walking reference interpreter), or "" for the default.
 	// Backends are byte-identical — same diagnosis, counters and journal
 	// — so this only changes wall-clock time; see WithBackend and
-	// docs/VM.md.
+	// docs/VM.md. The tree-walker has no checkpointed replay: under it
+	// every switched run replays in full and the checkpoint counters
+	// (Stats.CheckpointHits and friends) stay zero.
 	Backend string
 	// Observer receives the run's deterministic event stream (see
 	// WithObserver and docs/OBSERVABILITY.md).

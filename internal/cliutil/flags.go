@@ -2,21 +2,11 @@ package cliutil
 
 import (
 	"flag"
-	"fmt"
 	"os"
-	"strings"
 
 	"eol/internal/core"
 	"eol/internal/obs"
 )
-
-// hiddenUsagePrefix marks a flag as hidden: it parses normally but is
-// omitted from the -h listing. Nothing registers a hidden flag today —
-// the deprecated -verify-workers/-verify-cache aliases that used it
-// were removed after their deprecation cycle (they now fail with the
-// usual unknown-flag usage error, exit code 2) — but the mechanism
-// stays for the next rename.
-const hiddenUsagePrefix = "hidden: "
 
 // EngineFlags holds the verification-engine sizing knobs shared by every
 // command that runs localizations. The zero values mean "library
@@ -83,7 +73,6 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	fs.BoolVar(&ef.Speculate, "speculate", false,
 		"speculatively verify predicted candidates during re-prune (same results, see docs/SPECULATION.md)")
 	RegisterBackendFlag(fs, &ef.Backend)
-	hideAliases(fs)
 	return ef
 }
 
@@ -92,7 +81,7 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 // running localizations (cmd/slicer's slicing modes, cmd/minic).
 func RegisterBackendFlag(fs *flag.FlagSet, target *string) {
 	fs.StringVar(target, "backend", "vm",
-		"execution `backend`: vm (bytecode) or tree (reference interpreter)")
+		"execution `backend`: vm (bytecode) or tree (reference interpreter, no checkpointed replay)")
 }
 
 // ObsFlags holds the observability knobs shared by every command:
@@ -110,7 +99,6 @@ func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 		"write a JSONL event journal to this `file`")
 	fs.BoolVar(&of.Progress, "progress", false,
 		"print live phase progress to stderr")
-	hideAliases(fs)
 	return of
 }
 
@@ -141,27 +129,4 @@ func (of *ObsFlags) Observer() (observer obs.Observer, close func() error, err e
 		sinks = append(sinks, obs.NewProgress(os.Stderr))
 	}
 	return obs.Tee(sinks...), close, nil
-}
-
-// hideAliases replaces fs.Usage with a PrintDefaults equivalent that
-// skips flags whose usage starts with hiddenUsagePrefix. Idempotent in
-// effect, so each Register helper may call it.
-func hideAliases(fs *flag.FlagSet) {
-	fs.Usage = func() {
-		out := fs.Output()
-		if fs.Name() != "" {
-			fmt.Fprintf(out, "Usage of %s:\n", fs.Name())
-		}
-		fs.VisitAll(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Usage, hiddenUsagePrefix) {
-				return
-			}
-			name, usage := flag.UnquoteUsage(f)
-			fmt.Fprintf(out, "  -%s %s\n    \t%s", f.Name, name, usage)
-			if f.DefValue != "" && f.DefValue != "0" && f.DefValue != "false" {
-				fmt.Fprintf(out, " (default %v)", f.DefValue)
-			}
-			fmt.Fprintln(out)
-		})
-	}
 }

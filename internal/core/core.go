@@ -111,7 +111,9 @@ type Spec struct {
 	// switched/perturbed re-execution (nil = backend.Default(), the
 	// bytecode VM). Backends are byte-identical — same Report counters,
 	// VerifyLog, obs journal — so this only changes wall-clock time; the
-	// tree-walker (interp.Tree) remains the differential oracle.
+	// tree-walker (interp.Tree) remains the differential oracle. The
+	// tree-walker has no checkpointed replay: under it every switched run
+	// replays in full and the checkpoint counters stay zero.
 	Backend interp.Backend
 	// Input is the failing input.
 	Input []int64

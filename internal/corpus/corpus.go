@@ -85,8 +85,9 @@ type Options struct {
 	// Backend names the execution backend for subjects that do not pick
 	// their own ("" = library default). Backends are byte-identical, so
 	// the corpus JSON and journal never depend on — or record — the
-	// choice: that blindness is what lets the vm-smoke CI lane compare
-	// tree and vm outputs byte for byte.
+	// choice: that blindness is what lets the corpus A/B test
+	// (cmd/cmd_integration_test.go) compare tree and vm outputs byte
+	// for byte.
 	Backend string
 	// Shared, if non-nil, supplies externally owned warm state — the
 	// compile cache, the switched-run cache, and the SPDG cache — that

@@ -114,8 +114,8 @@ type Verifier struct {
 	Backend interp.Backend
 
 	// Checkpoints, if non-nil, holds execution snapshots captured during
-	// the failing run by Backend (tree: interp.CheckpointStore; vm:
-	// vm.Store). Inline switched runs then fork from the nearest
+	// the failing run by Backend (vm.Store; the tree-walker has none).
+	// Inline switched runs then fork from the nearest
 	// checkpoint at or before the switched instance and re-execute only
 	// the suffix — byte-identical results, a fraction of the steps
 	// (docs/CHECKPOINT.md). Read-only after the failing run, so it is

@@ -24,7 +24,7 @@ type Backend interface {
 	// NewCheckpoints returns an empty checkpoint store of this backend's
 	// native representation, bounded to max snapshots (<= 0 means
 	// DefaultCheckpoints), for use as Options.Checkpoints on a traced
-	// run.
+	// run. A backend without checkpointed replay returns nil.
 	NewCheckpoints(max int) Checkpoints
 	// RunSwitchedFrom is the checkpoint-accelerated switched run: it
 	// forks from the nearest snapshot in cks at or before the switched
@@ -35,12 +35,11 @@ type Backend interface {
 	RunSwitchedFrom(cks Checkpoints, orig *trace.Trace, c *Compiled, opts Options) *Result
 }
 
-// Checkpoints is the backend-neutral view of a checkpoint store: each
-// backend snapshots its own execution representation (the tree-walker an
-// explicit resume path, the VM a pc/frame stack), so stores are opaque
-// outside their backend and only expose their counters. A store must be
-// handed back to the backend that created it; a foreign backend ignores
-// it.
+// Checkpoints is the backend-neutral view of a checkpoint store: a
+// backend snapshots its own execution representation (the VM a pc/frame
+// stack), so stores are opaque outside their backend and only expose
+// their counters. A store must be handed back to the backend that
+// created it; a foreign backend ignores it.
 type Checkpoints interface {
 	// Len returns the number of retained checkpoints.
 	Len() int
@@ -48,9 +47,28 @@ type Checkpoints interface {
 	Stats() CheckpointStats
 }
 
+// DefaultCheckpoints is the checkpoint-count bound when none is given:
+// enough that the expected suffix is a small fraction of the trace,
+// small enough that the retained state stays far below one extra trace.
+const DefaultCheckpoints = 64
+
+// CheckpointStats snapshots a store's counters.
+type CheckpointStats struct {
+	// Count and Bytes describe the retained checkpoints: how many
+	// survived thinning and (approximately) how much private state they
+	// pin.
+	Count int
+	Bytes int64
+	// Captured / Thinned count all capture and thinning events over the
+	// run, for tuning the Max bound.
+	Captured, Thinned int
+}
+
 // Tree is the tree-walking reference backend: the interpreter this
 // package implements, wrapped in the Backend interface. It is the
-// differential oracle every other backend is pinned against.
+// differential oracle every other backend is pinned against, and it has
+// no checkpointed replay: NewCheckpoints returns nil and RunSwitchedFrom
+// always declines, so every switched run under Tree replays in full.
 var Tree Backend = treeBackend{}
 
 type treeBackend struct{}
@@ -59,11 +77,10 @@ func (treeBackend) Name() string { return "tree" }
 
 func (treeBackend) Run(c *Compiled, opts Options) *Result { return Run(c, opts) }
 
-func (treeBackend) NewCheckpoints(max int) Checkpoints { return NewCheckpointStore(max) }
+func (treeBackend) NewCheckpoints(int) Checkpoints { return nil }
 
-func (treeBackend) RunSwitchedFrom(cks Checkpoints, orig *trace.Trace, c *Compiled, opts Options) *Result {
-	st, _ := cks.(*CheckpointStore) // foreign stores fall back to a full run
-	return RunSwitchedFromStore(st, orig, c, opts)
+func (treeBackend) RunSwitchedFrom(Checkpoints, *trace.Trace, *Compiled, Options) *Result {
+	return nil
 }
 
 // ---------------------------------------------------------------------------

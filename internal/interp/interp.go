@@ -17,27 +17,17 @@
 //     verification timer: on expiry the run reports ErrBudget and the
 //     verification is treated as failed. Options.Ctx layers wall-clock
 //     bounds on the same accounting: ctx.Err() is polled once per
-//     ctxCheckEvery steps (plus unconditionally on the first step of a
-//     forked run), so a live context never changes results and a dead one
-//     aborts with ErrCanceled/ErrDeadline at a deterministic step.
+//     ctxCheckEvery steps (see StepMeter), so a live context never changes
+//     results and a dead one aborts with ErrCanceled/ErrDeadline at a
+//     deterministic step.
 //
 // Execution is fully deterministic given the same input vector, which the
 // alignment algorithm relies on ("the two executions are identical till
 // they reach the points of p and p'").
 //
-// # Checkpointed re-execution
-//
-// A traced run can additionally carry a CheckpointStore
-// (Options.Checkpoints): at eligible predicate instances the interpreter
-// snapshots its state — environment frames (copy-on-write), input
-// cursor, occurrence counts, step count, control stack, trace cursor —
-// and RunFrom later forks a fresh run from any snapshot, re-executing
-// only the suffix. This is the seam implicit-dependence verification
-// uses to make switched re-execution O(suffix) instead of O(trace) per
-// candidate; see checkpoint.go and docs/CHECKPOINT.md for eligibility,
-// the COW discipline, and the determinism contract (a forked run is
-// byte-identical — trace, outputs, steps, error — to a full run with the
-// same switch plan).
+// The tree-walker is the reference oracle of the Backend contract: it
+// always executes from the start. Checkpointed suffix replay
+// (docs/CHECKPOINT.md) lives in the bytecode VM only.
 package interp
 
 import (
@@ -167,9 +157,9 @@ type Options struct {
 	// store during the run, for later forked suffix runs. Requires
 	// BuildTrace (checkpoints index into the trace); ignored otherwise.
 	// A store is bound to the single run that fills it, and to the
-	// backend that created it: each backend snapshots its own execution
-	// representation and ignores a foreign store (the run still
-	// completes, it just captures nothing).
+	// backend that created it; any other backend ignores it (the run
+	// still completes, it just captures nothing). The tree-walker
+	// ignores every store.
 	Checkpoints Checkpoints
 }
 
@@ -253,10 +243,10 @@ type Result struct {
 	Rendered string
 	// Steps is the number of executed statement instances.
 	Steps int
-	// Steps is inherited from the checkpoint on runs forked by RunFrom,
-	// so budget expiry fires at the same absolute step count as a full
-	// run; ResumedAt records that inherited count (Steps - ResumedAt is
-	// the executed suffix). 0 for full runs.
+	// Steps is inherited from the checkpoint on runs forked by
+	// Backend.RunSwitchedFrom, so budget expiry fires at the same
+	// absolute step count as a full run; ResumedAt records that inherited
+	// count (Steps - ResumedAt is the executed suffix). 0 for full runs.
 	ResumedAt int
 	// SwitchApplied reports whether the SwitchPlan's instance was reached.
 	SwitchApplied bool
@@ -305,12 +295,6 @@ func Run(c *Compiled, opts Options) *Result {
 	if opts.BuildTrace {
 		ip.tr = trace.New()
 		ip.res.Trace = ip.tr
-		// Only a store of this backend's representation can capture here;
-		// a foreign (VM) store is left untouched.
-		if cs, ok := opts.Checkpoints.(*CheckpointStore); ok && cs != nil {
-			cs.bind(ip.tr)
-			ip.cks = cs
-		}
 	}
 	if opts.Rec.Enabled() {
 		mode := "plain"
@@ -336,39 +320,12 @@ type cell struct {
 // frame holds one activation's storage: dense slot-indexed cell slices
 // (see sem.Symbol.Slot) rather than maps, for cheap access on the
 // interpreter's hot path.
-//
-// Frames are the copy-on-write unit of checkpointing: capturing a
-// checkpoint freezes every live frame (frozen = true, all array slots
-// marked shared) and stores the pointers. A frozen frame is immutable —
-// both the continuing original run and any forked run thaw (clone) it
-// before the first mutation, so concurrent forks can share one snapshot
-// without synchronization.
 type frame struct {
 	id         int // unique activation ID (0 = globals, 1 = main, then dense)
 	scalars    []cell
 	arrays     [][]cell
 	callParent int // trace index of the call-site entry, -1 for main/globals
 	ctrl       []ctrlEntry
-
-	// frozen marks the frame as shared with >= 1 checkpoint; any mutation
-	// must go through interp.thaw first.
-	frozen bool
-	// arrShared[i] marks arrays[i] as shared with a frozen snapshot: a
-	// write to an element must clone the array first. Nil until the frame
-	// is first frozen; thaw copies it (a thawed clone still shares the
-	// inner arrays with the snapshot it was cloned from).
-	arrShared []bool
-}
-
-// freeze marks the frame immutable for sharing with a checkpoint.
-func (f *frame) freeze() {
-	f.frozen = true
-	if f.arrShared == nil {
-		f.arrShared = make([]bool, len(f.arrays))
-	}
-	for i := range f.arrShared {
-		f.arrShared[i] = true
-	}
 }
 
 // newFrame allocates a frame with nslots cells, all marked undefined.
@@ -407,14 +364,6 @@ type interp struct {
 	res     *Result
 
 	curEntry int // trace index of the entry being built, -1 outside
-
-	// Checkpointing state. cks is the capture store (nil on plain runs
-	// and on forked runs — forks never re-capture). path is the resume
-	// path: the stack of main-frame control constructs currently being
-	// executed, maintained only while cks != nil; a checkpoint copies it
-	// so RunFrom can rebuild the interpreter's Go stack by descending it.
-	cks  *CheckpointStore
-	path []pathStep
 }
 
 // abort is the panic payload used to unwind on runtime errors.
@@ -478,11 +427,8 @@ func (ip *interp) beginStmt(s ast.Numbered) int {
 
 	node := ip.c.CFG.NodeOf(id)
 	fr := ip.frame()
-	if node != nil && len(fr.ctrl) > 0 && fr.ctrl[len(fr.ctrl)-1].ipdom == node {
-		fr = ip.thawTop() // popping mutates the ctrl stack
-		for len(fr.ctrl) > 0 && fr.ctrl[len(fr.ctrl)-1].ipdom == node {
-			fr.ctrl = fr.ctrl[:len(fr.ctrl)-1]
-		}
+	for node != nil && len(fr.ctrl) > 0 && fr.ctrl[len(fr.ctrl)-1].ipdom == node {
+		fr.ctrl = fr.ctrl[:len(fr.ctrl)-1]
 	}
 
 	if ip.tr == nil {
@@ -518,111 +464,17 @@ func (ip *interp) recordDef(idx int, sym *sem.Symbol, elem int64, val int64) {
 // pushCtrl opens the region of a predicate instance.
 func (ip *interp) pushCtrl(stmtID, entryIdx int) {
 	node := ip.c.CFG.NodeOf(stmtID)
-	fr := ip.thawTop()
+	fr := ip.frame()
 	fr.ctrl = append(fr.ctrl, ctrlEntry{entryIdx: entryIdx, ipdom: node.IPDom})
 }
 
-// thaw makes frame i writable: a frozen frame (shared with a checkpoint)
-// is replaced by a private clone; an unfrozen frame is returned as-is.
-// The clone copies the scalar cells, the control stack and the outer
-// array table but still shares the array element storage (arrShared
-// stays set) — writableArrayCells unshares per slot on first write.
-func (ip *interp) thaw(i int) *frame {
-	fr := ip.frames[i]
-	if !fr.frozen {
-		return fr
-	}
-	nf := &frame{
-		id:         fr.id,
-		callParent: fr.callParent,
-		scalars:    append([]cell(nil), fr.scalars...),
-		arrays:     append([][]cell(nil), fr.arrays...),
-		ctrl:       append([]ctrlEntry(nil), fr.ctrl...),
-		arrShared:  append([]bool(nil), fr.arrShared...),
-	}
-	ip.frames[i] = nf
-	return nf
-}
-
-// thawTop thaws the current (topmost) frame.
-func (ip *interp) thawTop() *frame { return ip.thaw(len(ip.frames) - 1) }
-
-// writableTargetFrame is targetFrame with the thaw applied: use for any
-// access that mutates the frame. Because checkpoints are captured only
-// between statements, the returned pointer stays valid for the rest of
-// the current statement's execution.
-func (ip *interp) writableTargetFrame(sym *sem.Symbol) *frame {
-	if sym.Kind == sem.Global {
-		return ip.thaw(0)
-	}
-	return ip.thawTop()
-}
-
-// writableScalarCell returns sym's scalar cell in a writable frame.
-func (ip *interp) writableScalarCell(sym *sem.Symbol) *cell {
-	return &ip.writableTargetFrame(sym).scalars[sym.Slot]
-}
-
-// writableArrayCells returns sym's array storage ready for element
-// writes: the frame is thawed and, if the array is still shared with a
-// frozen snapshot, the elements are cloned first.
-func (ip *interp) writableArrayCells(sym *sem.Symbol, pos token.Pos) []cell {
-	arr := ip.arrayCells(sym, pos) // lazy-init (itself thaws if needed)
-	fr := ip.writableTargetFrame(sym)
-	if fr.arrShared != nil && fr.arrShared[sym.Slot] {
-		arr = append([]cell(nil), arr...)
-		fr.arrays[sym.Slot] = arr
-		fr.arrShared[sym.Slot] = false
-	}
-	return arr
-}
-
 func (ip *interp) execBlock(b *ast.BlockStmt) (signal, int64) {
-	if !ip.tracking() {
-		for _, s := range b.Stmts {
-			if sig, v := ip.execStmt(s); sig != sigNormal {
-				return sig, v
-			}
-		}
-		return sigNormal, 0
-	}
-	pi := len(ip.path)
-	ip.path = append(ip.path, pathStep{kind: stepBlock, node: b})
-	for i, s := range b.Stmts {
-		ip.path[pi].idx = i
+	for _, s := range b.Stmts {
 		if sig, v := ip.execStmt(s); sig != sigNormal {
-			ip.path = ip.path[:pi]
 			return sig, v
 		}
 	}
-	ip.path = ip.path[:pi]
 	return sigNormal, 0
-}
-
-// tracking reports whether resume-path steps must be recorded: only a
-// checkpoint-capturing run, and only while executing in main's frame
-// (the only frame RunFrom can rebuild — see Checkpoint eligibility).
-func (ip *interp) tracking() bool {
-	return ip.cks != nil && ip.frames[len(ip.frames)-1].id == 1
-}
-
-// pushStep records entry into a tracked control construct and reports
-// whether a step was pushed (popStep must mirror it).
-func (ip *interp) pushStep(kind stepKind, node ast.Stmt) bool {
-	if !ip.tracking() {
-		return false
-	}
-	ip.path = append(ip.path, pathStep{kind: kind, node: node})
-	return true
-}
-
-// popStep unwinds pushStep. The path is balanced at this point (every
-// nested construct popped its own step before returning), so truncating
-// by one drops exactly the step pushed by the matching pushStep.
-func (ip *interp) popStep(pushed bool) {
-	if pushed {
-		ip.path = ip.path[:len(ip.path)-1]
-	}
 }
 
 func (ip *interp) execStmt(s ast.Stmt) (signal, int64) {
@@ -638,11 +490,7 @@ func (ip *interp) execStmt(s ast.Stmt) (signal, int64) {
 			for i := range arr {
 				arr[i].def = idxOrNoDef(idx)
 			}
-			fr := ip.writableTargetFrame(sym)
-			fr.arrays[sym.Slot] = arr
-			if fr.arrShared != nil {
-				fr.arrShared[sym.Slot] = false
-			}
+			ip.targetFrame(sym).arrays[sym.Slot] = arr
 			ip.recordDef(idx, sym, trace.ScalarElem, 0)
 			return sigNormal, 0
 		}
@@ -652,7 +500,7 @@ func (ip *interp) execStmt(s ast.Stmt) (signal, int64) {
 			idx = ip.curEntry // callee entries may have shifted curEntry back
 		}
 		v = ip.maybePerturb(n, v)
-		ip.writableTargetFrame(sym).scalars[sym.Slot] = cell{val: v, def: idxOrNoDef(idx)}
+		ip.targetFrame(sym).scalars[sym.Slot] = cell{val: v, def: idxOrNoDef(idx)}
 		ip.recordDef(idx, sym, trace.ScalarElem, v)
 		return sigNormal, 0
 
@@ -662,40 +510,61 @@ func (ip *interp) execStmt(s ast.Stmt) (signal, int64) {
 		return sigNormal, 0
 
 	case *ast.IfStmt:
-		ip.maybeCheckpoint()
 		idx := ip.beginStmt(n)
 		taken := ip.evalCond(n, n.Cond, idx)
 		ip.pushCtrl(n.ID(), idx)
 		if taken {
-			t := ip.pushStep(stepIfThen, n)
-			sig, v := ip.execBlock(n.Then)
-			ip.popStep(t)
-			return sig, v
+			return ip.execBlock(n.Then)
 		}
 		if n.Else != nil {
-			t := ip.pushStep(stepIfElse, n)
-			sig, v := ip.execStmt(n.Else)
-			ip.popStep(t)
-			return sig, v
+			return ip.execStmt(n.Else)
 		}
 		return sigNormal, 0
 
 	case *ast.WhileStmt:
-		t := ip.pushStep(stepWhile, n)
-		sig, v := ip.execWhileLoop(n)
-		ip.popStep(t)
-		return sig, v
+		for {
+			idx := ip.beginStmt(n)
+			taken := ip.evalCond(n, n.Cond, idx)
+			ip.pushCtrl(n.ID(), idx)
+			if !taken {
+				return sigNormal, 0
+			}
+			sig, v := ip.execBlock(n.Body)
+			switch sig {
+			case sigBreak:
+				return sigNormal, 0
+			case sigReturn:
+				return sigReturn, v
+			}
+		}
 
 	case *ast.ForStmt:
 		if n.Init != nil {
 			ip.execStmt(n.Init)
 		}
-		// The step is pushed after Init so a resume never re-runs it:
-		// RunFrom re-enters at execForLoop (the next condition check).
-		t := ip.pushStep(stepFor, n)
-		sig, v := ip.execForLoop(n)
-		ip.popStep(t)
-		return sig, v
+		for {
+			idx := ip.beginStmt(n)
+			taken := true
+			if n.Cond != nil {
+				taken = ip.evalCond(n, n.Cond, idx)
+			} else {
+				ip.recordPredicate(n, idx, true) // unconditional iteration
+			}
+			ip.pushCtrl(n.ID(), idx)
+			if !taken {
+				return sigNormal, 0
+			}
+			sig, v := ip.execBlock(n.Body)
+			switch sig {
+			case sigBreak:
+				return sigNormal, 0
+			case sigReturn:
+				return sigReturn, v
+			}
+			if n.Post != nil {
+				ip.execStmt(n.Post)
+			}
+		}
 
 	case *ast.BreakStmt:
 		ip.beginStmt(n)
@@ -744,58 +613,6 @@ func (ip *interp) execStmt(s ast.Stmt) (signal, int64) {
 		return sigNormal, 0
 	}
 	panic(fmt.Sprintf("interp: unexpected statement %T", s))
-}
-
-// execWhileLoop runs a while statement from its next condition check.
-// Extracted from execStmt so RunFrom can re-enter a checkpointed loop at
-// exactly this point (the checkpoint is captured at the loop top, before
-// the predicate's beginStmt).
-func (ip *interp) execWhileLoop(n *ast.WhileStmt) (signal, int64) {
-	for {
-		ip.maybeCheckpoint()
-		idx := ip.beginStmt(n)
-		taken := ip.evalCond(n, n.Cond, idx)
-		ip.pushCtrl(n.ID(), idx)
-		if !taken {
-			return sigNormal, 0
-		}
-		sig, v := ip.execBlock(n.Body)
-		switch sig {
-		case sigBreak:
-			return sigNormal, 0
-		case sigReturn:
-			return sigReturn, v
-		}
-	}
-}
-
-// execForLoop runs a for statement from its next condition check (Init
-// has already executed). See execWhileLoop for why it is extracted.
-func (ip *interp) execForLoop(n *ast.ForStmt) (signal, int64) {
-	for {
-		ip.maybeCheckpoint()
-		idx := ip.beginStmt(n)
-		taken := true
-		if n.Cond != nil {
-			taken = ip.evalCond(n, n.Cond, idx)
-		} else {
-			ip.recordPredicate(n, idx, true) // unconditional iteration
-		}
-		ip.pushCtrl(n.ID(), idx)
-		if !taken {
-			return sigNormal, 0
-		}
-		sig, v := ip.execBlock(n.Body)
-		switch sig {
-		case sigBreak:
-			return sigNormal, 0
-		case sigReturn:
-			return sigReturn, v
-		}
-		if n.Post != nil {
-			ip.execStmt(n.Post)
-		}
-	}
 }
 
 // maybePerturb applies the PerturbPlan if it targets this instance of s.
@@ -854,7 +671,7 @@ func (ip *interp) execAssign(n *ast.AssignStmt, idx int) {
 	switch lhs := n.LHS.(type) {
 	case *ast.Ident:
 		sym := ip.c.Info.Uses[lhs]
-		c := ip.writableScalarCell(sym)
+		c := ip.scalarCell(sym, lhs.Pos())
 		v := rhs
 		if op := n.Op.AssignOp(); op != token.ILLEGAL {
 			// compound assignment reads the old value
@@ -870,7 +687,7 @@ func (ip *interp) execAssign(n *ast.AssignStmt, idx int) {
 		sym := ip.c.Info.Uses[lhs.X]
 		i := ip.evalExpr(lhs.Index, idx)
 		idx = ip.curEntry
-		arr := ip.writableArrayCells(sym, lhs.Pos())
+		arr := ip.arrayCells(sym, lhs.Pos())
 		if i < 0 || i >= int64(len(arr)) {
 			ip.fail(lhs.Pos(), n.ID(), fmt.Errorf("%w: %s[%d] (size %d)", ErrBounds, sym.Name, i, len(arr)))
 		}
@@ -907,17 +724,12 @@ func (ip *interp) arrayCells(sym *sem.Symbol, pos token.Pos) []cell {
 	if arr == nil {
 		// Declared but its var statement not yet executed (a use cannot
 		// precede the declaration lexically, but a loop re-entry may hit
-		// stale state): zero-initialized. Installing the array mutates the
-		// frame, so a frozen frame must be thawed first.
+		// stale state): zero-initialized.
 		arr = make([]cell, sym.Size)
 		for i := range arr {
 			arr[i].def = trace.NoDef
 		}
-		fr = ip.writableTargetFrame(sym)
 		fr.arrays[sym.Slot] = arr
-		if fr.arrShared != nil {
-			fr.arrShared[sym.Slot] = false
-		}
 	}
 	return arr
 }

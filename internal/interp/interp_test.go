@@ -201,48 +201,6 @@ func TestStepBudgetExact(t *testing.T) {
 	}
 }
 
-// TestForkedRunFirstStepCtxCheck pins the forceCtx contract: a forked
-// run inherits an arbitrary step count, so its first suffix step sits
-// off the ctxCheckEvery grid — yet it must still observe a context that
-// dies between the fork's entry check and that first step. Without the
-// forced check, a short suffix (< ctxCheckEvery steps) would never poll
-// the context at all and run to completion.
-func TestForkedRunFirstStepCtxCheck(t *testing.T) {
-	// Small program: the whole run is far under ctxCheckEvery steps, so
-	// only the forced first-step check can catch the cancellation.
-	src := `func main() {
-	    var s = 0;
-	    for (var i = 0; i < 40; i++) { if (i % 2 == 0) { s += i; } }
-	    print(s);
-	}`
-	c, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewCheckpointStore(0)
-	full := Run(c, Options{BuildTrace: true, Checkpoints: st})
-	if full.Err != nil {
-		t.Fatalf("captured run: %v", full.Err)
-	}
-	if full.Steps >= ctxCheckEvery {
-		t.Fatalf("subject too large (%d steps): periodic checks would mask the forced one", full.Steps)
-	}
-	if st.Len() == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	ck := st.cks[st.Len()/2]
-	// Err call 1 passes RunFrom's entry check; call 2 — the forced check
-	// on the first suffix step — reports cancellation.
-	ctx := &countdownCtx{Context: context.Background(), n: 1}
-	r := RunFrom(c, ck, Options{Ctx: ctx})
-	if !IsCancellation(r.Err) {
-		t.Fatalf("err = %v, want a cancellation", r.Err)
-	}
-	if r.Steps != ck.Steps()+1 {
-		t.Errorf("Steps = %d, want %d (abort on the first suffix step)", r.Steps, ck.Steps()+1)
-	}
-}
-
 func TestContextCancel(t *testing.T) {
 	src := `func main() { var i = 0; while (i < 100000000) { i++; } print(i); }`
 	c, err := Compile(src)

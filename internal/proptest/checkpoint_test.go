@@ -8,29 +8,26 @@ import (
 	"eol/internal/cfg"
 	"eol/internal/interp"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // TestCheckpointForkEquivalence is the checkpoint differential fuzz: for
-// every generated subject, capture a checkpoint store during the traced
-// run, then — for a spread of switched predicates — compare the
-// checkpoint-forked switched run against a full switched run. Every
-// observable field must be DeepEqual: steps, error, rendered output,
-// output records, and the complete trace (entries, children, roots).
-// This is the byte-identity contract of interp.RunFrom checked over the
-// random-program space instead of hand-written cases.
+// every generated subject, capture a VM checkpoint store during the
+// traced run, then — for a spread of switched predicates — compare the
+// VM's checkpoint-forked switched run against the tree-walker's full
+// switched run, the reference oracle. Every observable field must be
+// DeepEqual: steps, error, rendered output, output records, and the
+// complete trace (entries, children, roots). This is the byte-identity
+// contract of vm.Backend.RunSwitchedFrom checked over the random-program
+// space instead of hand-written cases.
 func TestCheckpointForkEquivalence(t *testing.T) {
 	forks, falls := 0, 0
 	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
-		// Re-run with a store attached; the captured run itself must be
-		// unchanged by capturing.
-		st := interp.NewCheckpointStore(0)
-		ck := interp.Run(c, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
-		if ck.Err != nil {
-			t.Fatalf("captured run failed: %v", ck.Err)
-		}
-		if ck.Steps != r.Steps || ck.Rendered != r.Rendered {
-			t.Fatalf("capturing changed the run: steps %d vs %d", ck.Steps, r.Steps)
-		}
+		// Re-run on the VM with a store attached; the captured run itself
+		// must be the oracle's run.
+		st := vm.Backend.NewCheckpoints(0)
+		ck := vm.Backend.Run(c, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
+		assertSameResult(t, "captured run", r, ck)
 
 		var preds []int
 		for i := 0; i < ck.Trace.Len(); i++ {
@@ -50,11 +47,11 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 				Switch:     &interp.SwitchPlan{Stmt: inst.Stmt, Occ: inst.Occ},
 				StepBudget: 10*ck.Trace.Len() + 1000,
 			}
-			full := interp.Run(c, interp.Options{
+			full := interp.Tree.Run(c, interp.Options{
 				Input: opts.Input, Switch: opts.Switch,
 				StepBudget: opts.StepBudget, BuildTrace: true,
 			})
-			forked := interp.RunSwitchedFromStore(st, ck.Trace, c, opts)
+			forked := vm.Backend.RunSwitchedFrom(st, ck.Trace, c, opts)
 			if forked == nil {
 				falls++ // no checkpoint before this predicate: full-run fallback
 				continue
@@ -78,7 +75,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 		}
 	})
 	if forks == 0 {
-		t.Fatal("no fork ever happened: the differential never exercised RunFrom")
+		t.Fatal("no fork ever happened: the differential never exercised a VM fork")
 	}
 	t.Logf("forked %d switched runs (%d fell back to full runs)", forks, falls)
 }

@@ -20,10 +20,11 @@
 //     many uses against the same predicate — the sibling-use pass of
 //     Fig. 5, and re-ranked candidates across PruneSlicing iterations —
 //     reuses one interpreter run instead of re-executing per use.
-//   - Checkpointed replay: when the base verifier carries an
-//     interp.CheckpointStore captured during the failing run, each cache
-//     MISS forks from the nearest checkpoint at or before the switched
-//     predicate and re-executes only the suffix (docs/CHECKPOINT.md).
+//   - Checkpointed replay: when the base verifier carries a checkpoint
+//     store captured during the failing run (only the VM backend builds
+//     one), each cache MISS forks from the nearest checkpoint at or
+//     before the switched predicate and re-executes only the suffix
+//     (docs/CHECKPOINT.md).
 //     Forked runs are byte-identical to full runs, so the RunCache key
 //     needs no checkpoint component: the cached value is the same object
 //     either way, only cheaper to produce.
@@ -292,8 +293,8 @@ func (e *Engine) runSwitched(pred trace.Instance, budget int) *interp.Result {
 
 // execSwitched performs one switched re-execution under ctx, forking from
 // the failing run's checkpoint store when the base verifier carries one.
-// Forked results are byte-identical to full runs (interp.RunFrom's
-// contract), so callers and the RunCache cannot tell the difference —
+// Forked results are byte-identical to full runs (the
+// Backend.RunSwitchedFrom contract), so callers and the RunCache cannot tell the difference —
 // only the CheckpointHits/SuffixSteps counters record that the shortcut
 // was taken. It charges nothing: the caller decides (demand runs charge
 // immediately, speculative runs on claim).

@@ -5,22 +5,13 @@ import (
 	"eol/internal/trace"
 )
 
-// Checkpointed re-execution on VM state. Where the tree-walker must
-// record an explicit resume path and rebuild its Go call stack by
-// recursive descent (interp/resume.go), the VM's execution state is
-// already explicit: a snapshot is the pc, the frozen frame stack, the
+// Checkpointed re-execution (docs/CHECKPOINT.md). The VM's execution
+// state is explicit: a snapshot is the pc, the frozen frame stack, the
 // call records and the (empty-at-capture) operand stack, and a fork is
-// "restore and jump". The capture policy — opCheck poll points before
-// every predicate's opBegin, fired at exactly the statements where the
-// tree-walker polls maybeCheckpoint, with the same stride-doubling /
-// thin-on-overflow schedule — is deliberately identical, so both
-// backends capture at the same step counts and Nearest picks the same
-// fork points (CheckpointStats.Bytes differs: the representations do).
-//
-// Unlike the tree-walker, eligibility needs no resume-path tracking:
-// any opCheck in main's frame is a valid snapshot point by
-// construction. The main-frame restriction is kept so the two backends
-// capture identically; see docs/VM.md.
+// "restore and jump". The compiler places an opCheck poll point before
+// every predicate's opBegin; a capture fires only at an opCheck
+// executing in main's frame, on a stride-doubling / thin-on-overflow
+// schedule.
 
 // checkpoint is one VM snapshot, immutable once captured and safe for
 // concurrent forks (frames are frozen copy-on-write).
@@ -37,7 +28,10 @@ type checkpoint struct {
 	prefix  *trace.Prefix
 }
 
-// approxBytes mirrors the tree store's estimate: private copies only.
+// approxBytes estimates the state retained by this checkpoint: private
+// copies only — frozen array elements are shared with the base run (and
+// other checkpoints) and the trace prefix is shared by construction, so
+// neither is charged here.
 func (ck *checkpoint) approxBytes() int64 {
 	n := int64(len(ck.occ))*8 + int64(len(ck.calls))*24 + int64(len(ck.stack))*8 + int64(len(ck.rendered)) + 256
 	for _, fr := range ck.frames {
@@ -47,10 +41,12 @@ func (ck *checkpoint) approxBytes() int64 {
 }
 
 // Store collects VM checkpoints during one traced run and answers
-// nearest-checkpoint queries for forks. The policy is a verbatim
-// mirror of interp.CheckpointStore: capture at every eligible opCheck
-// once the step counter passes the next mark; past max, drop every
-// second checkpoint and double the stride. A store is bound to a
+// nearest-checkpoint queries for forks. Capture is a deterministic
+// stride-doubling policy: capture at every eligible opCheck once the
+// step counter passes the next mark; past max, drop every second
+// checkpoint and double the stride. The result is at most max
+// checkpoints, roughly evenly spaced over the run and chosen identically
+// on every execution (no clocks, no randomness). A store is bound to a
 // single run; afterwards Nearest/Stats/Len are read-only and safe for
 // concurrent use.
 type Store struct {

@@ -14,11 +14,9 @@
 // and the side tables below. See docs/VM.md for the instruction set and
 // the trace-emission contract.
 //
-// Checkpointing is also reimplemented on VM state: where the
-// tree-walker must record an explicit resume path and rebuild its Go
-// call stack by recursive descent (interp/resume.go), a VM snapshot is
-// just the pc, the frame stack and the call records — forking is
-// "restore and jump". See checkpoint.go.
+// Checkpointed suffix replay works on VM state: a snapshot is just the
+// pc, the frame stack and the call records — forking is "restore and
+// jump". See checkpoint.go.
 package vm
 
 import (
@@ -31,9 +29,8 @@ import (
 
 // opcode enumerates the VM instruction set. The machine is stack-based:
 // expression operands live on a per-run operand stack, while variables
-// live in slot-indexed activation frames (the same copy-on-write frame
-// representation the tree-walker uses, so checkpoint sharing works
-// identically).
+// live in slot-indexed copy-on-write activation frames (frame.go), which
+// checkpoints share structurally.
 type opcode uint8
 
 const (

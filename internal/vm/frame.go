@@ -6,12 +6,11 @@ import (
 	"eol/internal/trace"
 )
 
-// The VM uses the same activation-frame representation as the
-// tree-walker: dense slot-indexed cell slices with copy-on-write
-// sharing for checkpoints. The types are duplicated here (they are
-// unexported in internal/interp) but the freeze/thaw discipline is
-// identical, so a VM checkpoint shares frames with the continuing run
-// exactly the way a tree checkpoint does.
+// The VM's activation frames use the tree-walker's layout (dense
+// slot-indexed cell slices) plus copy-on-write sharing for checkpoints:
+// capture freezes every live frame, and the continuing run and every
+// fork thaw (clone) a frozen frame before its first mutation, so
+// concurrent forks share one snapshot without synchronization.
 
 type cell struct {
 	val int64

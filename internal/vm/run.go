@@ -192,8 +192,14 @@ func run(c *interp.Compiled, opts interp.Options) *interp.Result {
 	return m.res
 }
 
-// runFrom forks a run from a VM checkpoint, executing only the suffix;
-// the VM analogue of interp.RunFrom (same contract, same caveats).
+// runFrom forks a run from a VM checkpoint and executes only the
+// suffix. The result is byte-identical — trace, outputs, rendered text,
+// step count, error — to a full run with the same Options, provided c
+// is the program the checkpoint was captured from, opts.Input equals the
+// original input, any Switch/Perturb plan targets an instance at or
+// after the checkpoint, and opts.StepBudget exceeds the checkpoint's
+// step count (RunSwitchedFrom guarantees the last two). The fork is
+// always traced and never captures checkpoints of its own.
 func runFrom(c *interp.Compiled, ck *checkpoint, opts interp.Options) *interp.Result {
 	m := &machine{
 		p:         programOf(c),

@@ -201,7 +201,7 @@ func compareResults(t *testing.T, want, got *interp.Result) {
 		t.Fatalf("applied flags: tree (%v,%v), vm (%v,%v)",
 			want.SwitchApplied, want.PerturbApplied, got.SwitchApplied, got.PerturbApplied)
 	}
-	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+	if !sameOutputs(want.Outputs, got.Outputs) {
 		t.Fatalf("Outputs:\ntree %v\nvm   %v", want.Outputs, got.Outputs)
 	}
 	compareErr(t, want.Err, got.Err)
@@ -244,9 +244,16 @@ func compareTraces(t *testing.T, want, got *trace.Trace) {
 			t.Fatalf("entry %d:\ntree %+v\nvm   %+v", i, *want.At(i), *got.At(i))
 		}
 	}
-	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+	if !sameOutputs(want.Outputs, got.Outputs) {
 		t.Fatalf("trace Outputs:\ntree %v\nvm   %v", want.Outputs, got.Outputs)
 	}
+}
+
+// sameOutputs compares output records, treating nil and empty alike: a
+// fork starts from the prefix's (possibly empty) output slice, a full
+// run from nil.
+func sameOutputs(want, got []trace.Output) bool {
+	return len(want) == len(got) && (len(want) == 0 || reflect.DeepEqual(want, got))
 }
 
 func runBoth(t *testing.T, c *interp.Compiled, opts interp.Options) (*interp.Result, *interp.Result) {
@@ -404,73 +411,48 @@ func TestDifferentialRandom(t *testing.T) {
 
 // TestCheckpointFork pins the VM's pc/frame-stack checkpoints: a
 // switched fork from every retained snapshot must be byte-identical to
-// a full switched run, and the capture schedule must match the
-// tree-walker's (same capture step counts, same retained count).
+// the tree-walker's full switched run, and capturing must leave the
+// failing run itself unchanged.
 func TestCheckpointFork(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["switchable"])
 	input := []int64{40}
 
-	treeCks := interp.Tree.NewCheckpoints(8)
-	treeRun := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: treeCks})
-	vmCks := Backend.NewCheckpoints(8)
-	vmRun := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmCks})
-	compareResults(t, treeRun, vmRun)
-
-	ts, vs := treeCks.Stats(), vmCks.Stats()
-	if ts.Count != vs.Count || ts.Captured != vs.Captured || ts.Thinned != vs.Thinned {
-		t.Fatalf("capture schedules diverge: tree %+v, vm %+v", ts, vs)
+	cks := NewStore(8)
+	vmRun := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: cks})
+	compareResults(t, treeFull(c, interp.Options{Input: input}), vmRun)
+	if cks.Len() == 0 {
+		t.Fatal("no checkpoints captured")
 	}
 
-	// Fork every switchable predicate instance from the VM store and
-	// check against both a full VM switched run and the tree fork.
 	forks := 0
-	for i := 0; i < vmRun.Trace.Len(); i++ {
-		e := vmRun.Trace.At(i)
-		if e.Branch == 0 {
-			continue
-		}
-		plan := &interp.SwitchPlan{Stmt: e.Inst.Stmt, Occ: e.Inst.Occ}
-		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan}
-		vmFork := Backend.RunSwitchedFrom(vmCks, vmRun.Trace, c, opts)
-		treeFork := interp.Tree.RunSwitchedFrom(treeCks, treeRun.Trace, c, opts)
-		if (vmFork == nil) != (treeFork == nil) {
-			t.Fatalf("fork availability diverges at %v: tree %v, vm %v", plan, treeFork != nil, vmFork != nil)
-		}
-		if vmFork == nil {
+	for _, p := range predicateInstances(vmRun.Trace) {
+		opts := interp.Options{Input: input, BuildTrace: true, Switch: switchAt(vmRun.Trace, p)}
+		fork := Backend.RunSwitchedFrom(cks, vmRun.Trace, c, opts)
+		if fork == nil {
 			continue
 		}
 		forks++
-		compareResults(t, treeFork, vmFork)
-		full := Backend.Run(c, opts)
-		full.ResumedAt = vmFork.ResumedAt // the only legitimate difference
-		compareResults(t, full, vmFork)
+		compareFork(t, treeFull(c, opts), fork, cks.Nearest(p).steps)
 	}
 	if forks == 0 {
 		t.Fatal("no forks exercised")
 	}
 }
 
-// TestForeignCheckpointStore: handing a store to the other backend must
-// be a no-op (run completes, nothing captured, forks decline).
+// TestForeignCheckpointStore: the tree-walker builds no checkpoint
+// store, and handing it the VM's store must be a no-op (run completes,
+// nothing captured, forks decline).
 func TestForeignCheckpointStore(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["switchable"])
 	input := []int64{12}
-
-	treeStore := interp.Tree.NewCheckpoints(4)
-	res := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: treeStore})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if treeStore.Len() != 0 {
-		t.Fatalf("VM run captured into a tree store: %d", treeStore.Len())
-	}
 	plan := &interp.SwitchPlan{Stmt: 1, Occ: 1}
-	if r := Backend.RunSwitchedFrom(treeStore, res.Trace, c, interp.Options{Input: input, BuildTrace: true, Switch: plan}); r != nil {
-		t.Fatal("VM fork accepted a tree store")
+
+	if st := interp.Tree.NewCheckpoints(4); st != nil {
+		t.Fatalf("tree backend built a checkpoint store: %T", st)
 	}
 
 	vmStore := Backend.NewCheckpoints(4)
-	res = interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmStore})
+	res := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmStore})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -482,52 +464,47 @@ func TestForeignCheckpointStore(t *testing.T) {
 	}
 }
 
-// TestDifferentialForkBudgetAndCancel exercises forked runs under tight
-// budgets and countdown cancellation on both backends.
+// TestDifferentialForkBudgetAndCancel exercises VM forks under tight
+// budgets and countdown cancellation against the tree-walker's full
+// run: a fork either declines or stops exactly where the full run does.
 func TestDifferentialForkBudgetAndCancel(t *testing.T) {
 	c := interp.MustCompile(diffPrograms["switchable"])
 	input := []int64{60}
 
-	treeCks := interp.Tree.NewCheckpoints(8)
-	treeRun := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: treeCks})
-	vmCks := Backend.NewCheckpoints(8)
-	vmRun := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: vmCks})
+	cks := NewStore(8)
+	vmRun := Backend.Run(c, interp.Options{Input: input, BuildTrace: true, Checkpoints: cks})
 
 	// Pick the last predicate instance: its fork has the longest prefix.
-	var plan *interp.SwitchPlan
-	for i := vmRun.Trace.Len() - 1; i >= 0; i-- {
-		e := vmRun.Trace.At(i)
-		if e.Branch != 0 {
-			plan = &interp.SwitchPlan{Stmt: e.Inst.Stmt, Occ: e.Inst.Occ}
-			break
-		}
-	}
-	if plan == nil {
+	preds := predicateInstances(vmRun.Trace)
+	if len(preds) == 0 {
 		t.Fatal("no predicate found")
 	}
-	for _, budget := range []int{1, 5, treeRun.Steps / 2, treeRun.Steps, treeRun.Steps * 2} {
+	last := preds[len(preds)-1]
+	plan := switchAt(vmRun.Trace, last)
+	resumedAt := cks.Nearest(last).steps
+	forks := 0
+	for _, budget := range []int{1, 5, vmRun.Steps / 2, vmRun.Steps, vmRun.Steps * 2} {
 		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan, StepBudget: budget}
-		vmFork := Backend.RunSwitchedFrom(vmCks, vmRun.Trace, c, opts)
-		treeFork := interp.Tree.RunSwitchedFrom(treeCks, treeRun.Trace, c, opts)
-		if (vmFork == nil) != (treeFork == nil) {
-			t.Fatalf("budget %d: fork availability diverges", budget)
-		}
-		if vmFork != nil {
-			compareResults(t, treeFork, vmFork)
+		if fork := Backend.RunSwitchedFrom(cks, vmRun.Trace, c, opts); fork != nil {
+			forks++
+			compareFork(t, treeFull(c, opts), fork, resumedAt)
 		}
 	}
+	if forks == 0 {
+		t.Fatal("every budget was declined")
+	}
 	for _, polls := range []int{1, 2} {
-		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan}
-		opts.Ctx = &countdownCtx{left: polls}
-		vmFork := Backend.RunSwitchedFrom(vmCks, vmRun.Trace, c, opts)
-		opts.Ctx = &countdownCtx{left: polls}
-		treeFork := interp.Tree.RunSwitchedFrom(treeCks, treeRun.Trace, c, opts)
-		if (vmFork == nil) != (treeFork == nil) {
-			t.Fatalf("polls %d: fork availability diverges", polls)
+		opts := interp.Options{Input: input, BuildTrace: true, Switch: plan, Ctx: &countdownCtx{left: polls}}
+		fork := Backend.RunSwitchedFrom(cks, vmRun.Trace, c, opts)
+		if fork == nil {
+			t.Fatalf("polls %d: fork declined", polls)
 		}
-		if vmFork != nil {
-			compareResults(t, treeFork, vmFork)
+		if fork.Err != nil {
+			compareCanceledFork(t, c, opts, fork)
+			continue
 		}
+		opts.Ctx = nil
+		compareFork(t, treeFull(c, opts), fork, resumedAt)
 	}
 }
 
