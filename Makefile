@@ -22,10 +22,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Lint lane: Go-level vet plus the MiniC static checker suite over the
-# checked-in subjects (testdata/lint/ holds known-bad fixtures and is
-# deliberately excluded).
+# Lint lane: gofmt over every tracked Go file, Go-level vet, plus the
+# MiniC static checker suite over the checked-in subjects (testdata/lint/
+# holds known-bad fixtures and is deliberately excluded).
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/eolvet testdata/*.mc
 
 bench:

@@ -410,53 +410,6 @@ func BenchmarkRepruneIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeculation is the speculation on/off ablation: the same
-// multi-round localizations with and without speculative verification
-// overlapped with re-prune. The Reports are identical either way
-// (internal/core TestSpeculationDeterminismBench); what differs is when
-// the switched runs execute. spec_hits/op counts demand lookups served
-// by a finished speculative run — verification latency hidden behind
-// the re-prune phase; spec_issued/op is the total speculative work.
-// On a single-CPU host wall-clock gains are bounded by the re-prune
-// compute overlap, so read the custom metrics, not just ns/op, when
-// cores are scarce.
-func BenchmarkSpeculation(b *testing.B) {
-	for _, name := range []string{"grepsim/V4-F2", "sedsim/V3-F2", "sedsim/V3-F3"} {
-		p := prep(b, name)
-		for _, mode := range []struct {
-			label string
-			on    bool
-		}{{"off", false}, {"on", true}} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode.label), func(b *testing.B) {
-				var issued, hits int64
-				for i := 0; i < b.N; i++ {
-					spec := p.Spec()
-					spec.VerifyWorkers = 4
-					if mode.on {
-						spec.Features.Speculation = core.FeatureOn
-					}
-					rep, err := core.Locate(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !rep.Located {
-						b.Fatalf("%s: not located", name)
-					}
-					issued, hits = rep.Stats.SpecIssued, rep.Stats.SpecHits
-				}
-				// Only the scaled grep case is guaranteed speculative
-				// traffic; the sed cases report whatever their round
-				// structure yields (V3-F3 converges with none).
-				if mode.on && name == "grepsim/V4-F2" && hits == 0 {
-					b.Fatalf("%s: speculation never hit (issued %d)", name, issued)
-				}
-				b.ReportMetric(float64(issued), "spec_issued/op")
-				b.ReportMetric(float64(hits), "spec_hits/op")
-			})
-		}
-	}
-}
-
 // BenchmarkObserverOverhead measures what observation costs a full
 // localization: nil observer (the fast path every unobserved run takes)
 // vs a JSONL journal to io.Discard vs the in-memory timeline sink. The

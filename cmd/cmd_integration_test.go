@@ -441,6 +441,19 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestRemovedSpeculateFlag: speculative verification is gone, and its
+// -speculate flag is now an unknown flag (usage error, exit 2) on every
+// command that used to accept it.
+func TestRemovedSpeculateFlag(t *testing.T) {
+	buildServeTools(t)
+	for _, tool := range []string{"eoloc", "eolcorpus", "eolserve"} {
+		out, code := runExit(t, tool, "-speculate")
+		if code != 2 || !strings.Contains(out, "-speculate") {
+			t.Errorf("%s -speculate: exit code = %d, want 2 naming the flag\n%s", tool, code, out)
+		}
+	}
+}
+
 // TestEolvetLintFixtures runs eolvet over each known-bad fixture in
 // testdata/lint and compares against its golden output; each fixture
 // must flag its own code (eol000N.mc -> EOL000N) and exit 1.
@@ -582,7 +595,6 @@ func TestEolcorpusAB(t *testing.T) {
 		{"default", nil},
 		{"no-checkpoints", []string{"-checkpoints", "-1"}},
 		{"no-static-reach", []string{"-no-static-reach"}},
-		{"speculate", []string{"-speculate"}},
 		{"tree", []string{"-backend", "tree"}},
 		{"shards2", []string{"-shards", "2"}},
 	}

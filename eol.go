@@ -294,10 +294,9 @@ type Settings struct {
 	//	Features.IncrementalReprune ↔ NoIncremental
 	//	Features.Checkpoints        ↔ Checkpoints < 0 (the sign; the
 	//	                              magnitude keeps selecting the count)
-	//	Features.Speculation        — new; no legacy knob, off by default
 	//
 	// A FeatureOn/FeatureOff field overrides its legacy knob. See
-	// WithFeatures, WithSpeculation and docs/SPECULATION.md.
+	// WithFeatures.
 	Features Features
 	// Backend names the execution backend for the failing run and every
 	// re-execution: "vm" (the bytecode VM, the default), "tree" (the
@@ -508,8 +507,8 @@ type Features = core.Features
 // FeatureMode is the tri-state of one Features field.
 type FeatureMode = core.FeatureMode
 
-// Feature modes: FeatureDefault defers to the legacy knob (or built-in
-// default), FeatureOn/FeatureOff force the feature.
+// Feature modes: FeatureDefault defers to the legacy knob,
+// FeatureOn/FeatureOff force the feature.
 const (
 	FeatureDefault = core.FeatureDefault
 	FeatureOn      = core.FeatureOn
@@ -627,18 +626,6 @@ func WithoutStaticReach() LocateOption {
 // The positive replacement for the Without* options above.
 func WithFeatures(f Features) LocateOption {
 	return func(s *Settings) { s.Features = s.Features.Overlay(f) }
-}
-
-// WithSpeculation enables pipelined speculative verification: after each
-// expansion round the locator predicts the next round's candidate
-// predicates and issues their switched runs while the re-prune is still
-// running, so verify latency hides behind analysis latency
-// (docs/SPECULATION.md). The diagnosis, counters and journal are
-// byte-identical with or without it — only Stats.SpecIssued/SpecHits/
-// SpecWasted and wall-clock time differ. Off by default: on single-CPU
-// hosts speculative runs compete with demand work for the same core.
-func WithSpeculation() LocateOption {
-	return WithFeatures(Features{Speculation: core.FeatureOn})
 }
 
 // WithBackend selects the execution backend by name: "vm" (bytecode

@@ -1,13 +1,9 @@
 package eol
 
-// Facade coverage for the Features API: the positive tri-state spelling,
-// its equivalence with the deprecated Without* wrappers, and the
-// speculation option's results-neutrality at the public surface.
+// Facade coverage for the Features API: the positive tri-state spelling
+// and its equivalence with the deprecated Without* wrappers.
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // locateFig1 runs one localization with extra options and returns the
 // diagnosis.
@@ -55,36 +51,12 @@ func TestWithFeaturesEquivalentToDeprecatedWrappers(t *testing.T) {
 	}
 }
 
-// TestWithSpeculationResultsNeutral: the speculation feature must not
-// change the diagnosis — verdict, counters, and candidate ranking all
-// identical; only the Spec* cost counters may differ.
-func TestWithSpeculationResultsNeutral(t *testing.T) {
-	off := locateFig1(t)
-	on := locateFig1(t, WithSpeculation(), WithVerifyCacheSize(0))
-	if off.Root != on.Root {
-		t.Errorf("root cause %v with speculation, %v without", on.Root, off.Root)
-	}
-	offStats, onStats := off.Stats, on.Stats
-	// Blank the speculation-only counters, then everything else must
-	// match field for field.
-	onStats.SpecIssued, onStats.SpecHits, onStats.SpecWasted = 0, 0, 0
-	offStats.SpecIssued, offStats.SpecHits, offStats.SpecWasted = 0, 0, 0
-	// Cache traffic differs run-to-run only via sharing; both runs here
-	// use private caches of equal size, so compare them too.
-	if !reflect.DeepEqual(offStats, onStats) {
-		t.Errorf("stats diverge with speculation:\n off: %+v\n on:  %+v", offStats, onStats)
-	}
-	if off.Stats.SpecIssued != 0 {
-		t.Errorf("speculation-off run issued %d speculative runs", off.Stats.SpecIssued)
-	}
-}
-
 // TestWithFeaturesOverlayOrder: later WithFeatures calls overlay earlier
 // ones field by field, like corpus manifests over corpus defaults.
 func TestWithFeaturesOverlayOrder(t *testing.T) {
 	var st Settings
 	for _, opt := range []LocateOption{
-		WithFeatures(Features{StaticSkip: FeatureOff, Speculation: FeatureOn}),
+		WithFeatures(Features{StaticSkip: FeatureOff, StaticReach: FeatureOff}),
 		WithFeatures(Features{StaticSkip: FeatureOn}),
 	} {
 		opt(&st)
@@ -92,7 +64,7 @@ func TestWithFeaturesOverlayOrder(t *testing.T) {
 	if st.Features.StaticSkip != FeatureOn {
 		t.Errorf("StaticSkip = %v, want on (last call wins)", st.Features.StaticSkip)
 	}
-	if st.Features.Speculation != FeatureOn {
-		t.Errorf("Speculation = %v, want on (earlier call survives default)", st.Features.Speculation)
+	if st.Features.StaticReach != FeatureOff {
+		t.Errorf("StaticReach = %v, want off (earlier call survives default)", st.Features.StaticReach)
 	}
 }

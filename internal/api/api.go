@@ -134,8 +134,8 @@ type LocateRequest struct {
 // defaults plus subjects — with the same inline-text restriction as
 // LocateRequest.
 type CorpusRequest struct {
-	SchemaVersion int             `json:"schema_version,omitempty"`
-	Defaults      corpus.Defaults `json:"defaults,omitempty"`
+	SchemaVersion int              `json:"schema_version,omitempty"`
+	Defaults      corpus.Defaults  `json:"defaults,omitempty"`
 	Subjects      []corpus.Subject `json:"subjects"`
 }
 

@@ -149,10 +149,10 @@ func TestManifestConversion(t *testing.T) {
 // which the server reports with the `invalid` code.
 func TestWireFeatures(t *testing.T) {
 	req, err := DecodeCorpusRequest(strings.NewReader(`{
-  "defaults": {"features": {"speculation": "on"}},
+  "defaults": {"features": {"checkpoints": "on"}},
   "subjects": [
     {"source": "main(){}", "expected": [1]},
-    {"source": "main(){}", "expected": [1], "features": {"speculation": "off"}}
+    {"source": "main(){}", "expected": [1], "features": {"checkpoints": "off"}}
   ]
 }`))
 	if err != nil {
@@ -162,10 +162,10 @@ func TestWireFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid features rejected: %v", err)
 	}
-	if got := m.Subjects[0].Features["speculation"]; got != "on" {
+	if got := m.Subjects[0].Features["checkpoints"]; got != "on" {
 		t.Errorf("default feature not folded: %v", m.Subjects[0].Features)
 	}
-	if got := m.Subjects[1].Features["speculation"]; got != "off" {
+	if got := m.Subjects[1].Features["checkpoints"]; got != "off" {
 		t.Errorf("subject feature overridden: %v", m.Subjects[1].Features)
 	}
 

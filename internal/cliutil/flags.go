@@ -30,36 +30,27 @@ type EngineFlags struct {
 	// "tree"). Backends are byte-identical — the flag only changes
 	// wall-clock time (docs/VM.md).
 	Backend string
-	// Speculate enables speculative verification: predicted next-round
-	// switched runs overlap the incremental re-prune. Results, counters,
-	// and the journal are byte-identical either way
-	// (docs/SPECULATION.md).
-	Speculate bool
 }
 
 // Features translates the parsed flags into the engine-feature
 // tri-states for core.Spec.Features / corpus.Options.Features:
-// -no-static-reach maps to StaticReach off, -speculate to Speculation
-// on. The sizing knobs (Workers, Cache, Checkpoints) stay plain ints
-// because they carry sizes, not on/off choices. Commands should pass
-// this instead of copying NoStaticReach into the deprecated negative
-// fields.
+// -no-static-reach maps to StaticReach off. The sizing knobs (Workers,
+// Cache, Checkpoints) stay plain ints because they carry sizes, not
+// on/off choices. Commands should pass this instead of copying
+// NoStaticReach into the deprecated negative fields.
 func (ef *EngineFlags) Features() core.Features {
 	var f core.Features
 	if ef.NoStaticReach {
 		f.StaticReach = core.FeatureOff
 	}
-	if ef.Speculate {
-		f.Speculation = core.FeatureOn
-	}
 	return f
 }
 
 // RegisterEngineFlags registers the unified engine knobs -workers,
-// -cache, -checkpoints, -no-static-reach, -backend, and -speculate on
-// fs. The pre-unification spellings -verify-workers/-verify-cache
-// finished their deprecation cycle and are gone: they fail like any
-// unknown flag (usage + exit code 2 under flag.ExitOnError).
+// -cache, -checkpoints, -no-static-reach and -backend on fs. The
+// pre-unification spellings -verify-workers/-verify-cache finished their
+// deprecation cycle and are gone: they fail like any unknown flag
+// (usage + exit code 2 under flag.ExitOnError).
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.IntVar(&ef.Workers, "workers", 0,
@@ -70,8 +61,6 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"failing-run checkpoint bound for switched replay (0 = default, negative = disabled)")
 	fs.BoolVar(&ef.NoStaticReach, "no-static-reach", false,
 		"disable the pre-execution static reach filter")
-	fs.BoolVar(&ef.Speculate, "speculate", false,
-		"speculatively verify predicted candidates during re-prune (same results, see docs/SPECULATION.md)")
 	RegisterBackendFlag(fs, &ef.Backend)
 	return ef
 }

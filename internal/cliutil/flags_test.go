@@ -24,12 +24,13 @@ func TestEngineFlagsCanonicalNames(t *testing.T) {
 }
 
 // TestEngineFlagsRemovedAliases: the pre-unification spellings
-// -verify-workers/-verify-cache finished their deprecation cycle and
-// now fail like any unknown flag. Under the commands' flag.ExitOnError
-// sets that means usage output and exit code 2; with ContinueOnError
-// here it surfaces as a Parse error naming the flag.
+// -verify-workers/-verify-cache finished their deprecation cycle and,
+// like the removed -speculate, now fail as any unknown flag. Under the
+// commands' flag.ExitOnError sets that means usage output and exit code
+// 2; with ContinueOnError here it surfaces as a Parse error naming the
+// flag.
 func TestEngineFlagsRemovedAliases(t *testing.T) {
-	for _, alias := range []string{"verify-workers", "verify-cache"} {
+	for _, alias := range []string{"verify-workers", "verify-cache", "speculate"} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		var buf bytes.Buffer
 		fs.SetOutput(&buf)
@@ -44,19 +45,12 @@ func TestEngineFlagsRemovedAliases(t *testing.T) {
 	}
 }
 
-func TestEngineFlagsSpeculate(t *testing.T) {
+func TestEngineFlagsFeatures(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ef := RegisterEngineFlags(fs)
-	if err := fs.Parse([]string{"-speculate"}); err != nil {
+	if err := fs.Parse([]string{"-no-static-reach"}); err != nil {
 		t.Fatal(err)
 	}
-	if !ef.Speculate {
-		t.Fatal("-speculate did not set Speculate")
-	}
-	if f := ef.Features(); f.Speculation != core.FeatureOn {
-		t.Errorf("Features().Speculation = %v, want on", f.Speculation)
-	}
-	ef.NoStaticReach = true
 	if f := ef.Features(); f.StaticReach != core.FeatureOff {
 		t.Errorf("Features().StaticReach = %v, want off", f.StaticReach)
 	}
@@ -92,12 +86,12 @@ func TestUsageHidesAliases(t *testing.T) {
 	fs.SetOutput(&buf)
 	fs.Usage()
 	out := buf.String()
-	for _, want := range []string{"-workers", "-cache", "-speculate", "-trace", "-progress"} {
+	for _, want := range []string{"-workers", "-cache", "-no-static-reach", "-trace", "-progress"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("usage does not advertise %s:\n%s", want, out)
 		}
 	}
-	for _, gone := range []string{"verify-workers", "verify-cache"} {
+	for _, gone := range []string{"verify-workers", "verify-cache", "speculate"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("usage still mentions removed alias %s:\n%s", gone, out)
 		}

@@ -561,14 +561,6 @@ func (a *Analyzer) FaultCandidates() []Candidate {
 		}
 		res = append(res, Candidate{Entry: e, Conf: a.conf[e], Dist: d})
 	})
-	sortCandidates(res)
-	return res
-}
-
-// sortCandidates orders candidates most suspicious first: lowest
-// confidence, then smallest dependence distance, then latest execution —
-// the ranking both FaultCandidates and PredictCandidates present.
-func sortCandidates(res []Candidate) {
 	sort.Slice(res, func(i, j int) bool {
 		if res[i].Conf != res[j].Conf {
 			return res[i].Conf < res[j].Conf
@@ -578,50 +570,6 @@ func sortCandidates(res []Candidate) {
 		}
 		return res[i].Entry > res[j].Entry
 	})
-}
-
-// PredictCandidates previews the fault-candidate ranking the NEXT Compute
-// is likely to produce, without running it: the stale post-last-Compute
-// ranking plus the targets of dependence edges queued through AddEdges
-// since then (new predicates about to be pulled into the slice by the
-// delta pass's cone growth). It reads only analyzer state maintained on
-// the caller's goroutine and mutates nothing, so the locator can consult
-// it between Compute calls — this is the prediction source of the
-// speculative verification pipeline (docs/SPECULATION.md).
-//
-// The preview is best-effort by design: the next Compute may re-rank,
-// admit or prune entries the preview missed. Callers must treat a
-// predicted candidate as a hint (a wasted speculative run is warm cache,
-// not a wrong verdict), never as an analysis result. k > 0 truncates to
-// the top k; k <= 0 returns the full preview.
-func (a *Analyzer) PredictCandidates(k int) []Candidate {
-	if !a.computed {
-		return nil
-	}
-	res := a.FaultCandidates()
-	seen := make(map[int]bool, len(res))
-	for _, c := range res {
-		seen[c.Entry] = true
-	}
-	for _, arc := range a.pendingArcs {
-		if arc.Kind&a.Kinds == 0 {
-			continue
-		}
-		e := arc.To
-		if e < 0 || e >= len(a.conf) || seen[e] || a.conf[e] >= 1 {
-			continue
-		}
-		seen[e] = true
-		d := math.MaxInt32
-		if dd := a.dist[e]; dd >= 0 {
-			d = int(dd)
-		}
-		res = append(res, Candidate{Entry: e, Conf: a.conf[e], Dist: d})
-	}
-	sortCandidates(res)
-	if k > 0 && len(res) > k {
-		res = res[:k]
-	}
 	return res
 }
 

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"eol/internal/interp"
 	"eol/internal/obs"
+	"eol/internal/verifyengine"
 )
 
 // cancelOn cancels a context the first time the named span begins. Core
@@ -188,6 +190,67 @@ func TestCanceledLocateLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines: %d before, %d after canceled runs", before, runtime.NumGoroutine())
+}
+
+// TestCanceledLocateLeavesSharedCacheClean cancels a parallel
+// localization at its first verification batch while it uses a shared
+// run cache. Its workers must drain, and whatever it left in the cache
+// must be real runs only: a fresh localization over the same cache
+// reproduces the uncached baseline verdict for verdict.
+func TestCanceledLocateLeavesSharedCacheClean(t *testing.T) {
+	baseSpec, _ := fig1Spec(t)
+	baseSpec.VerifyCacheSize = -1
+	want, err := Locate(baseSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Located {
+		t.Fatal("baseline did not locate")
+	}
+
+	cache := verifyengine.NewRunCache(0)
+	before := runtime.NumGoroutine()
+	spec, _ := fig1Spec(t)
+	spec.VerifyWorkers = 4
+	spec.VerifyCache = cache
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co := &cancelOn{span: "verify_batch", cancel: cancel}
+	spec.Observer = co
+	if _, err := LocateContext(ctx, spec); !errors.Is(err, interp.ErrCanceled) {
+		t.Fatalf("error %v does not match ErrCanceled", err)
+	}
+	checkBalanced(t, co.events)
+
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after the canceled run", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	spec2, _ := fig1Spec(t)
+	spec2.VerifyCache = cache
+	got, err := Locate(spec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Located != want.Located || got.RootEntry != want.RootEntry {
+		t.Errorf("after the canceled run: located %v@%d, want %v@%d",
+			got.Located, got.RootEntry, want.Located, want.RootEntry)
+	}
+	if got.Stats.Verifications != want.Stats.Verifications ||
+		got.Stats.UserPrunings != want.Stats.UserPrunings ||
+		got.Stats.Iterations != want.Stats.Iterations {
+		t.Errorf("after the canceled run: counters (%d %d %d), want (%d %d %d)",
+			got.Stats.Verifications, got.Stats.UserPrunings, got.Stats.Iterations,
+			want.Stats.Verifications, want.Stats.UserPrunings, want.Stats.Iterations)
+	}
+	if !reflect.DeepEqual(got.VerifyLog, want.VerifyLog) {
+		t.Errorf("after the canceled run: VerifyLog diverged\n got: %v\nwant: %v",
+			got.VerifyLog, want.VerifyLog)
+	}
 }
 
 func mustCompileT(t *testing.T, src string) *interp.Compiled {

@@ -407,15 +407,15 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 
 	rep := &Report{WrongOutput: wrong, Vexp: vexp, Trace: tr, Graph: g}
 
-	l := &locator{spec: spec, ctx: ctx, feats: feats, cx: cx, an: an, ver: ver, eng: eng, rep: rep,
-		rec: rec, pdCache: map[int][]slicing.PDep{}, judged: map[int]bool{},
-		expanded: map[int]bool{}}
+	l := &locator{spec: spec, ctx: ctx, cx: cx, an: an, ver: ver, eng: eng, rep: rep,
+		rec: rec, pdCache: map[int][]slicing.PDep{}, judged: map[int]bool{}}
 
 	// Initial PruneSlicing (Algorithm 2 line 3).
 	if err := l.pruneSlicing(); err != nil {
 		return l.abort(err)
 	}
 
+	expanded := map[int]bool{}
 	for iter := 0; iter < maxIter; iter++ {
 		if l.rootInCandidates() {
 			break
@@ -426,10 +426,10 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 		// Select uses u from PS by rank until one yields edges
 		// (Algorithm 2 lines 5-18).
 		for _, cand := range l.an.FaultCandidates() {
-			if l.expanded[cand.Entry] {
+			if expanded[cand.Entry] {
 				continue
 			}
-			l.expanded[cand.Entry] = true
+			expanded[cand.Entry] = true
 			ok, err := l.expand(cand.Entry)
 			if err != nil {
 				expErr = err
@@ -455,10 +455,6 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 			break // no unexpanded candidates produced edges: give up
 		}
 		rep.Stats.Iterations++
-		// Pipelining (docs/SPECULATION.md): issue the predicted next
-		// round's switched runs now, so they execute while the re-prune
-		// below occupies this goroutine.
-		l.speculate()
 		err := l.pruneSlicing() // Algorithm 2 line 19
 		rec.End("iteration", 1)
 		if err != nil {
@@ -481,59 +477,18 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 }
 
 type locator struct {
-	spec     *Spec
-	ctx      context.Context
-	feats    ResolvedFeatures
-	cx       *slicing.Context
-	an       *confidence.Analyzer
-	ver      *implicit.Verifier
-	eng      *verifyengine.Engine
-	rep      *Report
-	rec      *obs.Recorder
-	pdCache  map[int][]slicing.PDep
-	judged   map[int]bool // entries already answered "corrupted" by the user
-	expanded map[int]bool // entries already selected for expansion
+	spec    *Spec
+	ctx     context.Context
+	cx      *slicing.Context
+	an      *confidence.Analyzer
+	ver     *implicit.Verifier
+	eng     *verifyengine.Engine
+	rep     *Report
+	rec     *obs.Recorder
+	pdCache map[int][]slicing.PDep
+	judged  map[int]bool // entries already answered "corrupted" by the user
 
 	boundaryVals []int64 // memoized perturbation probe values
-}
-
-// speculateTopK bounds how many predicted candidates get their potential
-// dependences speculated per round. The next round expands exactly one
-// candidate (the top-ranked unexpanded one that yields edges), so a
-// small K covers the common case while bounding misprediction cost.
-const speculateTopK = 2
-
-// speculate predicts the next round's expansion targets from the
-// analyzer's stale ranking (confidence.PredictCandidates) and issues
-// their potential dependences' switched runs speculatively, overlapping
-// them with the re-prune that follows. Determinism is unaffected by
-// construction: speculative runs are invisible to every journal-visible
-// counter until a demand lookup claims them, and then charge exactly
-// what the demand run they replaced would have (docs/SPECULATION.md).
-func (l *locator) speculate() {
-	if !l.feats.Speculation || l.spec.PathMode {
-		return
-	}
-	picked := 0
-	var reqs []implicit.Request
-	for _, cand := range l.an.PredictCandidates(0) {
-		if l.expanded[cand.Entry] {
-			continue
-		}
-		pds := l.pd(cand.Entry)
-		if len(pds) == 0 {
-			continue
-		}
-		for _, pd := range pds {
-			reqs = append(reqs, implicit.Request{
-				Pred: pd.Pred, Use: cand.Entry, UseSym: pd.UseSym, UseElem: pd.UseElem,
-			})
-		}
-		if picked++; picked >= speculateTopK {
-			break
-		}
-	}
-	l.eng.Speculate(reqs)
 }
 
 func (l *locator) pd(entry int) []slicing.PDep {
@@ -605,11 +560,7 @@ func (l *locator) abort(err error) (*Report, error) {
 
 // finalizeStats folds the verifier's, engine's and analyzer's cost
 // counters into the report. Safe on the partial state of an aborted run.
-// It first drains the speculation pipeline — aborting in-flight
-// speculative runs — so no engine goroutine outlives Locate and the
-// counters below are final.
 func (l *locator) finalizeStats() {
-	l.eng.WaitSpeculation()
 	rep := l.rep
 	rep.Stats.Verifications = l.ver.Verifications
 	rep.VerifyLog = l.ver.Log
@@ -623,9 +574,6 @@ func (l *locator) finalizeStats() {
 	rep.Stats.AlignedRegions = es.AlignedRegions
 	rep.Stats.CheckpointHits = es.CheckpointHits
 	rep.Stats.SuffixSteps = es.SuffixSteps
-	rep.Stats.SpecIssued = es.SpecIssued
-	rep.Stats.SpecHits = es.SpecHits
-	rep.Stats.SpecWasted = es.SpecWasted
 	if cks := l.ver.Checkpoints; cks != nil {
 		cs := cks.Stats()
 		rep.Stats.Checkpoints = cs.Count

@@ -7,8 +7,7 @@ import (
 
 // FeatureMode is a tri-state switch for one optional engine feature.
 // FeatureDefault defers to the legacy knob on Spec (NoStaticSkip,
-// NoStaticReach, NoIncremental, the sign of Checkpoints) or, for features
-// without a legacy knob, to the built-in default; FeatureOn and
+// NoStaticReach, NoIncremental, the sign of Checkpoints); FeatureOn and
 // FeatureOff force the feature regardless of the legacy knobs.
 type FeatureMode uint8
 
@@ -69,12 +68,6 @@ type Features struct {
 	// otherwise Spec.Checkpoints keeps selecting the count. On by
 	// default.
 	Checkpoints FeatureMode
-	// Speculation overlaps predicted next-round switched runs with the
-	// re-prune (docs/SPECULATION.md). No legacy knob; OFF by default —
-	// on single-CPU hosts speculative runs compete with demand work.
-	// Forced off under PathMode and when the switched-run cache is
-	// disabled (there is nowhere to land the results).
-	Speculation FeatureMode
 }
 
 // Overlay returns f with over's non-default fields taking precedence —
@@ -91,7 +84,6 @@ func (f Features) Overlay(over Features) Features {
 		StaticReach:        pick(f.StaticReach, over.StaticReach),
 		IncrementalReprune: pick(f.IncrementalReprune, over.IncrementalReprune),
 		Checkpoints:        pick(f.Checkpoints, over.Checkpoints),
-		Speculation:        pick(f.Speculation, over.Speculation),
 	}
 }
 
@@ -102,7 +94,6 @@ const (
 	FeatureStaticReach        = "static_reach"
 	FeatureIncrementalReprune = "incremental_reprune"
 	FeatureCheckpoints        = "checkpoints"
-	FeatureSpeculation        = "speculation"
 )
 
 // FeatureNames lists the wire-spelling feature names, sorted.
@@ -110,7 +101,6 @@ func FeatureNames() []string {
 	return []string{
 		FeatureCheckpoints,
 		FeatureIncrementalReprune,
-		FeatureSpeculation,
 		FeatureStaticReach,
 		FeatureStaticSkip,
 	}
@@ -119,7 +109,9 @@ func FeatureNames() []string {
 // ParseFeatures builds a Features from its wire spelling: a map from
 // feature name to mode ("on", "off", "default" or empty). Unknown names
 // and modes are rejected — the server surfaces them with the `invalid`
-// error code.
+// error code. The removed feature "speculation" is still accepted with
+// any valid mode and ignored, so schema_version 1 requests that name it
+// keep working.
 func ParseFeatures(m map[string]string) (Features, error) {
 	var f Features
 	// Deterministic error selection: report the smallest offending name.
@@ -142,8 +134,7 @@ func ParseFeatures(m map[string]string) (Features, error) {
 			f.IncrementalReprune = mode
 		case FeatureCheckpoints:
 			f.Checkpoints = mode
-		case FeatureSpeculation:
-			f.Speculation = mode
+		case "speculation": // removed feature: accepted, ignored
 		default:
 			return Features{}, fmt.Errorf("unknown feature %q (want one of %v)", name, FeatureNames())
 		}
@@ -165,7 +156,6 @@ func (f Features) Map() map[string]string {
 	put(FeatureStaticReach, f.StaticReach)
 	put(FeatureIncrementalReprune, f.IncrementalReprune)
 	put(FeatureCheckpoints, f.Checkpoints)
-	put(FeatureSpeculation, f.Speculation)
 	if len(m) == 0 {
 		return nil
 	}
@@ -183,7 +173,6 @@ type ResolvedFeatures struct {
 	// CheckpointCount is the capture bound when Checkpoints is true
 	// (0 = interp.DefaultCheckpoints).
 	CheckpointCount int
-	Speculation     bool
 }
 
 // ResolveFeatures resolves spec's Features against its legacy negative
@@ -197,7 +186,6 @@ func (s *Spec) ResolveFeatures() ResolvedFeatures {
 		StaticReach:        !s.NoStaticReach,
 		IncrementalReprune: !s.NoIncremental,
 		Checkpoints:        s.Checkpoints >= 0,
-		Speculation:        false,
 	}
 	if s.Checkpoints > 0 {
 		r.CheckpointCount = s.Checkpoints
@@ -214,6 +202,5 @@ func (s *Spec) ResolveFeatures() ResolvedFeatures {
 	apply(s.Features.StaticReach, &r.StaticReach)
 	apply(s.Features.IncrementalReprune, &r.IncrementalReprune)
 	apply(s.Features.Checkpoints, &r.Checkpoints)
-	apply(s.Features.Speculation, &r.Speculation)
 	return r
 }

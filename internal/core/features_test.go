@@ -26,15 +26,15 @@ func TestFeatureModeRoundTrip(t *testing.T) {
 
 func TestParseFeaturesRoundTrip(t *testing.T) {
 	f := Features{
-		StaticSkip:  FeatureOff,
-		Checkpoints: FeatureOn,
-		Speculation: FeatureOn,
+		StaticSkip:         FeatureOff,
+		Checkpoints:        FeatureOn,
+		IncrementalReprune: FeatureOn,
 	}
 	m := f.Map()
 	want := map[string]string{
-		"static_skip": "off",
-		"checkpoints": "on",
-		"speculation": "on",
+		"static_skip":         "off",
+		"checkpoints":         "on",
+		"incremental_reprune": "on",
 	}
 	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("Map() = %v, want %v", m, want)
@@ -64,7 +64,7 @@ func TestParseFeaturesRejectsUnknown(t *testing.T) {
 	if !strings.Contains(err.Error(), "warp_drive") {
 		t.Errorf("error does not name the feature: %v", err)
 	}
-	_, err = ParseFeatures(map[string]string{"speculation": "sometimes"})
+	_, err = ParseFeatures(map[string]string{"checkpoints": "sometimes"})
 	if err == nil {
 		t.Fatal("unknown feature mode accepted")
 	}
@@ -81,13 +81,32 @@ func TestParseFeaturesRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestParseFeaturesRemovedName: the removed feature "speculation" stays
+// accepted on the wire with any valid mode and changes nothing; an
+// invalid mode is still rejected.
+func TestParseFeaturesRemovedName(t *testing.T) {
+	for _, mode := range []string{"on", "off", "default", ""} {
+		f, err := ParseFeatures(map[string]string{"speculation": mode})
+		if err != nil || f != (Features{}) {
+			t.Errorf("speculation=%q: %+v, %v; want zero Features, nil", mode, f, err)
+		}
+	}
+	f, err := ParseFeatures(map[string]string{"speculation": "on", "static_skip": "off"})
+	if err != nil || f != (Features{StaticSkip: FeatureOff}) {
+		t.Errorf("speculation next to static_skip: %+v, %v", f, err)
+	}
+	if _, err := ParseFeatures(map[string]string{"speculation": "maybe"}); err == nil {
+		t.Error("speculation with an invalid mode accepted")
+	}
+}
+
 func TestFeaturesOverlay(t *testing.T) {
-	base := Features{StaticSkip: FeatureOff, Speculation: FeatureOn}
+	base := Features{StaticSkip: FeatureOff, StaticReach: FeatureOn}
 	over := Features{StaticSkip: FeatureOn, Checkpoints: FeatureOff}
 	got := base.Overlay(over)
 	want := Features{
 		StaticSkip:  FeatureOn,  // over wins
-		Speculation: FeatureOn,  // over default: base survives
+		StaticReach: FeatureOn,  // over default: base survives
 		Checkpoints: FeatureOff, // base default: over lands
 	}
 	if got != want {
@@ -99,7 +118,7 @@ func TestFeaturesOverlay(t *testing.T) {
 // FeatureDefault the deprecated negative knobs decide, and an explicit
 // tri-state overrides them.
 func TestResolveFeaturesLegacyMapping(t *testing.T) {
-	// Zero spec: everything on (speculation off — no legacy knob).
+	// Zero spec: everything on.
 	var s Spec
 	r := s.ResolveFeatures()
 	want := ResolvedFeatures{StaticSkip: true, StaticReach: true, IncrementalReprune: true, Checkpoints: true}
@@ -120,10 +139,9 @@ func TestResolveFeaturesLegacyMapping(t *testing.T) {
 		StaticReach:        FeatureOn,
 		IncrementalReprune: FeatureOn,
 		Checkpoints:        FeatureOn,
-		Speculation:        FeatureOn,
 	}
 	r = s.ResolveFeatures()
-	if !r.StaticSkip || !r.StaticReach || !r.IncrementalReprune || !r.Checkpoints || !r.Speculation {
+	if !r.StaticSkip || !r.StaticReach || !r.IncrementalReprune || !r.Checkpoints {
 		t.Errorf("explicit on overridden by legacy knobs: %+v", r)
 	}
 	// Forced on over a negative legacy count uses the default count.

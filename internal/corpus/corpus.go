@@ -35,9 +35,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eol/internal/backend"
 	"eol/internal/confidence"
 	"eol/internal/core"
-	"eol/internal/backend"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/obs"

@@ -1,19 +1,16 @@
 package corpus
 
 // Manifest and Options coverage for the Features wire spelling: per-key
-// fold order, Validate rejection of unknown names, and the corpus-level
-// determinism contract — speculation on vs off yields byte-identical
-// results and journals.
+// fold order, Validate rejection of unknown names, and the subject over
+// Options merge.
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
 	"eol/internal/bench"
 	"eol/internal/core"
-	"eol/internal/obs"
 )
 
 // TestManifestFeaturesFold: a key the subject leaves unset inherits the
@@ -22,26 +19,26 @@ import (
 func TestManifestFeaturesFold(t *testing.T) {
 	m := &Manifest{
 		Defaults: Defaults{Features: map[string]string{
-			"speculation": "on",
+			"checkpoints": "on",
 			"static_skip": "off",
 		}},
 		Subjects: []Subject{
 			{Name: "inherits", Source: "s", Expected: []int64{1}},
 			{Name: "overrides", Source: "s", Expected: []int64{1},
-				Features: map[string]string{"speculation": "off"}},
+				Features: map[string]string{"checkpoints": "off"}},
 			{Name: "explicit-default", Source: "s", Expected: []int64{1},
 				Features: map[string]string{"static_skip": "default"}},
 		},
 	}
 	m.Fold()
 
-	if got := m.Subjects[0].Features; got["speculation"] != "on" || got["static_skip"] != "off" {
+	if got := m.Subjects[0].Features; got["checkpoints"] != "on" || got["static_skip"] != "off" {
 		t.Errorf("inherits: %v", got)
 	}
-	if got := m.Subjects[1].Features; got["speculation"] != "off" || got["static_skip"] != "off" {
+	if got := m.Subjects[1].Features; got["checkpoints"] != "off" || got["static_skip"] != "off" {
 		t.Errorf("overrides: %v", got)
 	}
-	if got := m.Subjects[2].Features; got["static_skip"] != "default" || got["speculation"] != "on" {
+	if got := m.Subjects[2].Features; got["static_skip"] != "default" || got["checkpoints"] != "on" {
 		t.Errorf("explicit-default: %v", got)
 	}
 	if err := m.Validate(); err != nil {
@@ -58,7 +55,7 @@ func TestManifestFeaturesValidate(t *testing.T) {
 			{Name: "x", Source: "s", Expected: []int64{1}, Features: features},
 		}}
 	}
-	if err := mk(map[string]string{"speculation": "on"}).Validate(); err != nil {
+	if err := mk(map[string]string{"checkpoints": "on"}).Validate(); err != nil {
 		t.Errorf("valid feature rejected: %v", err)
 	}
 	err := mk(map[string]string{"warp_drive": "on"}).Validate()
@@ -68,70 +65,6 @@ func TestManifestFeaturesValidate(t *testing.T) {
 	err = mk(map[string]string{"speculation": "maybe"}).Validate()
 	if err == nil || !strings.Contains(err.Error(), "maybe") {
 		t.Errorf("unknown feature mode: err = %v", err)
-	}
-}
-
-// TestCorpusSpeculationInvariance is the corpus-level half of the
-// speculation determinism contract: the same manifest run with
-// Options.Features.Speculation on and off must yield identical
-// per-subject results, totals, and journal events.
-func TestCorpusSpeculationInvariance(t *testing.T) {
-	m := &Manifest{}
-	for _, name := range []string{"grepsim/V4-F2", "sedsim/V3-F2"} {
-		c := bench.ByName(name)
-		if c == nil {
-			t.Fatalf("unknown case %s", name)
-		}
-		faulty, err := c.FaultySrc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Subjects = append(m.Subjects, Subject{
-			Name:          c.Name(),
-			Source:        faulty,
-			CorrectSource: c.CorrectSrc,
-			Input:         c.FailingInput,
-			RootFrag:      c.RootFrag,
-		})
-	}
-
-	run := func(f core.Features) (*Result, []obs.Event) {
-		mem := &obs.Memory{}
-		res, err := Run(context.Background(), m, Options{
-			Shards:        2,
-			VerifyWorkers: 2,
-			Features:      f,
-			Observer:      mem,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, mem.Events()
-	}
-
-	resOff, jOff := run(core.Features{})
-	resOn, jOn := run(core.Features{Speculation: core.FeatureOn})
-
-	if got, want := viewOf(resOn), viewOf(resOff); !reflect.DeepEqual(got, want) {
-		t.Errorf("per-subject results differ with speculation:\noff: %+v\non:  %+v", want, got)
-	}
-	if !reflect.DeepEqual(jOff, jOn) {
-		t.Errorf("journals differ with speculation (%d vs %d events)", len(jOff), len(jOn))
-	}
-	var issued int64
-	for i := range resOn.Subjects {
-		if rep := resOn.Subjects[i].Report; rep != nil {
-			issued += rep.Stats.SpecIssued
-		}
-	}
-	if issued == 0 {
-		t.Error("speculation never issued a run across the corpus")
-	}
-	for i := range resOff.Subjects {
-		if rep := resOff.Subjects[i].Report; rep != nil && rep.Stats.SpecIssued != 0 {
-			t.Errorf("%s: speculation-off subject issued %d speculative runs",
-				resOff.Subjects[i].Name, rep.Stats.SpecIssued)
-		}
 	}
 }
 
@@ -148,32 +81,30 @@ func TestSubjectFeaturesOverrideOptions(t *testing.T) {
 	}
 	m := &Manifest{Subjects: []Subject{
 		{
-			Name: "spec-off", Source: faulty, CorrectSource: c.CorrectSrc,
+			Name: "checkpoints-on", Source: faulty, CorrectSource: c.CorrectSrc,
 			Input: c.FailingInput, RootFrag: c.RootFrag,
-			Features: map[string]string{"speculation": "off"},
+			Features: map[string]string{"checkpoints": "on"},
 		},
 		{
-			Name: "spec-inherit", Source: faulty, CorrectSource: c.CorrectSrc,
+			Name: "checkpoints-inherit", Source: faulty, CorrectSource: c.CorrectSrc,
 			Input: c.FailingInput, RootFrag: c.RootFrag,
 		},
 	}}
 	res, err := Run(context.Background(), m, Options{
 		Shards:   1,
-		Features: core.Features{Speculation: core.FeatureOn},
-		// Private caches: the first subject must not warm the second's.
-		NoSharedCache: true,
+		Features: core.Features{Checkpoints: core.FeatureOff},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, on := res.Subjects[0].Report, res.Subjects[1].Report
+	on, off := res.Subjects[0].Report, res.Subjects[1].Report
 	if off == nil || on == nil {
 		t.Fatal("missing reports")
 	}
-	if off.Stats.SpecIssued != 0 {
-		t.Errorf("subject-level off ignored: SpecIssued=%d", off.Stats.SpecIssued)
+	if on.Stats.Checkpoints == 0 {
+		t.Error("subject-level on ignored: no checkpoints captured")
 	}
-	if on.Stats.SpecIssued == 0 {
-		t.Error("corpus-level on not inherited: SpecIssued=0")
+	if off.Stats.Checkpoints != 0 {
+		t.Errorf("corpus-level off not inherited: %d checkpoints captured", off.Stats.Checkpoints)
 	}
 }

@@ -97,9 +97,9 @@ type Subject struct {
 	// journal do not depend on — and never record — the choice.
 	Backend string `json:"backend,omitempty"`
 	// Features selects optional engine features by wire name
-	// (static_skip, static_reach, incremental_reprune, checkpoints,
-	// speculation) with tri-state values ("on", "off", "default").
-	// Per-key merge order: subject over Defaults.Features over
+	// (static_skip, static_reach, incremental_reprune, checkpoints) with
+	// tri-state values ("on", "off", "default"); docs/CORPUS.md lists
+	// them. Per-key merge order: subject over Defaults.Features over
 	// Options.Features. Unknown names or values fail Validate. Every
 	// feature is results-neutral, so results and the journal do not
 	// depend on the choice.

@@ -69,22 +69,6 @@ type Stats struct {
 	SuffixSteps     int64
 	Checkpoints     int
 	CheckpointBytes int64
-
-	// Speculation counters (docs/SPECULATION.md). SpecIssued counts
-	// speculative switched runs issued ahead of demand; SpecHits the ones
-	// a later demand verification claimed (their latency was hidden
-	// behind the re-prune); SpecWasted the difference — mispredictions
-	// plus runs aborted by the final drain. Claimed runs are charged to
-	// SwitchedRuns/CacheMisses/Checkpoint* exactly as the demand run they
-	// replaced would have been, so every other counter — and the whole
-	// journal — is byte-identical with speculation on or off. Like the
-	// checkpoint counters above, these describe the cost of the chosen
-	// execution mode, not the analysis result, and with a shared cache
-	// they depend on what other localizations already cached; they are
-	// therefore NOT emitted as journal gauges.
-	SpecIssued int64
-	SpecHits   int64
-	SpecWasted int64
 }
 
 // CacheHitRate returns hits / (hits + misses), or 0 with no lookups.

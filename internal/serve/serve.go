@@ -124,9 +124,9 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	locateReqs, corpusReqs         atomic.Int64
-	admitted                       atomic.Int64
-	rejectedRate, rejectedQueue    atomic.Int64
+	locateReqs, corpusReqs      atomic.Int64
+	admitted                    atomic.Int64
+	rejectedRate, rejectedQueue atomic.Int64
 }
 
 // New builds a server with its warm state. The switched-run cache is

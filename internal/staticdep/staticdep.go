@@ -89,9 +89,9 @@ type Graph struct {
 	mayDef map[string]map[int]bool // fn -> globals written, transitively
 
 	// Interprocedural global reaching definitions.
-	gsites  []gsite         // direct global definition sites (index 0.. )
-	reachIn map[int]bitset  // stmt -> site indices reaching its entry
-	live    bitset          // site indices some use actually reads
+	gsites  []gsite        // direct global definition sites (index 0.. )
+	reachIn map[int]bitset // stmt -> site indices reaching its entry
+	live    bitset         // site indices some use actually reads
 
 	cones map[int]*cone
 

@@ -123,7 +123,7 @@ func (t *Trace) Finish() {
 	cur := 0
 	for p, c := range counts {
 		if c > 0 {
-			kids[p] = arena[cur:cur : cur+int(c)]
+			kids[p] = arena[cur : cur : cur+int(c)]
 			cur += int(c)
 		}
 	}
@@ -176,7 +176,7 @@ func (t *Trace) Finish() {
 	cur = 0
 	for s, c := range scounts {
 		if c > 0 {
-			r.rows[s] = sarena[cur:cur : cur+int(c)]
+			r.rows[s] = sarena[cur : cur : cur+int(c)]
 			cur += int(c)
 		}
 	}

@@ -66,16 +66,6 @@ type RunCache struct {
 	items    map[RunKey]*list.Element
 	inflight map[RunKey]*inflightRun
 
-	// Speculative side table (docs/SPECULATION.md). Completed speculative
-	// runs wait here — outside the LRU and outside the hit/miss/eviction
-	// counters — until a demand lookup claims one, at which point it is
-	// charged as a miss and inserted into the LRU exactly as the demand
-	// run it replaced would have been. Unclaimed entries (mispredictions)
-	// linger as warm results, bounded by cap, and are simply dropped with
-	// the cache.
-	spec         map[RunKey]*interp.Result
-	specInflight map[RunKey]*inflightRun
-
 	hits, misses, evictions int64
 }
 
@@ -96,80 +86,35 @@ func NewRunCache(max int) *RunCache {
 		max = DefaultCacheSize
 	}
 	return &RunCache{
-		cap:          max,
-		ll:           list.New(),
-		items:        map[RunKey]*list.Element{},
-		inflight:     map[RunKey]*inflightRun{},
-		spec:         map[RunKey]*interp.Result{},
-		specInflight: map[RunKey]*inflightRun{},
+		cap:      max,
+		ll:       list.New(),
+		items:    map[RunKey]*list.Element{},
+		inflight: map[RunKey]*inflightRun{},
 	}
 }
-
-// lookupOutcome classifies how a demand lookup was served, so the engine
-// can charge its counters identically to a speculation-free run.
-type lookupOutcome int
-
-const (
-	// lookupHit: served from a stored entry or an in-flight demand run —
-	// a re-execution was avoided even without speculation.
-	lookupHit lookupOutcome = iota
-	// lookupRan: the lookup executed run() itself (counted as a miss).
-	lookupRan
-	// lookupClaimed: served by claiming a completed speculative run. The
-	// cache charges the miss; the caller must charge whatever else the
-	// demand run it replaced would have charged (charge-on-claim).
-	lookupClaimed
-)
 
 // GetOrRun returns the cached run for key, or executes run exactly once
 // per key (concurrent callers for the same key wait for the first) and
 // stores the result. hit reports whether an execution was avoided.
 func (c *RunCache) GetOrRun(key RunKey, run func() *interp.Result) (res *interp.Result, hit bool) {
-	res, out := c.getOrRun(key, run)
-	return res, out == lookupHit
-}
-
-// getOrRun is GetOrRun with the full outcome. A key whose speculative run
-// is still executing is WAITED for, then claimed — never raced with a
-// duplicate demand execution — so speculation can only change when a
-// result becomes available, never which lookups count as hits or misses.
-func (c *RunCache) getOrRun(key RunKey, run func() *interp.Result) (*interp.Result, lookupOutcome) {
-	var fl *inflightRun
-	for fl == nil {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.hits++
-			res := el.Value.(*cacheEntry).res
-			c.mu.Unlock()
-			return res, lookupHit
-		}
-		if dfl, ok := c.inflight[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			<-dfl.done
-			return dfl.res, lookupHit
-		}
-		if res, ok := c.spec[key]; ok {
-			// Claim: the entry moves from the side table into the LRU
-			// through the same insert path a demand run would have used,
-			// and the lookup is charged as the miss it would have been.
-			delete(c.spec, key)
-			c.misses++
-			c.insertLocked(key, res)
-			c.mu.Unlock()
-			return res, lookupClaimed
-		}
-		if sf, ok := c.specInflight[key]; ok {
-			c.mu.Unlock()
-			<-sf.done
-			continue // re-enter: claim the stored result, or run if it was canceled
-		}
-		fl = &inflightRun{done: make(chan struct{})}
-		c.inflight[key] = fl
-		c.misses++
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		res = el.Value.(*cacheEntry).res
 		c.mu.Unlock()
+		return res, true
 	}
+	if fl, ok := c.inflight[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		<-fl.done
+		return fl.res, true
+	}
+	fl := &inflightRun{done: make(chan struct{})}
+	c.inflight[key] = fl
+	c.misses++
+	c.mu.Unlock()
 
 	fl.res = run()
 
@@ -182,62 +127,17 @@ func (c *RunCache) getOrRun(key RunKey, run func() *interp.Result) (*interp.Resu
 	// waiters only (they re-check their own contexts and retry) and leave
 	// the key uncached so the next lookup re-executes.
 	if fl.res == nil || !interp.IsCancellation(fl.res.Err) {
-		c.insertLocked(key, fl.res)
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: fl.res})
+		for c.ll.Len() > c.cap {
+			back := c.ll.Back()
+			c.ll.Remove(back)
+			delete(c.items, back.Value.(*cacheEntry).key)
+			c.evictions++
+		}
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	return fl.res, lookupRan
-}
-
-// insertLocked stores res under key in the LRU and applies the eviction
-// policy. Caller holds c.mu.
-func (c *RunCache) insertLocked(key RunKey, res *interp.Result) {
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-}
-
-// BeginSpeculative registers a speculative run for key. It returns
-// ok == false — nothing to do — when the key is already stored, already
-// being computed (demand or speculative), or the side table is full. On
-// ok, the caller must execute the run WITHOUT charging any counters and
-// then invoke commit exactly once with the result (nil or a canceled
-// result records "no result": waiters re-enter the demand path, the same
-// poisoning guard as GetOrRun). Demand lookups for the key wait for
-// commit and then claim the stored result.
-func (c *RunCache) BeginSpeculative(key RunKey) (commit func(*interp.Result), ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.items[key]; ok {
-		return nil, false
-	}
-	if _, ok := c.inflight[key]; ok {
-		return nil, false
-	}
-	if _, ok := c.spec[key]; ok {
-		return nil, false
-	}
-	if _, ok := c.specInflight[key]; ok {
-		return nil, false
-	}
-	if len(c.spec)+len(c.specInflight) >= c.cap {
-		return nil, false
-	}
-	sf := &inflightRun{done: make(chan struct{})}
-	c.specInflight[key] = sf
-	return func(res *interp.Result) {
-		c.mu.Lock()
-		delete(c.specInflight, key)
-		if res != nil && !interp.IsCancellation(res.Err) {
-			c.spec[key] = res
-		}
-		c.mu.Unlock()
-		close(sf.done)
-	}, true
+	return fl.res, false
 }
 
 // Stats snapshots the cache counters.

@@ -126,18 +126,6 @@ type Stats struct {
 	// AlignedRegions totals the region steps walked by alignment across
 	// all absorbed verifications (see implicit.Result.AlignRegions).
 	AlignedRegions int64
-	// SpecIssued counts speculative switched runs issued by Speculate;
-	// SpecHits counts the ones later claimed by a demand lookup (their
-	// cost was hidden behind the re-prune); SpecWasted is the difference —
-	// mispredictions plus runs still in flight when the engine drained.
-	// Speculative runs are charged to Runs/CacheMisses and the checkpoint
-	// counters only when claimed, and charged exactly what the demand run
-	// they replaced would have cost, so every other counter is identical
-	// with speculation on or off. Like CheckpointHits, none of the three
-	// is a journal gauge: with a shared cache they depend on what other
-	// localizations already cached, which varies across shard/worker
-	// configurations even though the results do not.
-	SpecIssued, SpecHits, SpecWasted int64
 }
 
 // HitRate returns the switched-run cache hit rate in [0, 1].
@@ -181,18 +169,6 @@ type Engine struct {
 	cacheMisses      atomic.Int64
 	checkpointHits   atomic.Int64
 	suffixSteps      atomic.Int64
-
-	// Speculation state (docs/SPECULATION.md). specCtx derives from ctx
-	// and is additionally canceled by WaitSpeculation, so draining the
-	// engine aborts in-flight speculative runs without touching demand
-	// work. specIssued is written only from Speculate (the locator
-	// goroutine); specHits is bumped by workers claiming entries.
-	specCtx    context.Context
-	specCancel context.CancelFunc
-	specWG     sync.WaitGroup
-	specSem    chan struct{}
-	specIssued int64
-	specHits   atomic.Int64
 }
 
 // New builds an engine over base and installs itself as base's Runner.
@@ -207,8 +183,6 @@ func New(base *implicit.Verifier, cfg Config) *Engine {
 	if e.ctx == nil {
 		e.ctx = context.Background()
 	}
-	e.specCtx, e.specCancel = context.WithCancel(e.ctx)
-	e.specSem = make(chan struct{}, w)
 	switch {
 	case cfg.Cache != nil:
 		e.cache = cfg.Cache
@@ -258,145 +232,35 @@ func (e *Engine) switchedRunOnce(pred trace.Instance, budget int) *interp.Result
 		return e.runSwitched(pred, budget)
 	}
 	key := RunKey{Prog: e.progHash, Input: e.inputHash, Backend: e.backendName, Pred: pred, Budget: budget}
-	res, out := e.cache.getOrRun(key, func() *interp.Result {
+	res, hit := e.cache.GetOrRun(key, func() *interp.Result {
 		r := e.runSwitched(pred, budget)
 		if r.Trace != nil {
 			r.Trace.Ancestry()
 		}
 		return r
 	})
-	switch out {
-	case lookupHit:
+	if hit {
 		e.cacheHits.Add(1)
-	case lookupClaimed:
-		// Charge-on-claim: the speculative run executed uncharged; the
-		// claim now charges exactly what the demand run it replaced would
-		// have charged — one cache miss, one switched run, and the
-		// checkpoint-fork counters of the (deterministic) replay. Every
-		// journal-visible counter is therefore identical with speculation
-		// on or off; only SpecHits records that the latency was hidden.
-		e.cacheMisses.Add(1)
-		e.chargeRun(res)
-		e.specHits.Add(1)
-	default: // lookupRan: runSwitched charged inside the closure
+	} else {
 		e.cacheMisses.Add(1)
 	}
 	return res
 }
 
-// runSwitched performs one demand switched re-execution and charges it.
-func (e *Engine) runSwitched(pred trace.Instance, budget int) *interp.Result {
-	r := e.execSwitched(e.ctx, pred, budget)
-	e.chargeRun(r)
-	return r
-}
-
-// execSwitched performs one switched re-execution under ctx, forking from
-// the failing run's checkpoint store when the base verifier carries one.
+// runSwitched performs one switched re-execution, forking from the
+// failing run's checkpoint store when the base verifier carries one.
 // Forked results are byte-identical to full runs (the
-// Backend.RunSwitchedFrom contract), so callers and the RunCache cannot tell the difference —
-// only the CheckpointHits/SuffixSteps counters record that the shortcut
-// was taken. It charges nothing: the caller decides (demand runs charge
-// immediately, speculative runs on claim).
-func (e *Engine) execSwitched(ctx context.Context, pred trace.Instance, budget int) *interp.Result {
-	return implicit.RunSwitchedFrom(ctx, e.backend, e.base.C, e.base.Input, e.base.Checkpoints, e.base.Orig, pred, budget)
-}
-
-// chargeRun accounts one switched re-execution: the run itself plus the
-// checkpoint-fork shortcut if the run took it. ResumedAt is deterministic
-// for a given key — the checkpoint store is immutable after the failing
-// run — so charging a claimed speculative result reproduces exactly what
-// the replaced demand run would have counted.
-func (e *Engine) chargeRun(r *interp.Result) {
+// Backend.RunSwitchedFrom contract), so callers and the RunCache cannot
+// tell the difference — only the CheckpointHits/SuffixSteps counters
+// record that the shortcut was taken.
+func (e *Engine) runSwitched(pred trace.Instance, budget int) *interp.Result {
 	e.runs.Add(1)
+	r := implicit.RunSwitchedFrom(e.ctx, e.backend, e.base.C, e.base.Input, e.base.Checkpoints, e.base.Orig, pred, budget)
 	if r.ResumedAt > 0 {
 		e.checkpointHits.Add(1)
 		e.suffixSteps.Add(int64(r.Steps - r.ResumedAt))
 	}
-}
-
-// switchBudget mirrors implicit.Verifier.VerifyDetailed's step-budget
-// rule (the paper's verification timer), so speculative runs land on the
-// exact RunKey the demand verification will later look up.
-func (e *Engine) switchBudget() int {
-	factor := e.base.BudgetFactor
-	if factor <= 0 {
-		factor = 10
-	}
-	return factor*e.base.Orig.Len() + 1000
-}
-
-// Speculate issues speculative switched runs for reqs — predicted, not
-// yet demanded, verification requests — on background goroutines bounded
-// by the worker count. It must be called from the locator goroutine
-// between batches (it consults the static filters, which are not
-// concurrency-safe); the runs themselves overlap whatever the locator
-// does next and are absorbed by later demand lookups, which wait for an
-// in-flight speculative run instead of duplicating it.
-//
-// Requests that are memoized, statically filtered, already cached or
-// already speculated are skipped — they would not cause a switched run
-// on the demand path either. Registration is synchronous: the set of
-// issued keys (Stats.SpecIssued) is fixed before Speculate returns and
-// is therefore deterministic for a fixed configuration. Returns the
-// number of runs issued.
-func (e *Engine) Speculate(reqs []implicit.Request) int {
-	if e.cache == nil || e.base.PathMode {
-		return 0
-	}
-	budget := e.switchBudget()
-	issued := 0
-	for _, req := range reqs {
-		if e.specCtx.Err() != nil {
-			break
-		}
-		if _, ok := e.base.Memoized(req); ok {
-			continue
-		}
-		if e.reachFilter != nil && e.reachFilter(req) {
-			continue
-		}
-		if e.filter != nil && e.filter(req) {
-			continue
-		}
-		pred := e.base.Orig.At(req.Pred).Inst
-		key := RunKey{Prog: e.progHash, Input: e.inputHash, Backend: e.backendName, Pred: pred, Budget: budget}
-		commit, ok := e.cache.BeginSpeculative(key)
-		if !ok {
-			continue
-		}
-		issued++
-		e.specIssued++
-		e.specWG.Add(1)
-		go func(pred trace.Instance, commit func(*interp.Result)) {
-			defer e.specWG.Done()
-			select {
-			case e.specSem <- struct{}{}:
-			case <-e.specCtx.Done():
-				commit(nil)
-				return
-			}
-			defer func() { <-e.specSem }()
-			r := e.execSwitched(e.specCtx, pred, budget)
-			if r.Trace != nil {
-				r.Trace.Ancestry()
-			}
-			commit(r)
-		}(pred, commit)
-	}
-	return issued
-}
-
-// WaitSpeculation aborts in-flight speculative runs and waits for them
-// to drain. Canceled speculative results are never stored (the cache's
-// poisoning guard extends to the side table), so draining mid-run leaves
-// a shared cache clean for other localizations. The locator calls this
-// before folding final stats — on the normal path and on abort — which
-// also keeps cancellation leak-free: no speculative goroutine outlives
-// Locate. After WaitSpeculation, Speculate becomes a no-op.
-func (e *Engine) WaitSpeculation() {
-	e.specCancel()
-	e.specWG.Wait()
+	return r
 }
 
 // VerifyBatch verifies reqs and returns their verdicts in request order,
@@ -582,10 +446,6 @@ func (e *Engine) Stats() Stats {
 		Runs:             e.runs.Load(),
 		CacheHits:        e.cacheHits.Load(), CacheMisses: e.cacheMisses.Load(),
 		CheckpointHits: e.checkpointHits.Load(), SuffixSteps: e.suffixSteps.Load(),
-		SpecIssued: e.specIssued, SpecHits: e.specHits.Load(),
-	}
-	if w := s.SpecIssued - s.SpecHits; w > 0 {
-		s.SpecWasted = w
 	}
 	if e.cache != nil {
 		s.CacheEvictions = e.cache.Stats().Evictions

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"eol/internal/implicit"
 	"eol/internal/interp"
@@ -220,6 +221,118 @@ func TestRunCacheSingleFlight(t *testing.T) {
 	}
 	if s := c.Stats(); s.Hits != 15 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 15 hits / 1 miss", s)
+	}
+}
+
+// waitStats polls c until its counters reach misses and hits. A miss is
+// counted when a lookup starts executing and a hit when a lookup joins
+// an in-flight run, so the tests order goroutines by these counters.
+func waitStats(t *testing.T, c *RunCache, misses, hits int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s := c.Stats(); s.Misses < misses || s.Hits < hits; s = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("cache stats %+v never reached %d misses, %d hits", s, misses, hits)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunCacheDoesNotStoreCanceledRun: a run aborted by its caller's
+// context is handed to the waiters that joined it, but never stored —
+// the key stays uncached and the next lookup executes again.
+func TestRunCacheDoesNotStoreCanceledRun(t *testing.T) {
+	for _, cause := range []error{interp.ErrCanceled, interp.ErrDeadline} {
+		c := NewRunCache(0)
+		key := RunKey{Pred: trace.Instance{Stmt: 3, Occ: 1}}
+		aborted := &interp.Result{Err: cause}
+		release := make(chan struct{})
+		type lookup struct {
+			res *interp.Result
+			hit bool
+		}
+		owner, waiter := make(chan lookup), make(chan lookup)
+		go func() {
+			res, hit := c.GetOrRun(key, func() *interp.Result {
+				<-release
+				return aborted
+			})
+			owner <- lookup{res, hit}
+		}()
+		waitStats(t, c, 1, 0)
+		go func() {
+			res, hit := c.GetOrRun(key, func() *interp.Result {
+				t.Error("waiter executed instead of joining the in-flight run")
+				return nil
+			})
+			waiter <- lookup{res, hit}
+		}()
+		waitStats(t, c, 1, 1)
+		close(release)
+		if o := <-owner; o.res != aborted || o.hit {
+			t.Errorf("%v: owner got %+v, want the aborted run as a miss", cause, o)
+		}
+		if w := <-waiter; w.res != aborted || !w.hit {
+			t.Errorf("%v: waiter got %+v, want the aborted run as a hit", cause, w)
+		}
+		if s := c.Stats(); s.Len != 0 {
+			t.Errorf("%v: aborted run was stored: %+v", cause, s)
+		}
+		fresh := &interp.Result{}
+		if res, hit := c.GetOrRun(key, func() *interp.Result { return fresh }); res != fresh || hit {
+			t.Errorf("%v: next lookup got %p hit=%v, want a fresh execution %p", cause, res, hit, fresh)
+		}
+		if s := c.Stats(); s.Len != 1 || s.Misses != 2 {
+			t.Errorf("%v: after re-execution: %+v, want 1 entry and 2 misses", cause, s)
+		}
+	}
+}
+
+// TestSwitchedRunRetriesForeignCancellation: with a shared cache, a
+// single-flight wait can hand an engine a run that ANOTHER engine's
+// context aborted. SwitchedRun must not adopt it while its own context
+// is live: it retries, executes the run itself and stores the real
+// result.
+func TestSwitchedRunRetriesForeignCancellation(t *testing.T) {
+	cache := NewRunCache(0)
+	base, reqs := fixture(t)
+	e := New(base, Config{Workers: 1, Cache: cache})
+	pred := base.Orig.At(reqs[0].Pred).Inst
+	budget := 10*base.Orig.Len() + 1000
+	key := RunKey{Prog: e.progHash, Input: e.inputHash, Backend: e.backendName, Pred: pred, Budget: budget}
+
+	// The other engine's run: in flight under key until this engine has
+	// joined it, then aborted by that engine's context.
+	release := make(chan struct{})
+	foreign := make(chan struct{})
+	go func() {
+		defer close(foreign)
+		cache.GetOrRun(key, func() *interp.Result {
+			<-release
+			return &interp.Result{Err: interp.ErrCanceled}
+		})
+	}()
+	waitStats(t, cache, 1, 0)
+	done := make(chan *interp.Result)
+	go func() { done <- e.SwitchedRun(pred, budget) }()
+	waitStats(t, cache, 1, 1)
+	close(release)
+	<-foreign
+
+	var res *interp.Result
+	select {
+	case res = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SwitchedRun never returned: is a canceled run being served from the cache?")
+	}
+	if res.Err != nil {
+		t.Fatalf("SwitchedRun adopted the foreign cancellation: %v", res.Err)
+	}
+	if s := e.Stats(); s.Runs != 1 || s.CacheHits != 1 || s.CacheMisses != 1 {
+		t.Errorf("engine stats = %+v, want 1 run, 1 hit (the aborted wait), 1 miss (the retry)", s)
+	}
+	if got, hit := cache.GetOrRun(key, func() *interp.Result { return nil }); !hit || got != res {
+		t.Errorf("retry result not stored: hit=%v", hit)
 	}
 }
 

@@ -16,16 +16,16 @@ import (
 // checkpoint is one VM snapshot, immutable once captured and safe for
 // concurrent forks (frames are frozen copy-on-write).
 type checkpoint struct {
-	steps   int
-	inPos   int
-	nextAct int
-	occ     []int
-	frames  []*frame
-	calls   []callRec
-	stack   []int64 // operand stack (always empty at statement level)
-	pc      int32   // resume point: just past the opCheck that fired
+	steps    int
+	inPos    int
+	nextAct  int
+	occ      []int
+	frames   []*frame
+	calls    []callRec
+	stack    []int64 // operand stack (always empty at statement level)
+	pc       int32   // resume point: just past the opCheck that fired
 	rendered string
-	prefix  *trace.Prefix
+	prefix   *trace.Prefix
 }
 
 // approxBytes estimates the state retained by this checkpoint: private

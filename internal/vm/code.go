@@ -124,10 +124,10 @@ type instr struct {
 // time.
 type stmtMeta struct {
 	id    int32
-	nuses int32     // static upper bound of use records, to presize Entry.Uses
-	pos   token.Pos // s.Pos(), for budget/ctx expiry reporting
-	node  *cfg.Node // CFG node; nil for global declarations
-	ipdom *cfg.Node // node.IPDom for predicates (control-stack push)
+	nuses int32        // static upper bound of use records, to presize Entry.Uses
+	pos   token.Pos    // s.Pos(), for budget/ctx expiry reporting
+	node  *cfg.Node    // CFG node; nil for global declarations
+	ipdom *cfg.Node    // node.IPDom for predicates (control-stack push)
 	stmt  ast.Numbered // source statement, for disassembly annotations
 }
 

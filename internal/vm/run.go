@@ -87,7 +87,7 @@ func (m *machine) carveUses(n int) []trace.UseRec {
 	}
 	s := len(m.useArena)
 	m.useArena = m.useArena[:s+n]
-	return m.useArena[s:s : s+n]
+	return m.useArena[s : s : s+n]
 }
 
 // carveDefs reserves an n-record window for the current entry.
@@ -97,7 +97,7 @@ func (m *machine) carveDefs(n int) []trace.DefRec {
 	}
 	s := len(m.defArena)
 	m.defArena = m.defArena[:s+n]
-	return m.defArena[s:s : s+n]
+	return m.defArena[s : s : s+n]
 }
 
 // callRec is the VM's call-stack record: where to return, and the
