@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke bench-vm verify-table journal-smoke corpus-smoke serve-smoke
+.PHONY: all build test race vet lint bench bench-smoke bench-module bench-vm verify-table journal-smoke corpus-smoke serve-smoke
 
 all: build test lint
 
@@ -38,6 +38,12 @@ bench:
 # between real benchmarking sessions.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# Benchmark module lane: cmd/eolbench is a Go module of its own, so the
+# root build, vet and test skip it. Vet and test it here so a change to
+# an API it compiles against fails in CI, not in the next benchmark run.
+bench-module:
+	cd cmd/eolbench && $(GO) vet ./... && $(GO) test ./...
 
 # Tree-vs-VM backend benchmark trajectory point (docs/VM.md): run the
 # backend comparison suite and record per-workload ns/op plus tree/vm

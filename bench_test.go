@@ -11,8 +11,6 @@ package eol
 import (
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"testing"
 
 	"eol/internal/bench"
@@ -24,25 +22,12 @@ import (
 	"eol/internal/harness"
 	"eol/internal/implicit"
 	"eol/internal/interp"
-	"eol/internal/lang/ast"
 	"eol/internal/obs"
-	"eol/internal/oracle"
 	"eol/internal/slicing"
-	"eol/internal/staticdep"
 	"eol/internal/trace"
 	"eol/internal/verifyengine"
 	"eol/internal/vm"
 )
-
-// readFile loads a benchmark fixture or fails the benchmark.
-func readFile(b *testing.B, path string) string {
-	b.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return string(data)
-}
 
 // prepared caches benchmark-case preparation across benchmarks.
 var prepared = map[string]*bench.Prepared{}
@@ -385,14 +370,14 @@ func BenchmarkRepruneIncremental(b *testing.B) {
 		p := prep(b, name)
 		for _, mode := range []struct {
 			label string
-			noInc bool
-		}{{"full", true}, {"inc", false}} {
+			inc   core.FeatureMode
+		}{{"full", core.FeatureOff}, {"inc", core.FeatureDefault}} {
 			b.Run(fmt.Sprintf("%s/%s", name, mode.label), func(b *testing.B) {
 				var reeval int64
 				var frac float64
 				for i := 0; i < b.N; i++ {
 					spec := p.Spec()
-					spec.NoIncremental = mode.noInc
+					spec.Features.IncrementalReprune = mode.inc
 					rep, err := core.Locate(spec)
 					if err != nil {
 						b.Fatal(err)
@@ -686,86 +671,4 @@ func main() {
 			}
 		}
 	})
-}
-
-// BenchmarkStaticReach measures what the SPDG reach filter buys a full
-// localization on the element-disjointness subjects of
-// testdata/corpus/staticreach.json — the skip-heavy shape where symbol-
-// level candidate generation pairs predicates with constant-index array
-// uses they provably cannot reach. The switched_runs metric is the
-// point: "on" retires those candidates before any execution, "off" pays
-// a switched re-execution for each (docs/STATICDEP.md).
-func BenchmarkStaticReach(b *testing.B) {
-	subjects := []struct {
-		name, base, root string
-		crossFn          bool
-	}{
-		{"elem", "staticreach_elem", "buf[1] > 100", false},
-		{"cross", "staticreach_cross", "v > 90", true},
-	}
-	for _, sub := range subjects {
-		faulty, err := interp.Compile(readFile(b, "testdata/corpus/"+sub.base+".mc"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		fixed, err := interp.Compile(readFile(b, "testdata/corpus/"+sub.base+"_fixed.mc"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		input := []int64{5}
-		corRun := interp.Run(fixed, interp.Options{Input: input, BuildTrace: true})
-		if corRun.Err != nil {
-			b.Fatal(corRun.Err)
-		}
-		var root []int
-		for _, s := range faulty.Info.Stmts {
-			if strings.Contains(ast.StmtString(s), sub.root) {
-				root = append(root, s.ID())
-			}
-		}
-		if len(root) == 0 {
-			b.Fatalf("no statement matches root frag %q", sub.root)
-		}
-		// The SPDG is content-cached in real runs (corpus sharing); build
-		// it once here too so the benchmark isolates the verification
-		// saving rather than graph-construction cost.
-		sd := staticdep.New(faulty, nil)
-		spec := func(noReach, noReplay bool) *core.Spec {
-			return &core.Spec{
-				Program:         faulty,
-				Input:           input,
-				Expected:        corRun.OutputValues(),
-				Oracle:          &oracle.StateOracle{Correct: corRun.Trace},
-				RootCause:       root,
-				CrossFunctionPD: sub.crossFn,
-				NoStaticReach:   noReach,
-				NoStaticSkip:    noReplay,
-				StaticDeps:      sd,
-			}
-		}
-		// reach: both pre-run filters, SPDG consulted first (the default);
-		// replay: reach filter off, trace-replay filter only;
-		// none: every candidate pays a switched re-execution.
-		for _, mode := range []struct {
-			name              string
-			noReach, noReplay bool
-		}{{"reach", false, false}, {"replay", true, false}, {"none", true, true}} {
-			b.Run(sub.name+"/"+mode.name, func(b *testing.B) {
-				var runs, skips int64
-				for i := 0; i < b.N; i++ {
-					rep, err := core.Locate(spec(mode.noReach, mode.noReplay))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !rep.Located {
-						b.Fatal("not located")
-					}
-					runs = rep.Stats.SwitchedRuns
-					skips = rep.Stats.StaticReachSkips
-				}
-				b.ReportMetric(float64(runs), "switched_runs")
-				b.ReportMetric(float64(skips), "reach_skips")
-			})
-		}
-	}
 }

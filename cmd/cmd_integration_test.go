@@ -441,15 +441,18 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestRemovedSpeculateFlag: speculative verification is gone, and its
-// -speculate flag is now an unknown flag (usage error, exit 2) on every
-// command that used to accept it.
+// TestRemovedSpeculateFlag: speculative verification and the SPDG reach
+// filter are gone, and their -speculate and -no-static-reach flags are
+// now unknown flags (usage error, exit 2) on every command that used to
+// accept them.
 func TestRemovedSpeculateFlag(t *testing.T) {
 	buildServeTools(t)
 	for _, tool := range []string{"eoloc", "eolcorpus", "eolserve"} {
-		out, code := runExit(t, tool, "-speculate")
-		if code != 2 || !strings.Contains(out, "-speculate") {
-			t.Errorf("%s -speculate: exit code = %d, want 2 naming the flag\n%s", tool, code, out)
+		for _, flag := range []string{"-speculate", "-no-static-reach"} {
+			out, code := runExit(t, tool, flag)
+			if code != 2 || !strings.Contains(out, flag) {
+				t.Errorf("%s %s: exit code = %d, want 2 naming the flag\n%s", tool, flag, code, out)
+			}
 		}
 	}
 }
@@ -584,9 +587,8 @@ func TestEolcorpusSmoke(t *testing.T) {
 // TestEolcorpusAB is the corpus-level A/B over the engine features, the
 // backends and the shard count: every configuration must write the same
 // JSON report and the same run journal as the default, and every
-// journal must validate. Turning the static reach filter off moves only
-// the two skip counters, so that report is compared without them; on
-// staticreach.json the filter must actually fire.
+// journal must validate. On staticreach.json the trace-replay filter
+// must actually retire candidates.
 func TestEolcorpusAB(t *testing.T) {
 	configs := []struct {
 		name string
@@ -594,11 +596,10 @@ func TestEolcorpusAB(t *testing.T) {
 	}{
 		{"default", nil},
 		{"no-checkpoints", []string{"-checkpoints", "-1"}},
-		{"no-static-reach", []string{"-no-static-reach"}},
 		{"tree", []string{"-backend", "tree"}},
 		{"shards2", []string{"-shards", "2"}},
 	}
-	fired := regexp.MustCompile(`"static_reach_skips": [1-9]`)
+	fired := regexp.MustCompile(`"replay_skips": [1-9]`)
 	dir := t.TempDir()
 	for _, manifest := range []string{"checkpoint", "staticreach"} {
 		var wantReport, wantJournal []byte
@@ -624,35 +625,19 @@ func TestEolcorpusAB(t *testing.T) {
 				if cfg.name == "default" {
 					wantReport, wantJournal = report, journal
 					if manifest == "staticreach" && !fired.Match(report) {
-						t.Errorf("static reach filter never fired:\n%s", report)
+						t.Errorf("replay filter never fired:\n%s", report)
 					}
 					return
 				}
 				if !bytes.Equal(journal, wantJournal) {
 					t.Errorf("journal differs from the default configuration's")
 				}
-				want := wantReport
-				if cfg.name == "no-static-reach" {
-					want, report = dropSkipCounters(want), dropSkipCounters(report)
-				}
-				if !bytes.Equal(report, want) {
-					t.Errorf("report differs from the default configuration's:\n got: %s\nwant: %s", report, want)
+				if !bytes.Equal(report, wantReport) {
+					t.Errorf("report differs from the default configuration's:\n got: %s\nwant: %s", report, wantReport)
 				}
 			})
 		}
 	}
-}
-
-// dropSkipCounters removes the report lines of the two filter skip
-// counters, the only fields the static reach filter's switch may move.
-func dropSkipCounters(report []byte) []byte {
-	var kept [][]byte
-	for _, line := range bytes.Split(report, []byte("\n")) {
-		if !bytes.Contains(line, []byte(`"static_reach_skips"`)) && !bytes.Contains(line, []byte(`"replay_skips"`)) {
-			kept = append(kept, line)
-		}
-	}
-	return bytes.Join(kept, []byte("\n"))
 }
 
 // TestEolocDeadline exercises eoloc's -deadline flag: a generous bound

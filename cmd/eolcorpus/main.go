@@ -75,7 +75,6 @@ func main() {
 		CacheSize:     engFlags.Cache,
 		NoSharedCache: *privateFlag,
 		Checkpoints:   engFlags.Checkpoints,
-		Features:      engFlags.Features(),
 		Backend:       engFlags.Backend,
 		Observer:      observer,
 	})

@@ -98,7 +98,6 @@ func main() {
 		VerifyWorkers:   engFlags.Workers,
 		VerifyCacheSize: engFlags.Cache,
 		Checkpoints:     engFlags.Checkpoints,
-		Features:        engFlags.Features(),
 		Observer:        observer,
 	}
 

@@ -71,7 +71,6 @@ func main() {
 			VerifyWorkers: engFlags.Workers,
 			CacheSize:     engFlags.Cache,
 			Checkpoints:   engFlags.Checkpoints,
-			Features:      engFlags.Features(),
 			Backend:       engFlags.Backend,
 		},
 		MaxDeadline: *maxDeadlineFlag,

@@ -265,38 +265,18 @@ type Settings struct {
 	// VerifyCacheSize bounds the switched-run cache (0 = default,
 	// negative = disabled).
 	VerifyCacheSize int
-	// NoStaticSkip disables the static skip-filter.
-	NoStaticSkip bool
-	// NoStaticReach disables the pre-execution static reach filter over
-	// the interprocedural dependence graph (see docs/STATICDEP.md).
-	NoStaticReach bool
 	// Checkpoints bounds the execution snapshots captured during the
 	// failing run for checkpointed switched replay (0 = default bound,
-	// negative = disabled; see WithCheckpoints / WithoutCheckpoints and
-	// docs/CHECKPOINT.md). The diagnosis, journal and candidate ranking
-	// are byte-identical on or off; only the Stats checkpoint counters
-	// and wall-clock time differ.
+	// negative = disabled; see WithCheckpoints and docs/CHECKPOINT.md).
+	// The diagnosis, journal and candidate ranking are byte-identical on
+	// or off; only the Stats checkpoint counters and wall-clock time
+	// differ.
 	Checkpoints int
-	// NoIncremental disables incremental re-pruning of the expanded
-	// graph (Algorithm 2's re-prune step recomputes confidence from
-	// scratch each iteration instead of re-propagating the dirty cone).
-	// The diagnosis, journal and candidate ranking are byte-identical
-	// either way; only Stats.Repropagated/DirtyFraction and wall-clock
-	// time differ.
-	NoIncremental bool
 	// Features selects the optional engine features as explicit
-	// tri-states — the preferred, positive spelling of the knobs above.
-	// Each field left at FeatureDefault defers to the corresponding
-	// legacy knob:
-	//
-	//	Features.StaticSkip         ↔ NoStaticSkip
-	//	Features.StaticReach        ↔ NoStaticReach
-	//	Features.IncrementalReprune ↔ NoIncremental
-	//	Features.Checkpoints        ↔ Checkpoints < 0 (the sign; the
-	//	                              magnitude keeps selecting the count)
-	//
-	// A FeatureOn/FeatureOff field overrides its legacy knob. See
-	// WithFeatures.
+	// tri-states: static_skip (the trace-replay skip filter),
+	// incremental_reprune and checkpoints. Every feature is on by
+	// default; a FeatureOff field turns it off (a negative Checkpoints
+	// count also turns checkpoints off). See WithFeatures.
 	Features Features
 	// Backend names the execution backend for the failing run and every
 	// re-execution: "vm" (the bytecode VM, the default), "tree" (the
@@ -498,16 +478,15 @@ func (s *Session) VerifyImplicitDependence(pred, use Instance, variable string) 
 
 // Features selects the locator's optional engine features as explicit
 // tri-states (FeatureDefault / FeatureOn / FeatureOff); see
-// Settings.Features for the mapping onto the legacy negative knobs.
-// Every feature is results-neutral: the diagnosis, counters and journal
-// are byte-identical whatever the switches — only cost counters and
-// wall-clock time change.
+// Settings.Features. Every feature is results-neutral: the diagnosis,
+// counters and journal are byte-identical whatever the switches — only
+// cost counters and wall-clock time change.
 type Features = core.Features
 
 // FeatureMode is the tri-state of one Features field.
 type FeatureMode = core.FeatureMode
 
-// Feature modes: FeatureDefault defers to the legacy knob,
+// Feature modes: FeatureDefault selects the built-in default (on),
 // FeatureOn/FeatureOff force the feature.
 const (
 	FeatureDefault = core.FeatureDefault
@@ -575,55 +554,10 @@ func WithCheckpoints(n int) LocateOption {
 	return func(s *Settings) { s.Checkpoints = n }
 }
 
-// WithoutCheckpoints disables checkpointed switched replay: every
-// switched re-execution replays the program from the start. The
-// diagnosis is identical either way; the flag exists for A/B cost
-// comparison (see Stats.CheckpointHits and Stats.SuffixSteps) and as an
-// escape hatch when snapshot memory matters more than verification
-// speed.
-//
-// Deprecated: use WithFeatures(Features{Checkpoints: FeatureOff}).
-func WithoutCheckpoints() LocateOption {
-	return func(s *Settings) { s.Checkpoints = -1 }
-}
-
-// WithoutIncrementalReprune disables the incremental delta re-pruning of
-// the dependence-graph engine: each Algorithm-2 iteration recomputes
-// confidence over the whole slice from scratch instead of re-propagating
-// only the cone invalidated by newly verified edges. The diagnosis is
-// identical either way; the flag exists for A/B cost comparison (see
-// Stats.Repropagated and Stats.DirtyFraction).
-//
-// Deprecated: use WithFeatures(Features{IncrementalReprune: FeatureOff}).
-func WithoutIncrementalReprune() LocateOption {
-	return func(s *Settings) { s.NoIncremental = true }
-}
-
-// WithoutStaticSkip disables the static skip-filter, which proves some
-// verifications NOT_ID from the failing trace alone and answers them
-// without a switched re-execution. The diagnosis is identical either
-// way; the flag exists for A/B comparison of run counts.
-//
-// Deprecated: use WithFeatures(Features{StaticSkip: FeatureOff}).
-func WithoutStaticSkip() LocateOption {
-	return func(s *Settings) { s.NoStaticSkip = true }
-}
-
-// WithoutStaticReach disables the static reach filter, which proves
-// whole candidate families NOT_ID from the interprocedural dependence
-// graph before any execution (see docs/STATICDEP.md). The diagnosis is
-// identical either way; the flag exists for A/B comparison of run
-// counts (Stats.StaticReachSkips vs Stats.SwitchedRuns).
-//
-// Deprecated: use WithFeatures(Features{StaticReach: FeatureOff}).
-func WithoutStaticReach() LocateOption {
-	return func(s *Settings) { s.NoStaticReach = true }
-}
-
 // WithFeatures overlays the given feature tri-states onto the session's
 // settings: non-default fields win, FeatureDefault fields leave the
-// current configuration (including the legacy negative knobs) alone.
-// The positive replacement for the Without* options above.
+// current configuration alone. WithFeatures(Features{X: FeatureOff})
+// turns feature X off.
 func WithFeatures(f Features) LocateOption {
 	return func(s *Settings) { s.Features = s.Features.Overlay(f) }
 }
@@ -767,9 +701,6 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 		CrossFunctionPD: st.CrossFunctionPD,
 		VerifyWorkers:   st.VerifyWorkers,
 		VerifyCacheSize: st.VerifyCacheSize,
-		NoStaticSkip:    st.NoStaticSkip,
-		NoStaticReach:   st.NoStaticReach,
-		NoIncremental:   st.NoIncremental,
 		Checkpoints:     st.Checkpoints,
 		Features:        st.Features,
 		Observer:        observer,

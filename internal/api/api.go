@@ -157,10 +157,12 @@ type SubjectResult struct {
 	IPSStatic     int `json:"ips_static"`
 	IPSDynamic    int `json:"ips_dynamic"`
 
-	// The verification-avoidance split: candidates retired before any
-	// execution by the SPDG reach filter vs. by trace replay. Both are
-	// decided in the engine's sequential planning loop, so they are
-	// scheduling-independent and safe for the deterministic output.
+	// ReplaySkips counts candidates retired by the trace-replay skip
+	// filter without a switched run. It is decided in the engine's
+	// sequential planning loop, so it is scheduling-independent and safe
+	// for the deterministic output. StaticReachSkips always reads 0: it
+	// counted the removed SPDG reach filter and stays so that
+	// schema_version 1 responses keep the field.
 	StaticReachSkips int64 `json:"static_reach_skips"`
 	ReplaySkips      int64 `json:"replay_skips"`
 

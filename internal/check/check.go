@@ -74,7 +74,7 @@ type Unit struct {
 	C    *interp.Compiled
 	Flow *dataflow.Analysis
 
-	sd *staticdep.Graph // lazily built by StaticDeps
+	sd *staticdep.Graph // lazily built by SPDG
 }
 
 // Load compiles src and prepares the analysis unit.
@@ -95,10 +95,11 @@ func NewUnit(c *interp.Compiled, flow *dataflow.Analysis) *Unit {
 	return &Unit{C: c, Flow: flow}
 }
 
-// StaticDeps returns the unit's SPDG (internal/staticdep), building it
-// on first use and sharing it across passes. Not safe for concurrent
-// callers — analyzers run sequentially over one unit.
-func (u *Unit) StaticDeps() *staticdep.Graph {
+// SPDG returns the unit's static program dependence graph
+// (internal/staticdep), building it on first use and sharing it across
+// passes. Not safe for concurrent callers — analyzers run sequentially
+// over one unit.
+func (u *Unit) SPDG() *staticdep.Graph {
 	if u.sd == nil {
 		u.sd = staticdep.New(u.C, u.Flow)
 	}

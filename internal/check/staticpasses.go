@@ -35,7 +35,7 @@ per-function EOL0008 closure must treat conservatively.`,
 // intra-function analysis already proves futile needs no second report;
 // this pass exists for the cones only interprocedural precision closes.
 func runInfluenceFree(p *Pass) {
-	sd := p.Unit.StaticDeps()
+	sd := p.Unit.SPDG()
 	intra := map[int]bool{}
 	diags := []Diagnostic{}
 	pass := &Pass{Unit: p.Unit, Analyzer: UnswitchablePredicate, diags: &diags}
@@ -72,7 +72,7 @@ programs, where such counters feed code outside the excerpt.`,
 
 func runCrossCallDeadStore(p *Pass) {
 	info := p.Unit.C.Info
-	for _, id := range p.Unit.StaticDeps().DeadGlobalStores() {
+	for _, id := range p.Unit.SPDG().DeadGlobalStores() {
 		used := map[int]bool{}
 		for _, sym := range info.StmtUses[id] {
 			used[sym.ID] = true

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 
-	"eol/internal/core"
 	"eol/internal/obs"
 )
 
@@ -23,34 +22,15 @@ type EngineFlags struct {
 	// failing run: 0 = interpreter default, negative disables
 	// checkpointed switched replay (docs/CHECKPOINT.md).
 	Checkpoints int
-	// NoStaticReach disables the pre-execution static reach filter over
-	// the interprocedural dependence graph (docs/STATICDEP.md).
-	NoStaticReach bool
 	// Backend names the execution backend ("vm", the default, or
 	// "tree"). Backends are byte-identical — the flag only changes
 	// wall-clock time (docs/VM.md).
 	Backend string
 }
 
-// Features translates the parsed flags into the engine-feature
-// tri-states for core.Spec.Features / corpus.Options.Features:
-// -no-static-reach maps to StaticReach off. The sizing knobs (Workers,
-// Cache, Checkpoints) stay plain ints because they carry sizes, not
-// on/off choices. Commands should pass this instead of copying
-// NoStaticReach into the deprecated negative fields.
-func (ef *EngineFlags) Features() core.Features {
-	var f core.Features
-	if ef.NoStaticReach {
-		f.StaticReach = core.FeatureOff
-	}
-	return f
-}
-
 // RegisterEngineFlags registers the unified engine knobs -workers,
-// -cache, -checkpoints, -no-static-reach and -backend on fs. The
-// pre-unification spellings -verify-workers/-verify-cache finished their
-// deprecation cycle and are gone: they fail like any unknown flag
-// (usage + exit code 2 under flag.ExitOnError).
+// -cache, -checkpoints and -backend on fs. Removed flags fail like any
+// unknown flag (usage + exit code 2 under flag.ExitOnError).
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.IntVar(&ef.Workers, "workers", 0,
@@ -59,8 +39,6 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"switched-run cache size (0 = default, negative = disabled)")
 	fs.IntVar(&ef.Checkpoints, "checkpoints", 0,
 		"failing-run checkpoint bound for switched replay (0 = default, negative = disabled)")
-	fs.BoolVar(&ef.NoStaticReach, "no-static-reach", false,
-		"disable the pre-execution static reach filter")
 	RegisterBackendFlag(fs, &ef.Backend)
 	return ef
 }

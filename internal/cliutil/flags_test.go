@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"eol/internal/core"
 	"eol/internal/obs"
 )
 
@@ -25,12 +24,12 @@ func TestEngineFlagsCanonicalNames(t *testing.T) {
 
 // TestEngineFlagsRemovedAliases: the pre-unification spellings
 // -verify-workers/-verify-cache finished their deprecation cycle and,
-// like the removed -speculate, now fail as any unknown flag. Under the
-// commands' flag.ExitOnError sets that means usage output and exit code
-// 2; with ContinueOnError here it surfaces as a Parse error naming the
-// flag.
+// like the removed -speculate and -no-static-reach, now fail as any
+// unknown flag. Under the commands' flag.ExitOnError sets that means
+// usage output and exit code 2; with ContinueOnError here it surfaces
+// as a Parse error naming the flag.
 func TestEngineFlagsRemovedAliases(t *testing.T) {
-	for _, alias := range []string{"verify-workers", "verify-cache", "speculate"} {
+	for _, alias := range []string{"verify-workers", "verify-cache", "speculate", "no-static-reach"} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		var buf bytes.Buffer
 		fs.SetOutput(&buf)
@@ -42,21 +41,6 @@ func TestEngineFlagsRemovedAliases(t *testing.T) {
 		if !strings.Contains(err.Error(), alias) {
 			t.Errorf("-%s error does not name the flag: %v", alias, err)
 		}
-	}
-}
-
-func TestEngineFlagsFeatures(t *testing.T) {
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	ef := RegisterEngineFlags(fs)
-	if err := fs.Parse([]string{"-no-static-reach"}); err != nil {
-		t.Fatal(err)
-	}
-	if f := ef.Features(); f.StaticReach != core.FeatureOff {
-		t.Errorf("Features().StaticReach = %v, want off", f.StaticReach)
-	}
-	var zero EngineFlags
-	if f := zero.Features(); f != (core.Features{}) {
-		t.Errorf("zero EngineFlags yields non-default features %+v", f)
 	}
 }
 
@@ -86,12 +70,12 @@ func TestUsageHidesAliases(t *testing.T) {
 	fs.SetOutput(&buf)
 	fs.Usage()
 	out := buf.String()
-	for _, want := range []string{"-workers", "-cache", "-no-static-reach", "-trace", "-progress"} {
+	for _, want := range []string{"-workers", "-cache", "-checkpoints", "-trace", "-progress"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("usage does not advertise %s:\n%s", want, out)
 		}
 	}
-	for _, gone := range []string{"verify-workers", "verify-cache", "speculate"} {
+	for _, gone := range []string{"verify-workers", "verify-cache", "speculate", "no-static-reach"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("usage still mentions removed alias %s:\n%s", gone, out)
 		}

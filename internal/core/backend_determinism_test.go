@@ -40,12 +40,12 @@ func TestBackendDeterminismFig1(t *testing.T) {
 		treeSpec := fig1DetSpec(t)
 		treeSpec.Backend = interp.Tree
 		treeSpec.VerifyWorkers, treeSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		treeSpec.NoStaticSkip, treeSpec.Checkpoints = cfg.noSkip, cfg.checkpoints
+		treeSpec.Features.StaticSkip, treeSpec.Checkpoints = offIf(cfg.noSkip), cfg.checkpoints
 
 		vmSpec := fig1DetSpec(t)
 		vmSpec.Backend = vm.Backend
 		vmSpec.VerifyWorkers, vmSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		vmSpec.NoStaticSkip, vmSpec.Checkpoints = cfg.noSkip, cfg.checkpoints
+		vmSpec.Features.StaticSkip, vmSpec.Checkpoints = offIf(cfg.noSkip), cfg.checkpoints
 
 		treeRep, treeJournal := locateJournaled(t, treeSpec)
 		vmRep, vmJournal := locateJournaled(t, vmSpec)

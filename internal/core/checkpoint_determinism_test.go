@@ -60,12 +60,12 @@ func TestDeterminismCheckpoints(t *testing.T) {
 	} {
 		spec := fig1DetSpec(t)
 		spec.VerifyWorkers, spec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		spec.NoStaticSkip = cfg.noSkip
+		spec.Features.StaticSkip = offIf(cfg.noSkip)
 
 		specOff := fig1DetSpec(t)
 		specOff.Checkpoints = -1
 		specOff.VerifyWorkers, specOff.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		specOff.NoStaticSkip = cfg.noSkip
+		specOff.Features.StaticSkip = offIf(cfg.noSkip)
 
 		on, onJournal := locateJournaled(t, spec)
 		off, offJournal := locateJournaled(t, specOff)

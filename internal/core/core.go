@@ -61,7 +61,6 @@ import (
 	"eol/internal/interp"
 	"eol/internal/obs"
 	"eol/internal/slicing"
-	"eol/internal/staticdep"
 	"eol/internal/trace"
 	"eol/internal/verifyengine"
 )
@@ -154,19 +153,9 @@ type Spec struct {
 	// VerifyCacheSize.
 	VerifyCache *verifyengine.RunCache
 	// Features selects the optional engine features as explicit
-	// tri-states (see the Features type). It is the preferred spelling;
-	// the negative knobs below remain honored where a field is left at
-	// FeatureDefault. Resolution order is defined by ResolveFeatures.
+	// tri-states (see the Features type); ResolveFeatures defines how
+	// they combine with the defaults.
 	Features Features
-	// NoIncremental disables incremental re-pruning: every PruneSlicing
-	// pass recomputes confidence over the whole graph instead of
-	// re-propagating only the cone invalidated since the previous pass.
-	// Results (Report counters, VerifyLog, obs journal) are byte-identical
-	// either way — only Stats.Repropagated/DirtyFraction and wall-clock
-	// time differ — so this flag exists for A/B comparison and debugging.
-	//
-	// Deprecated: set Features.IncrementalReprune = FeatureOff instead.
-	NoIncremental bool
 	// Checkpoints bounds the execution snapshots captured during the
 	// failing run for checkpointed switched replay (docs/CHECKPOINT.md):
 	// 0 means interp.DefaultCheckpoints, negative disables checkpointing
@@ -176,35 +165,9 @@ type Spec struct {
 	// Stats.CheckpointHits/SuffixSteps/Checkpoints/CheckpointBytes and
 	// wall-clock time differ.
 	//
-	// Deprecated: the negative-means-off encoding; prefer
-	// Features.Checkpoints for the on/off switch and keep this field
-	// >= 0 as the capture count.
+	// Features.Checkpoints is the preferred on/off switch; keep this
+	// field >= 0 as the capture count.
 	Checkpoints int
-	// NoStaticSkip disables the static skip-filter
-	// (check.SwitchFilter), which proves some verifications NOT_ID from
-	// the failing trace alone and answers them without a switched
-	// re-execution. The filter never changes verdicts, counters or the
-	// VerifyLog — only Stats.SwitchedRuns and StaticSkips — so it is on
-	// by default; this flag exists for A/B comparison and debugging.
-	// The filter is unsound under PathMode and is force-disabled there.
-	//
-	// Deprecated: set Features.StaticSkip = FeatureOff instead.
-	NoStaticSkip bool
-	// NoStaticReach disables the SPDG reach filter
-	// (check.StaticReachFilter), which proves some verifications NOT_ID
-	// from the static program dependence graph alone — before any
-	// execution — and answers them with zero trace work. Like the replay
-	// filter above it never changes verdicts, Table-3 counters or the
-	// VerifyLog — only Stats.SwitchedRuns and StaticReachSkips — so it is
-	// on by default; the flag exists for A/B comparison and debugging.
-	// Unsound under PathMode and force-disabled there.
-	//
-	// Deprecated: set Features.StaticReach = FeatureOff instead.
-	NoStaticReach bool
-	// StaticDeps optionally supplies a prebuilt SPDG for Program (e.g.
-	// the corpus driver's shared staticdep.Cache); nil means Locate
-	// builds its own when the reach filter is enabled.
-	StaticDeps *staticdep.Graph
 	// Observer, if non-nil, receives the run's observability stream:
 	// spans for each localization phase, counter deltas and final stats
 	// gauges (see internal/obs and docs/OBSERVABILITY.md). For a fixed
@@ -383,24 +346,13 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	// Static skip-filter: answers provably-NOT_ID verifications without a
 	// switched run. Unsound under PathMode (taint through allowed suffix
 	// writes can create an explicit p'-u' path), so only installed for
-	// the default edge-mode verifier.
+	// the default edge-mode verifier. It reuses the slicing context's
+	// reaching definitions: the engine consults it from its planning
+	// loop on this goroutine, never concurrently.
 	if feats.StaticSkip && !spec.PathMode {
-		flt := check.NewSwitchFilter(spec.Program, nil, tr, wrong.Entry, spec.BudgetFactor)
+		flt := check.NewSwitchFilter(spec.Program, cx.Flow, tr, wrong.Entry, spec.BudgetFactor)
 		engCfg.Filter = func(req implicit.Request) bool {
 			return flt.ProvablyNotID(req.Pred, req.Use, req.UseSym)
-		}
-	}
-	// SPDG reach filter: proves NOT_ID pre-execution from the static
-	// dependence graph, consulted by the engine before the replay filter
-	// above. Same PathMode exclusion.
-	if feats.StaticReach && !spec.PathMode {
-		sd := spec.StaticDeps
-		if sd == nil {
-			sd = staticdep.New(spec.Program, cx.Flow)
-		}
-		rf := check.NewStaticReachFilter(sd, tr, wrong.Entry)
-		engCfg.ReachFilter = func(req implicit.Request) bool {
-			return rf.ProvablyNotID(req.Pred, req.Use)
 		}
 	}
 	eng := verifyengine.New(ver, engCfg)
@@ -507,8 +459,8 @@ func (l *locator) pd(entry int) []slicing.PDep {
 //
 // Each Compute here is a re-prune: after the first pass it re-propagates
 // only the cone invalidated by the latest expansion edges and pins
-// (unless Spec.NoIncremental). The dirty-set sizes are mode-dependent
-// cost counters and therefore live in Report.Stats
+// (unless Features.IncrementalReprune is off). The dirty-set sizes are
+// mode-dependent cost counters and therefore live in Report.Stats
 // (Repropagated/DirtyFraction), not in the journal — the reprune span
 // itself is emitted identically in both modes.
 func (l *locator) pruneSlicing() error {
@@ -570,7 +522,6 @@ func (l *locator) finalizeStats() {
 	rep.Stats.CacheMisses = es.CacheMisses
 	rep.Stats.CacheEvictions = es.CacheEvictions
 	rep.Stats.StaticSkips = es.StaticSkips
-	rep.Stats.StaticReachSkips = es.StaticReachSkips
 	rep.Stats.AlignedRegions = es.AlignedRegions
 	rep.Stats.CheckpointHits = es.CheckpointHits
 	rep.Stats.SuffixSteps = es.SuffixSteps

@@ -6,9 +6,9 @@ import (
 )
 
 // FeatureMode is a tri-state switch for one optional engine feature.
-// FeatureDefault defers to the legacy knob on Spec (NoStaticSkip,
-// NoStaticReach, NoIncremental, the sign of Checkpoints); FeatureOn and
-// FeatureOff force the feature regardless of the legacy knobs.
+// FeatureDefault selects the built-in default, which is on for every
+// feature (a negative Spec.Checkpoints count also turns checkpoints
+// off); FeatureOn and FeatureOff force the feature.
 type FeatureMode uint8
 
 const (
@@ -42,31 +42,24 @@ func ParseFeatureMode(s string) (FeatureMode, error) {
 	return FeatureDefault, fmt.Errorf("unknown feature mode %q (want on, off or default)", s)
 }
 
-// Features selects the locator's optional engine features positively,
-// replacing the accreted negative knobs on Spec (NoStaticSkip,
-// NoStaticReach, NoIncremental, Checkpoints < 0). Each field is a
-// tri-state: FeatureDefault defers to the corresponding legacy knob, so
-// a zero Features changes nothing and old call sites keep working.
+// Features selects the locator's optional engine features. Each field
+// is a tri-state, so a zero Features means "every feature at its
+// default" and overlays compose key by key (Overlay).
 //
 // Every feature is results-neutral: Report counters, VerifyLog and the
 // obs journal are byte-identical whatever the switches — only cost
-// counters and wall-clock time change (see the field docs on Spec).
+// counters and wall-clock time change.
 type Features struct {
-	// StaticSkip is the trace-replay skip filter (check.SwitchFilter);
-	// legacy knob: NoStaticSkip. On by default.
+	// StaticSkip is the trace-replay skip filter (check.SwitchFilter).
+	// On by default.
 	StaticSkip FeatureMode
-	// StaticReach is the SPDG pre-execution reach filter
-	// (check.StaticReachFilter); legacy knob: NoStaticReach. On by
-	// default.
-	StaticReach FeatureMode
-	// IncrementalReprune is delta re-propagation in confidence analysis;
-	// legacy knob: NoIncremental. On by default.
+	// IncrementalReprune is delta re-propagation in confidence analysis.
+	// On by default.
 	IncrementalReprune FeatureMode
-	// Checkpoints is checkpointed switched replay; legacy knob: the sign
-	// of Spec.Checkpoints (negative = off). When forced On while the
-	// legacy field is negative, the default checkpoint count is used;
-	// otherwise Spec.Checkpoints keeps selecting the count. On by
-	// default.
+	// Checkpoints is checkpointed switched replay. On by default unless
+	// Spec.Checkpoints is negative; when forced On while that count is
+	// negative, the default checkpoint count is used, otherwise
+	// Spec.Checkpoints keeps selecting the count.
 	Checkpoints FeatureMode
 }
 
@@ -81,7 +74,6 @@ func (f Features) Overlay(over Features) Features {
 	}
 	return Features{
 		StaticSkip:         pick(f.StaticSkip, over.StaticSkip),
-		StaticReach:        pick(f.StaticReach, over.StaticReach),
 		IncrementalReprune: pick(f.IncrementalReprune, over.IncrementalReprune),
 		Checkpoints:        pick(f.Checkpoints, over.Checkpoints),
 	}
@@ -91,7 +83,6 @@ func (f Features) Overlay(over Features) Features {
 // and in -feature CLI flags.
 const (
 	FeatureStaticSkip         = "static_skip"
-	FeatureStaticReach        = "static_reach"
 	FeatureIncrementalReprune = "incremental_reprune"
 	FeatureCheckpoints        = "checkpoints"
 )
@@ -101,7 +92,6 @@ func FeatureNames() []string {
 	return []string{
 		FeatureCheckpoints,
 		FeatureIncrementalReprune,
-		FeatureStaticReach,
 		FeatureStaticSkip,
 	}
 }
@@ -109,9 +99,9 @@ func FeatureNames() []string {
 // ParseFeatures builds a Features from its wire spelling: a map from
 // feature name to mode ("on", "off", "default" or empty). Unknown names
 // and modes are rejected — the server surfaces them with the `invalid`
-// error code. The removed feature "speculation" is still accepted with
-// any valid mode and ignored, so schema_version 1 requests that name it
-// keep working.
+// error code. The removed features "speculation" and "static_reach" are
+// still accepted with any valid mode and ignored, so schema_version 1
+// requests that name them keep working.
 func ParseFeatures(m map[string]string) (Features, error) {
 	var f Features
 	// Deterministic error selection: report the smallest offending name.
@@ -128,13 +118,11 @@ func ParseFeatures(m map[string]string) (Features, error) {
 		switch name {
 		case FeatureStaticSkip:
 			f.StaticSkip = mode
-		case FeatureStaticReach:
-			f.StaticReach = mode
 		case FeatureIncrementalReprune:
 			f.IncrementalReprune = mode
 		case FeatureCheckpoints:
 			f.Checkpoints = mode
-		case "speculation": // removed feature: accepted, ignored
+		case "speculation", "static_reach": // removed features: accepted, ignored
 		default:
 			return Features{}, fmt.Errorf("unknown feature %q (want one of %v)", name, FeatureNames())
 		}
@@ -153,7 +141,6 @@ func (f Features) Map() map[string]string {
 		}
 	}
 	put(FeatureStaticSkip, f.StaticSkip)
-	put(FeatureStaticReach, f.StaticReach)
 	put(FeatureIncrementalReprune, f.IncrementalReprune)
 	put(FeatureCheckpoints, f.Checkpoints)
 	if len(m) == 0 {
@@ -163,11 +150,10 @@ func (f Features) Map() map[string]string {
 }
 
 // ResolvedFeatures is a Spec's feature configuration after resolving the
-// tri-states against the legacy knobs: plain booleans plus the
-// checkpoint count, ready for LocateContext to act on.
+// tri-states against the defaults: plain booleans plus the checkpoint
+// count, ready for LocateContext to act on.
 type ResolvedFeatures struct {
 	StaticSkip         bool
-	StaticReach        bool
 	IncrementalReprune bool
 	Checkpoints        bool
 	// CheckpointCount is the capture bound when Checkpoints is true
@@ -175,16 +161,14 @@ type ResolvedFeatures struct {
 	CheckpointCount int
 }
 
-// ResolveFeatures resolves spec's Features against its legacy negative
-// knobs. FeatureDefault defers to the legacy field; FeatureOn/FeatureOff
-// override it. This is the single source of truth for what LocateContext
-// enables — callers inspecting a Spec (harness, corpus, tests) should
-// use it instead of reading the legacy fields.
+// ResolveFeatures resolves spec's Features: FeatureDefault means on
+// (for checkpoints, on unless Spec.Checkpoints is negative), and
+// FeatureOn/FeatureOff force the feature. This is the single source of
+// truth for what LocateContext enables.
 func (s *Spec) ResolveFeatures() ResolvedFeatures {
 	r := ResolvedFeatures{
-		StaticSkip:         !s.NoStaticSkip,
-		StaticReach:        !s.NoStaticReach,
-		IncrementalReprune: !s.NoIncremental,
+		StaticSkip:         true,
+		IncrementalReprune: true,
 		Checkpoints:        s.Checkpoints >= 0,
 	}
 	if s.Checkpoints > 0 {
@@ -199,7 +183,6 @@ func (s *Spec) ResolveFeatures() ResolvedFeatures {
 		}
 	}
 	apply(s.Features.StaticSkip, &r.StaticSkip)
-	apply(s.Features.StaticReach, &r.StaticReach)
 	apply(s.Features.IncrementalReprune, &r.IncrementalReprune)
 	apply(s.Features.Checkpoints, &r.Checkpoints)
 	return r

@@ -81,83 +81,79 @@ func TestParseFeaturesRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestParseFeaturesRemovedName: the removed feature "speculation" stays
-// accepted on the wire with any valid mode and changes nothing; an
-// invalid mode is still rejected.
+// TestParseFeaturesRemovedName: the removed features "speculation" and
+// "static_reach" stay accepted on the wire with any valid mode and
+// change nothing; an invalid mode is still rejected.
 func TestParseFeaturesRemovedName(t *testing.T) {
-	for _, mode := range []string{"on", "off", "default", ""} {
-		f, err := ParseFeatures(map[string]string{"speculation": mode})
-		if err != nil || f != (Features{}) {
-			t.Errorf("speculation=%q: %+v, %v; want zero Features, nil", mode, f, err)
+	for _, name := range []string{"speculation", "static_reach"} {
+		for _, mode := range []string{"on", "off", "default", ""} {
+			f, err := ParseFeatures(map[string]string{name: mode})
+			if err != nil || f != (Features{}) {
+				t.Errorf("%s=%q: %+v, %v; want zero Features, nil", name, mode, f, err)
+			}
 		}
-	}
-	f, err := ParseFeatures(map[string]string{"speculation": "on", "static_skip": "off"})
-	if err != nil || f != (Features{StaticSkip: FeatureOff}) {
-		t.Errorf("speculation next to static_skip: %+v, %v", f, err)
-	}
-	if _, err := ParseFeatures(map[string]string{"speculation": "maybe"}); err == nil {
-		t.Error("speculation with an invalid mode accepted")
+		f, err := ParseFeatures(map[string]string{name: "on", "static_skip": "off"})
+		if err != nil || f != (Features{StaticSkip: FeatureOff}) {
+			t.Errorf("%s next to static_skip: %+v, %v", name, f, err)
+		}
+		if _, err := ParseFeatures(map[string]string{name: "maybe"}); err == nil {
+			t.Errorf("%s with an invalid mode accepted", name)
+		}
 	}
 }
 
 func TestFeaturesOverlay(t *testing.T) {
-	base := Features{StaticSkip: FeatureOff, StaticReach: FeatureOn}
+	base := Features{StaticSkip: FeatureOff, IncrementalReprune: FeatureOn}
 	over := Features{StaticSkip: FeatureOn, Checkpoints: FeatureOff}
 	got := base.Overlay(over)
 	want := Features{
-		StaticSkip:  FeatureOn,  // over wins
-		StaticReach: FeatureOn,  // over default: base survives
-		Checkpoints: FeatureOff, // base default: over lands
+		StaticSkip:         FeatureOn,  // over wins
+		IncrementalReprune: FeatureOn,  // over default: base survives
+		Checkpoints:        FeatureOff, // base default: over lands
 	}
 	if got != want {
 		t.Errorf("Overlay = %+v, want %+v", got, want)
 	}
 }
 
-// TestResolveFeaturesLegacyMapping pins the compatibility contract: at
-// FeatureDefault the deprecated negative knobs decide, and an explicit
-// tri-state overrides them.
+// TestResolveFeaturesLegacyMapping pins the resolution contract: a zero
+// Spec enables every feature, FeatureOff turns each one off, and the
+// sign of the checkpoint count still folds into the checkpoints switch.
 func TestResolveFeaturesLegacyMapping(t *testing.T) {
-	// Zero spec: everything on.
 	var s Spec
-	r := s.ResolveFeatures()
-	want := ResolvedFeatures{StaticSkip: true, StaticReach: true, IncrementalReprune: true, Checkpoints: true}
-	if r != want {
+	want := ResolvedFeatures{StaticSkip: true, IncrementalReprune: true, Checkpoints: true}
+	if r := s.ResolveFeatures(); r != want {
 		t.Errorf("zero spec: %+v, want %+v", r, want)
 	}
 
-	// Legacy knobs flip the defaults.
-	s = Spec{NoStaticSkip: true, NoStaticReach: true, NoIncremental: true, Checkpoints: -1}
-	r = s.ResolveFeatures()
-	if r.StaticSkip || r.StaticReach || r.IncrementalReprune || r.Checkpoints {
-		t.Errorf("legacy knobs ignored: %+v", r)
+	// FeatureOff turns exactly the named feature off.
+	for _, tc := range []struct {
+		f    Features
+		want ResolvedFeatures
+	}{
+		{Features{StaticSkip: FeatureOff}, ResolvedFeatures{IncrementalReprune: true, Checkpoints: true}},
+		{Features{IncrementalReprune: FeatureOff}, ResolvedFeatures{StaticSkip: true, Checkpoints: true}},
+		{Features{Checkpoints: FeatureOff}, ResolvedFeatures{StaticSkip: true, IncrementalReprune: true}},
+	} {
+		s := Spec{Features: tc.f}
+		if r := s.ResolveFeatures(); r != tc.want {
+			t.Errorf("%+v: %+v, want %+v", tc.f, r, tc.want)
+		}
 	}
 
-	// Explicit tri-states beat the legacy knobs.
-	s.Features = Features{
-		StaticSkip:         FeatureOn,
-		StaticReach:        FeatureOn,
-		IncrementalReprune: FeatureOn,
-		Checkpoints:        FeatureOn,
+	// A negative checkpoint count turns checkpoints off ...
+	s = Spec{Checkpoints: -1}
+	if r := s.ResolveFeatures(); r.Checkpoints {
+		t.Errorf("Checkpoints=-1: %+v, want checkpoints off", r)
 	}
-	r = s.ResolveFeatures()
-	if !r.StaticSkip || !r.StaticReach || !r.IncrementalReprune || !r.Checkpoints {
-		t.Errorf("explicit on overridden by legacy knobs: %+v", r)
+	// ... unless forced on, which then uses the default count.
+	s.Features.Checkpoints = FeatureOn
+	if r := s.ResolveFeatures(); !r.Checkpoints || r.CheckpointCount != 0 {
+		t.Errorf("Checkpoints=-1 forced on: %+v, want on with the default count", r)
 	}
-	// Forced on over a negative legacy count uses the default count.
-	if r.CheckpointCount != 0 {
-		t.Errorf("CheckpointCount = %d, want 0 (default)", r.CheckpointCount)
-	}
-
-	// Positive legacy count still selects the bound.
+	// A positive count selects the bound.
 	s = Spec{Checkpoints: 7}
 	if r := s.ResolveFeatures(); !r.Checkpoints || r.CheckpointCount != 7 {
 		t.Errorf("Checkpoints=7: %+v", r)
-	}
-
-	// Explicit off beats a legacy-on default.
-	s = Spec{Features: Features{StaticSkip: FeatureOff}}
-	if r := s.ResolveFeatures(); r.StaticSkip {
-		t.Error("FeatureOff did not disable StaticSkip")
 	}
 }

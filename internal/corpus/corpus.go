@@ -42,7 +42,6 @@ import (
 	"eol/internal/lang/ast"
 	"eol/internal/obs"
 	"eol/internal/oracle"
-	"eol/internal/staticdep"
 	"eol/internal/verifyengine"
 )
 
@@ -72,12 +71,6 @@ type Options struct {
 	// (0 = interpreter default, negative disables checkpointed switched
 	// replay). Per-subject results are identical either way.
 	Checkpoints int
-	// NoStaticReach disables the pre-execution static reach filter
-	// (docs/STATICDEP.md). Per-subject results are identical either way;
-	// only the run-count split in Stats changes.
-	//
-	// Deprecated: set Features.StaticReach = core.FeatureOff instead.
-	NoStaticReach bool
 	// Features selects optional engine features for every subject, as
 	// explicit tri-states; per-subject manifest features (wire spelling)
 	// overlay it key by key. Results-neutral, like all features.
@@ -90,10 +83,10 @@ type Options struct {
 	// for byte.
 	Backend string
 	// Shared, if non-nil, supplies externally owned warm state — the
-	// compile cache, the switched-run cache, and the SPDG cache — that
-	// outlives this Run call. Resident drivers (internal/serve) keep one
-	// Shared across requests so later runs of the same program family hit
-	// warm caches. When set, it overrides NoSharedCache and the
+	// compile cache and the switched-run cache — that outlives this Run
+	// call. Resident drivers (internal/serve) keep one Shared across
+	// requests so later runs of the same program family hit warm
+	// caches. When set, it overrides NoSharedCache and the
 	// cache-construction half of CacheSize (CacheSize still sizes
 	// per-subject private caches if Shared was built without a run
 	// cache). Per-subject results are identical warm or cold.
@@ -178,26 +171,22 @@ func (cc *compileCache) len() int {
 }
 
 // Shared is the warm state a resident driver keeps across Run calls:
-// the content-keyed compile cache, the cross-request switched-run cache,
-// and the content-keyed SPDG cache. All three are safe for concurrent
-// use, so one Shared may serve overlapping Run calls. A batch Run
-// without Options.Shared builds the equivalent state privately and
-// discards it afterwards; the only difference warm state makes is
-// wall-clock time and the cache hit/miss split — never results.
+// the content-keyed compile cache and the cross-request switched-run
+// cache. Both are safe for concurrent use, so one Shared may serve
+// overlapping Run calls. A batch Run without Options.Shared builds the
+// equivalent state privately and discards it afterwards; the only
+// difference warm state makes is wall-clock time and the cache hit/miss
+// split — never results.
 type Shared struct {
 	runs    *verifyengine.RunCache // nil when run caching is disabled
 	compile *compileCache
-	static  *staticdep.Cache
 }
 
 // NewShared builds warm state with a switched-run cache of cacheSize
 // entries (0 = verifyengine.DefaultCacheSize, negative = no shared run
 // cache).
 func NewShared(cacheSize int) *Shared {
-	s := &Shared{
-		compile: &compileCache{m: map[string]*compileEntry{}},
-		static:  staticdep.NewCache(),
-	}
+	s := &Shared{compile: &compileCache{m: map[string]*compileEntry{}}}
 	if cacheSize >= 0 {
 		s.runs = verifyengine.NewRunCache(cacheSize)
 	}
@@ -240,19 +229,15 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 
 	var shared *verifyengine.RunCache
 	var cc *compileCache
-	var sd *staticdep.Cache
 	if opts.Shared != nil {
 		// Resident mode: warm state owned by the caller, reused across
 		// Run calls.
-		shared, cc, sd = opts.Shared.runs, opts.Shared.compile, opts.Shared.static
+		shared, cc = opts.Shared.runs, opts.Shared.compile
 	} else {
 		if !opts.NoSharedCache && opts.CacheSize >= 0 {
 			shared = verifyengine.NewRunCache(opts.CacheSize)
 		}
 		cc = &compileCache{m: map[string]*compileEntry{}}
-		// Subjects of one program family share a single immutable SPDG,
-		// the static analog of the compile cache above.
-		sd = staticdep.NewCache()
 	}
 
 	runCtx := ctx
@@ -278,7 +263,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 				if i >= len(m.Subjects) {
 					return
 				}
-				res.Subjects[i] = runSubject(runCtx, &m.Subjects[i], shard, shared, cc, sd, &opts)
+				res.Subjects[i] = runSubject(runCtx, &m.Subjects[i], shard, shared, cc, &opts)
 				if opts.FailFast && res.Subjects[i].Err != nil {
 					cancel()
 				}
@@ -304,7 +289,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 }
 
 // runSubject performs one localization session end to end.
-func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine.RunCache, cc *compileCache, sd *staticdep.Cache, opts *Options) SubjectResult {
+func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine.RunCache, cc *compileCache, opts *Options) SubjectResult {
 	start := time.Now()
 	sr := SubjectResult{Name: s.Name, Shard: shard, Report: &core.Report{}}
 	fail := func(err error) SubjectResult {
@@ -359,11 +344,7 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		VerifyCacheSize: opts.CacheSize,
 		VerifyCache:     shared,
 		Checkpoints:     opts.Checkpoints,
-		NoStaticReach:   opts.NoStaticReach,
 		Features:        opts.Features.Overlay(subjFeats),
-	}
-	if spec.ResolveFeatures().StaticReach && !s.PathMode {
-		spec.StaticDeps = sd.Get(faulty)
 	}
 
 	if s.CorrectSource != "" {

@@ -88,8 +88,7 @@ type Subject struct {
 	// PathMode selects the safe explicit-path VerifyDep variant.
 	PathMode bool `json:"path_mode,omitempty"`
 	// CrossFunctionPD extends potential dependences across function
-	// boundaries for globals — the mode where the static reach filter
-	// has pruning power (see docs/STATICDEP.md).
+	// boundaries for globals.
 	CrossFunctionPD bool `json:"cross_function_pd,omitempty"`
 	// Backend names the execution backend for this subject ("vm" or
 	// "tree"; "" = Defaults.Backend, then Options.Backend, then the
@@ -97,9 +96,9 @@ type Subject struct {
 	// journal do not depend on — and never record — the choice.
 	Backend string `json:"backend,omitempty"`
 	// Features selects optional engine features by wire name
-	// (static_skip, static_reach, incremental_reprune, checkpoints) with
-	// tri-state values ("on", "off", "default"); docs/CORPUS.md lists
-	// them. Per-key merge order: subject over Defaults.Features over
+	// (static_skip, incremental_reprune, checkpoints) with tri-state
+	// values ("on", "off", "default"); docs/CORPUS.md lists them.
+	// Per-key merge order: subject over Defaults.Features over
 	// Options.Features. Unknown names or values fail Validate. Every
 	// feature is results-neutral, so results and the journal do not
 	// depend on the choice.

@@ -32,11 +32,10 @@ type VerifyRow struct {
 	Saved   int64
 	// Verifications is the (mode-independent) verification count.
 	Verifications int
-	// ReachSkips / ReplaySkips split the verification-avoidance sources:
-	// candidates retired pre-execution by the SPDG reach filter vs. by
-	// trace replay (docs/STATICDEP.md). Both are decided in the engine's
+	// ReplaySkips counts candidates retired by the trace-replay skip
+	// filter without a switched run. It is decided in the engine's
 	// sequential planning loop, hence mode-independent.
-	ReachSkips, ReplaySkips int64
+	ReplaySkips int64
 }
 
 // VerifyCase measures one case with the given parallel worker count,
@@ -115,7 +114,6 @@ func VerifyCase(p *bench.Prepared, opt Options) (*VerifyRow, error) {
 		Runs:          stats.SwitchedRuns,
 		Saved:         stats.CacheHits,
 		Verifications: reports[0].Stats.Verifications,
-		ReachSkips:    reports[0].Stats.StaticReachSkips,
 		ReplaySkips:   reports[0].Stats.StaticSkips,
 	}
 	if best[1] > 0 {
@@ -163,13 +161,13 @@ func VerifyTable(opt Options) ([]VerifyRow, error) {
 // WriteVerifyTable renders the verification-throughput comparison.
 func WriteVerifyTable(w io.Writer, rows []VerifyRow) {
 	fmt.Fprintf(w, "Verification throughput: sequential vs parallel vs cached (min-of-reps)\n")
-	fmt.Fprintf(w, "%-16s %10s %10s %10s %6s %6s %7s %6s %6s %6s %6s\n",
-		"Case", "Seq", "Par", "Cached", "xPar", "xCache", "hit%", "runs", "verifs", "reach", "replay")
+	fmt.Fprintf(w, "%-16s %10s %10s %10s %6s %6s %7s %6s %6s %6s\n",
+		"Case", "Seq", "Par", "Cached", "xPar", "xCache", "hit%", "runs", "verifs", "replay")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %10s %10s %10s %5.2fx %5.2fx %6.1f%% %6d %6d %6d %6d\n",
+		fmt.Fprintf(w, "%-16s %10s %10s %10s %5.2fx %5.2fx %6.1f%% %6d %6d %6d\n",
 			r.Case, r.Sequential.Round(time.Microsecond),
 			r.Parallel.Round(time.Microsecond), r.Cached.Round(time.Microsecond),
 			r.SpeedupPar, r.SpeedupCached, 100*r.HitRate, r.Runs, r.Verifications,
-			r.ReachSkips, r.ReplaySkips)
+			r.ReplaySkips)
 	}
 }

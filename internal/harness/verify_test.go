@@ -40,13 +40,13 @@ func TestWriteVerifyTable(t *testing.T) {
 		Case: "x/Y-1", Sequential: 3 * time.Millisecond,
 		Parallel: 2 * time.Millisecond, Cached: time.Millisecond,
 		SpeedupPar: 1.5, SpeedupCached: 3.0, HitRate: 0.8, Runs: 4, Verifications: 20,
-		ReachSkips: 2, ReplaySkips: 1,
+		ReplaySkips: 1,
 	}})
 	out := sb.String()
 	if !strings.Contains(out, "x/Y-1") || !strings.Contains(out, "3.00x") {
 		t.Errorf("verify table render:\n%s", out)
 	}
-	if !strings.Contains(out, "reach") || !strings.Contains(out, "replay") {
-		t.Errorf("verify table missing the skip-split columns:\n%s", out)
+	if !strings.Contains(out, "replay") {
+		t.Errorf("verify table missing the replay-skip column:\n%s", out)
 	}
 }

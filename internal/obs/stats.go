@@ -34,12 +34,10 @@ type Stats struct {
 	// StaticSkips counts verifications answered by the static
 	// skip-filter without any re-execution.
 	StaticSkips int64
-	// StaticReachSkips counts verifications answered by the SPDG reach
-	// filter (check.StaticReachFilter) — proved NOT_ID before any
-	// execution, without even replaying the failing trace. Distinct from
-	// StaticSkips: the replay filter works one instance at a time, the
-	// reach filter retires whole candidate families per predicate
-	// statement.
+	// StaticReachSkips always reads 0. It counted verifications retired
+	// by the removed SPDG reach filter and stays, with its
+	// static_reach_skips journal gauge, so that the journal's end-of-run
+	// gauge set and the schema_version 1 wire fields keep their shape.
 	StaticReachSkips int64
 	// AlignedRegions counts code regions walked by the alignment
 	// algorithm (Algorithm 1) during verification.

@@ -83,21 +83,21 @@ func TestIncrementalRepruneDifferential(t *testing.T) {
 			}
 		}
 
-		specOf := func(noInc bool) *core.Spec {
+		specOf := func(inc core.FeatureMode) *core.Spec {
 			return &core.Spec{
-				Program:       faulty,
-				Input:         in,
-				Expected:      cr.OutputValues(),
-				RootCause:     []int{root},
-				Oracle:        &oracle.StateOracle{Correct: cr.Trace},
-				NoIncremental: noInc,
+				Program:   faulty,
+				Input:     in,
+				Expected:  cr.OutputValues(),
+				RootCause: []int{root},
+				Oracle:    &oracle.StateOracle{Correct: cr.Trace},
+				Features:  core.Features{IncrementalReprune: inc},
 			}
 		}
-		want, err := core.Locate(specOf(true))
+		want, err := core.Locate(specOf(core.FeatureOff))
 		if err != nil {
 			t.Fatalf("Locate (full) crashed:\n%s\nerror: %v", faultySrc, err)
 		}
-		got, err := core.Locate(specOf(false))
+		got, err := core.Locate(specOf(core.FeatureDefault))
 		if err != nil {
 			t.Fatalf("Locate (incremental) crashed:\n%s\nerror: %v", faultySrc, err)
 		}

@@ -72,27 +72,33 @@ func TestServeMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRemovedFeatureIgnored: "speculation" names a removed engine
-// feature that schema_version 1 still accepts as a no-op, so a corpus
-// request carrying it must get the same bytes as the request without it
-// (which TestServeMatchesBatch pins to the batch output).
+// TestRemovedFeatureIgnored: "speculation" and "static_reach" name
+// removed engine features that schema_version 1 still accepts as
+// no-ops, so a corpus request carrying one must get the same bytes as
+// the request without it (which TestServeMatchesBatch pins to the batch
+// output).
 func TestRemovedFeatureIgnored(t *testing.T) {
-	m := loadManifest(t)
-	for i := range m.Subjects {
-		m.Subjects[i].Features = map[string]string{"speculation": "on"}
-	}
-	var body bytes.Buffer
-	if err := api.Encode(&body, api.RequestFromManifest(m)); err != nil {
-		t.Fatal(err)
-	}
 	want := batchBytes(t, corpus.Options{})
 	_, ts := startServer(t, Config{})
-	code, _, got := post(t, ts.URL+"/v1/corpus", "", body.Bytes())
-	if code != 200 {
-		t.Fatalf("status %d: %s", code, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("response differs from the request without the feature:\ngot:\n%s\nwant:\n%s", got, want)
+	for _, features := range []map[string]string{
+		{"speculation": "on"},
+		{"static_reach": "off"},
+	} {
+		m := loadManifest(t)
+		for i := range m.Subjects {
+			m.Subjects[i].Features = features
+		}
+		var body bytes.Buffer
+		if err := api.Encode(&body, api.RequestFromManifest(m)); err != nil {
+			t.Fatal(err)
+		}
+		code, _, got := post(t, ts.URL+"/v1/corpus", "", body.Bytes())
+		if code != 200 {
+			t.Fatalf("%v: status %d: %s", features, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: response differs from the request without the feature:\ngot:\n%s\nwant:\n%s", features, got, want)
+		}
 	}
 }
 

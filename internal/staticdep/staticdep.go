@@ -17,25 +17,19 @@
 //     call graph, and
 //   - constant-index element refinement for arrays: a def→use data edge
 //     is dropped when both statements access the array only at provably
-//     constant, disjoint element indexes — the precision that gives the
-//     reach filter its firing cases (see the vacuity discussion in
-//     check/reachfilter.go), with the matching hazard exemption for
-//     provably in-bounds constant indexing.
+//     constant, disjoint element indexes, with the matching hazard
+//     exemption for provably in-bounds constant indexing.
 //
 // The SPDG reuses internal/depgraph's edge vocabulary and CSR layout
 // (rowStart + flat edge array, Kind bitmask; the Summary kind is this
 // package's contribution), with statement IDs as nodes. It is computed
-// once per compiled program — Cache shares it content-keyed across
-// corpus shards exactly like the corpus compile cache — and consumed in
-// two places: check.StaticReachFilter, which answers provably-NOT_ID
-// verifications before any execution, and the EOL0009/EOL0010 eolvet
-// passes. See docs/STATICDEP.md for the construction and the soundness
-// argument.
+// once per compiled program and consumed by the EOL0009/EOL0010 eolvet
+// passes and by `slicer -engine`. See docs/STATICDEP.md for the
+// construction.
 package staticdep
 
 import (
 	"sort"
-	"sync"
 
 	"eol/internal/cfg"
 	"eol/internal/dataflow"
@@ -68,12 +62,10 @@ type cone struct {
 	bits     bitset
 	harmless bool // no fault-capable or input-consuming statement inside
 	silent   bool // harmless and no print statement inside
-	straight bool // no predicate, return, break or continue inside
 }
 
 // Graph is the SPDG of one compiled program. It is immutable after New
-// and safe for concurrent readers, which is what lets corpus shards
-// share one instance.
+// and safe for concurrent readers.
 type Graph struct {
 	info *sem.Info
 
@@ -108,7 +100,7 @@ type gsite struct {
 
 // New builds the SPDG for c. flow may be nil, in which case the
 // intraprocedural dataflow analysis is computed here; passing an
-// existing one (core.Locate, check.Unit) avoids recomputing it.
+// existing one (check.Unit) avoids recomputing it.
 func New(c *interp.Compiled, flow *dataflow.Analysis) *Graph {
 	if flow == nil {
 		flow = dataflow.New(c.Info, c.CFG)
@@ -167,24 +159,11 @@ func (g *Graph) InCone(pred, id int) bool {
 }
 
 // ConeHarmless reports whether pred's forward cone contains no
-// fault-capable or input-consuming statement. Only harmless cones admit
-// the pre-execution NOT_ID proof of check.StaticReachFilter.
+// fault-capable or input-consuming statement: switching the predicate
+// cannot abort the run or desynchronize its input.
 func (g *Graph) ConeHarmless(pred int) bool {
 	c := g.cones[pred]
 	return c != nil && c.harmless
-}
-
-// ConeStraight reports whether pred's forward cone contains no
-// predicate, return, break or continue statement: every control-flow
-// decision outside the predicate's own switched instance is then
-// unaffected, so a switched run executes statement-for-statement
-// identically to the original outside the switched region — the
-// structural half of check.StaticReachFilter's proof (region alignment
-// cannot fail on any point outside the cone). A predicate reaching
-// itself through a cycle (loop header) fails this by definition.
-func (g *Graph) ConeStraight(pred int) bool {
-	c := g.cones[pred]
-	return c != nil && c.straight
 }
 
 // ConeSilent reports whether pred's forward cone is harmless and
@@ -405,10 +384,9 @@ func (es *elemSummary) disjoint(d, u int, sym *sem.Symbol) bool {
 // computeElemAccess builds the element summaries. The dynamic trace
 // records uses per (symbol, element); the symbol-level candidate
 // generator cannot see that, so these summaries are where the SPDG
-// recovers element precision for constant indexes — the refinement that
-// lets check.StaticReachFilter fire on real candidates (a region
-// writing only buf[3] can never produce the reaching definition of a
-// read of buf[1]).
+// recovers element precision for constant indexes (a statement writing
+// only buf[3] can never produce the reaching definition of a read of
+// buf[1]).
 func (g *Graph) computeElemAccess() *elemSummary {
 	es := &elemSummary{
 		defs: map[int]map[int]*elemAccess{},
@@ -818,7 +796,7 @@ func (g *Graph) buildCones() {
 				push(g.edges[i].To)
 			}
 		}
-		cn := &cone{bits: bits, harmless: true, silent: true, straight: true}
+		cn := &cone{bits: bits, harmless: true, silent: true}
 		for id := 1; id <= g.n; id++ {
 			if !bits.get(id) {
 				continue
@@ -830,14 +808,6 @@ func (g *Graph) buildCones() {
 			if g.output[id] {
 				cn.silent = false
 			}
-			switch st := g.info.Stmt(id); st.(type) {
-			case *ast.ReturnStmt, *ast.BreakStmt, *ast.ContinueStmt:
-				cn.straight = false
-			default:
-				if ast.IsPredicate(st) {
-					cn.straight = false
-				}
-			}
 		}
 		g.cones[p] = cn
 		g.stats.Predicates++
@@ -845,38 +815,6 @@ func (g *Graph) buildCones() {
 			g.stats.HarmlessCones++
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// shared cache
-
-// Cache shares SPDGs across users of the same program, keyed by source
-// text — the corpus driver's analog of its compile cache: subjects of
-// one program family build the graph once and share it read-only.
-type Cache struct {
-	mu sync.Mutex
-	m  map[string]*cacheEntry
-}
-
-type cacheEntry struct {
-	once sync.Once
-	g    *Graph
-}
-
-// NewCache returns an empty SPDG cache.
-func NewCache() *Cache { return &Cache{m: map[string]*cacheEntry{}} }
-
-// Get returns the SPDG for c, building it at most once per source text.
-func (cc *Cache) Get(c *interp.Compiled) *Graph {
-	cc.mu.Lock()
-	e, ok := cc.m[c.Src]
-	if !ok {
-		e = &cacheEntry{}
-		cc.m[c.Src] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() { e.g = New(c, nil) })
-	return e.g
 }
 
 // ---------------------------------------------------------------------------

@@ -305,16 +305,3 @@ func main() {
 		t.Errorf("missing return→call summary edge %d→%d", ret, call)
 	}
 }
-
-func TestCacheShares(t *testing.T) {
-	c1 := compile(t, crossSrc)
-	c2 := compile(t, crossSrc)
-	cc := NewCache()
-	if cc.Get(c1) != cc.Get(c2) {
-		t.Error("same source must share one SPDG")
-	}
-	other := compile(t, "func main() { print(read()); }")
-	if cc.Get(other) == cc.Get(c1) {
-		t.Error("different sources must not share")
-	}
-}

@@ -72,14 +72,6 @@ type Config struct {
 	// return true when the verdict is provably NOT_ID; it is consulted
 	// from the planning loop, never concurrently.
 	Filter func(implicit.Request) bool
-	// ReachFilter, if non-nil, is a second pre-execution filter with the
-	// same contract as Filter but proved from the static program
-	// dependence graph alone (check.StaticReachFilter): no trace replay,
-	// no per-instance work. It is consulted BEFORE Filter, so a request
-	// provable both ways is accounted to Stats.StaticReachSkips, not
-	// Stats.StaticSkips. Same soundness obligation: true only when the
-	// switched run would certainly return NOT_ID.
-	ReachFilter func(implicit.Request) bool
 	// Rec, if non-nil, receives verify_batch spans, per-verification
 	// switched_run marks and per-batch counter deltas. All emission
 	// happens on the VerifyBatch caller's goroutine — batch planning and
@@ -111,10 +103,6 @@ type Stats struct {
 	// StaticSkips counts verifications answered by the static skip
 	// filter (Config.Filter) without any switched re-execution.
 	StaticSkips int64
-	// StaticReachSkips counts verifications answered by the SPDG reach
-	// filter (Config.ReachFilter) — provable NOT_ID before any
-	// execution, without even replaying the failing trace.
-	StaticReachSkips int64
 	// CheckpointHits counts switched runs served by forking from a
 	// checkpoint of the failing run instead of replaying from the start;
 	// SuffixSteps totals the steps those forks actually executed (their
@@ -145,13 +133,12 @@ func (s Stats) HitRate() float64 {
 // loop); the engine's internals — workers, cache, runner — handle their
 // own synchronization.
 type Engine struct {
-	base        *implicit.Verifier
-	clones      []*implicit.Verifier
-	workers     int
-	cache       *RunCache
-	filter      func(implicit.Request) bool
-	reachFilter func(implicit.Request) bool
-	ctx         context.Context
+	base    *implicit.Verifier
+	clones  []*implicit.Verifier
+	workers int
+	cache   *RunCache
+	filter  func(implicit.Request) bool
+	ctx     context.Context
 
 	progHash    uint64
 	inputHash   uint64
@@ -162,7 +149,6 @@ type Engine struct {
 
 	batches, batched int64
 	staticSkips      int64
-	staticReachSkips int64
 	alignedRegions   int64
 	runs             atomic.Int64
 	cacheHits        atomic.Int64
@@ -179,7 +165,7 @@ func New(base *implicit.Verifier, cfg Config) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{base: base, workers: w, filter: cfg.Filter, reachFilter: cfg.ReachFilter, rec: cfg.Rec, ctx: cfg.Ctx}
+	e := &Engine{base: base, workers: w, filter: cfg.Filter, rec: cfg.Rec, ctx: cfg.Ctx}
 	if e.ctx == nil {
 		e.ctx = context.Background()
 	}
@@ -319,13 +305,6 @@ func (e *Engine) VerifyBatchContext(ctx context.Context, reqs []implicit.Request
 			continue
 		}
 		seen[key] = true
-		if e.reachFilter != nil && e.reachFilter(req) {
-			// Provable NOT_ID from the static dependence graph alone —
-			// cheaper than the replay filter below, so consulted first.
-			results[i] = &implicit.Result{Verdict: implicit.NotID, UPrime: -1, OPrime: -1}
-			e.staticReachSkips++
-			continue
-		}
 		if e.filter != nil && e.filter(req) {
 			// Statically provable NOT_ID: synthesize the result the
 			// switched run would have produced and skip the run. It is
@@ -423,7 +402,6 @@ func (e *Engine) VerifyBatchContext(ctx context.Context, reqs []implicit.Request
 			{"cache_misses", after.CacheMisses - before.CacheMisses},
 			{"cache_evictions", after.CacheEvictions - before.CacheEvictions},
 			{"static_skips", after.StaticSkips - before.StaticSkips},
-			{"static_reach_skips", after.StaticReachSkips - before.StaticReachSkips},
 			{"aligned_regions", after.AlignedRegions - before.AlignedRegions},
 		} {
 			if c.d != 0 {
@@ -440,11 +418,10 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Workers: e.workers,
 		Batches: e.batches, Batched: e.batched,
-		StaticSkips:      e.staticSkips,
-		StaticReachSkips: e.staticReachSkips,
-		AlignedRegions:   e.alignedRegions,
-		Runs:             e.runs.Load(),
-		CacheHits:        e.cacheHits.Load(), CacheMisses: e.cacheMisses.Load(),
+		StaticSkips:    e.staticSkips,
+		AlignedRegions: e.alignedRegions,
+		Runs:           e.runs.Load(),
+		CacheHits:      e.cacheHits.Load(), CacheMisses: e.cacheMisses.Load(),
 		CheckpointHits: e.checkpointHits.Load(), SuffixSteps: e.suffixSteps.Load(),
 	}
 	if e.cache != nil {
