@@ -13,12 +13,13 @@ import (
 	"io"
 	"testing"
 
+	"eol/internal/backend"
 	"eol/internal/bench"
 	"eol/internal/cfg"
 	"eol/internal/confidence"
 	"eol/internal/core"
 	"eol/internal/critpred"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/harness"
 	"eol/internal/implicit"
 	"eol/internal/interp"
@@ -80,7 +81,7 @@ func BenchmarkTable2Slicing(b *testing.B) {
 
 		b.Run(name+"/DS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := ddg.New(p.Run.Trace)
+				g := depgraph.New(p.Run.Trace)
 				if slicing.Dynamic(g, seed).Len() == 0 {
 					b.Fatal("empty slice")
 				}
@@ -89,7 +90,7 @@ func BenchmarkTable2Slicing(b *testing.B) {
 		b.Run(name+"/RS", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cx := slicing.NewContext(p.Faulty, p.Run.Trace)
-				g := ddg.New(p.Run.Trace)
+				g := depgraph.New(p.Run.Trace)
 				if cx.Relevant(g, seed).Len() == 0 {
 					b.Fatal("empty slice")
 				}
@@ -102,7 +103,7 @@ func BenchmarkTable2Slicing(b *testing.B) {
 			}
 			wrong := *p.Run.Trace.OutputAt(seq)
 			for i := 0; i < b.N; i++ {
-				g := ddg.New(p.Run.Trace)
+				g := depgraph.New(p.Run.Trace)
 				an := confidence.New(p.Faulty, g, p.Profile, correct, wrong)
 				an.Compute()
 				_ = an.FaultCandidates()
@@ -140,7 +141,7 @@ func BenchmarkTable4Performance(b *testing.B) {
 
 		b.Run(name+"/Plain", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := interp.Run(p.Faulty, interp.Options{Input: in})
+				r := backend.Default().Run(p.Faulty, interp.Options{Input: in})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -148,7 +149,7 @@ func BenchmarkTable4Performance(b *testing.B) {
 		})
 		b.Run(name+"/Graph", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
+				r := backend.Default().Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
@@ -208,10 +209,10 @@ func verifyWorkload(b *testing.B, p *bench.Prepared) (func() *implicit.Verifier,
 	}
 
 	cx := slicing.NewContext(p.Faulty, tr)
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	slice := slicing.Dynamic(g, slicing.FailureSeeds(tr, seq))
 	var reqs []implicit.Request
-	for _, u := range ddg.SortedEntries(slice) {
+	for _, u := range slice.Ordered() {
 		for _, pd := range cx.PotentialDeps(u) {
 			reqs = append(reqs, implicit.Request{
 				Pred: pd.Pred, Use: u, UseSym: pd.UseSym, UseElem: pd.UseElem,
@@ -442,10 +443,10 @@ func BenchmarkAblationRSConfidence(b *testing.B) {
 	wrong := *p.Run.Trace.OutputAt(seq)
 	for i := 0; i < b.N; i++ {
 		cx := slicing.NewContext(p.Faulty, p.Run.Trace)
-		g := ddg.New(p.Run.Trace)
+		g := depgraph.New(p.Run.Trace)
 		cx.Relevant(g, slicing.FailureSeeds(p.Run.Trace, seq))
 		an := confidence.New(p.Faulty, g, p.Profile, correct, wrong)
-		an.Kinds |= ddg.Potential
+		an.Kinds |= depgraph.Potential
 		an.Naive = true
 		an.Compute()
 	}
@@ -614,14 +615,14 @@ func BenchmarkScaling(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("lines=%d/DS", lines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := ddg.New(run.Trace)
+				g := depgraph.New(run.Trace)
 				slicing.Dynamic(g, seed)
 			}
 		})
 		b.Run(fmt.Sprintf("lines=%d/RS", lines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cx := slicing.NewContext(p.Faulty, run.Trace)
-				g := ddg.New(run.Trace)
+				g := depgraph.New(run.Trace)
 				cx.Relevant(g, seed)
 			}
 		})

@@ -15,7 +15,7 @@ import (
 
 	"eol/internal/bench"
 	"eol/internal/core"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/slicing"
@@ -85,10 +85,10 @@ func BenchmarkBackendVerifyEngine(b *testing.B) {
 	}
 	wrong := *run.Trace.OutputAt(seq)
 	cx := slicing.NewContext(p.Faulty, run.Trace)
-	g := ddg.New(run.Trace)
+	g := depgraph.New(run.Trace)
 	slice := slicing.Dynamic(g, slicing.FailureSeeds(run.Trace, seq))
 	var reqs []implicit.Request
-	for _, u := range ddg.SortedEntries(slice) {
+	for _, u := range slice.Ordered() {
 		for _, pd := range cx.PotentialDeps(u) {
 			reqs = append(reqs, implicit.Request{
 				Pred: pd.Pred, Use: u, UseSym: pd.UseSym, UseElem: pd.UseElem,

@@ -49,13 +49,12 @@ func main() {
 	ctx, cancel := deadlineFlag.Context()
 	defer cancel()
 	opt := harness.Options{
-		Reps:        *repsFlag,
-		Workers:     engFlags.Workers,
-		Cache:       engFlags.Cache,
-		Checkpoints: engFlags.Checkpoints,
-		Backend:     engFlags.Backend,
-		Observer:    observer,
-		Ctx:         ctx,
+		Reps:     *repsFlag,
+		Workers:  engFlags.Workers,
+		Cache:    engFlags.Cache,
+		Backend:  engFlags.Backend,
+		Observer: observer,
+		Ctx:      ctx,
 	}
 
 	switch {

@@ -5,6 +5,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -441,16 +442,17 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestRemovedSpeculateFlag: speculative verification and the SPDG reach
-// filter are gone, and their -speculate and -no-static-reach flags are
-// now unknown flags (usage error, exit 2) on every command that used to
-// accept them.
+// TestRemovedSpeculateFlag: speculative verification, the SPDG reach
+// filter and the checkpoint count are gone, and their -speculate,
+// -no-static-reach and -checkpoints flags are now unknown flags (usage
+// error, exit 2) on every command that used to accept them.
 func TestRemovedSpeculateFlag(t *testing.T) {
 	buildServeTools(t)
 	for _, tool := range []string{"eoloc", "eolcorpus", "eolserve"} {
-		for _, flag := range []string{"-speculate", "-no-static-reach"} {
+		for _, flag := range []string{"-speculate", "-no-static-reach", "-checkpoints=64"} {
 			out, code := runExit(t, tool, flag)
-			if code != 2 || !strings.Contains(out, flag) {
+			name, _, _ := strings.Cut(flag, "=")
+			if code != 2 || !strings.Contains(out, "flag provided but not defined: "+name) {
 				t.Errorf("%s %s: exit code = %d, want 2 naming the flag\n%s", tool, flag, code, out)
 			}
 		}
@@ -591,13 +593,14 @@ func TestEolcorpusSmoke(t *testing.T) {
 // must actually retire candidates.
 func TestEolcorpusAB(t *testing.T) {
 	configs := []struct {
-		name string
-		args []string
+		name   string
+		args   []string
+		noCkpt bool // run a copy of the manifest with checkpoints off
 	}{
-		{"default", nil},
-		{"no-checkpoints", []string{"-checkpoints", "-1"}},
-		{"tree", []string{"-backend", "tree"}},
-		{"shards2", []string{"-shards", "2"}},
+		{"default", nil, false},
+		{"no-checkpoints", nil, true},
+		{"tree", []string{"-backend", "tree"}, false},
+		{"shards2", []string{"-shards", "2"}, false},
 	}
 	fired := regexp.MustCompile(`"replay_skips": [1-9]`)
 	dir := t.TempDir()
@@ -608,7 +611,11 @@ func TestEolcorpusAB(t *testing.T) {
 				reportPath := filepath.Join(dir, manifest+"-"+cfg.name+".json")
 				journalPath := filepath.Join(dir, manifest+"-"+cfg.name+".jsonl")
 				args := append([]string{"-o", reportPath, "-trace", journalPath}, cfg.args...)
-				if out, code := runExit(t, "eolcorpus", append(args, "testdata/corpus/"+manifest+".json")...); code != 0 {
+				manifestPath := "testdata/corpus/" + manifest + ".json"
+				if cfg.noCkpt {
+					manifestPath = checkpointsOffCopy(t, dir, manifestPath)
+				}
+				if out, code := runExit(t, "eolcorpus", append(args, manifestPath)...); code != 0 {
 					t.Fatalf("exit code = %d, want 0\n%s", code, out)
 				}
 				report, err := os.ReadFile(reportPath)
@@ -638,6 +645,40 @@ func TestEolcorpusAB(t *testing.T) {
 			})
 		}
 	}
+}
+
+// checkpointsOffCopy writes a copy of the manifest at path (relative to
+// the repository root) into dir, with "defaults": {"features":
+// {"checkpoints": "off"}} and absolute subject file paths, and returns
+// the copy's path.
+func checkpointsOffCopy(t *testing.T, dir, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(repoRoot, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["defaults"] = map[string]any{"features": map[string]string{"checkpoints": "off"}}
+	for _, s := range m["subjects"].([]any) {
+		subj := s.(map[string]any)
+		for _, key := range []string{"file", "correct_file"} {
+			if f, ok := subj[key].(string); ok {
+				subj[key] = filepath.Join(repoRoot, filepath.Dir(path), f)
+			}
+		}
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyPath := filepath.Join(dir, "checkpoints-off-"+filepath.Base(path))
+	if err := os.WriteFile(copyPath, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return copyPath
 }
 
 // TestEolocDeadline exercises eoloc's -deadline flag: a generous bound

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strings"
 
+	"eol/internal/backend"
 	"eol/internal/cliutil"
 	"eol/internal/critpred"
 	"eol/internal/interp"
@@ -48,7 +49,7 @@ func main() {
 	faulty := mustCompile(flag.Arg(0))
 	correct := mustCompile(*correctFlag)
 
-	expRun := interp.Run(correct, interp.Options{Input: input})
+	expRun := backend.Default().Run(correct, interp.Options{Input: input})
 	if expRun.Err != nil {
 		cliutil.Fatalf("critpred: correct run: %v", expRun.Err)
 	}

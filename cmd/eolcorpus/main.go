@@ -74,7 +74,6 @@ func main() {
 		VerifyWorkers: engFlags.Workers,
 		CacheSize:     engFlags.Cache,
 		NoSharedCache: *privateFlag,
-		Checkpoints:   engFlags.Checkpoints,
 		Backend:       engFlags.Backend,
 		Observer:      observer,
 	})

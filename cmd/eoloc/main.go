@@ -38,7 +38,7 @@ import (
 	"eol/internal/cliutil"
 	"eol/internal/confidence"
 	"eol/internal/core"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/oracle"
@@ -97,7 +97,6 @@ func main() {
 		PerturbFallback: *perturbFlag,
 		VerifyWorkers:   engFlags.Workers,
 		VerifyCacheSize: engFlags.Cache,
-		Checkpoints:     engFlags.Checkpoints,
 		Observer:        observer,
 	}
 
@@ -140,7 +139,7 @@ func main() {
 		rep.WrongOutput.Seq, rep.WrongOutput.Value, rep.Vexp)
 	fmt.Printf("%d user prunings, %d verifications, %d iterations, %d implicit edges (%d strong)\n",
 		rep.Stats.UserPrunings, rep.Stats.Verifications, rep.Stats.Iterations, rep.Stats.ExpandedEdges,
-		rep.Graph.NumExtraEdges(ddg.StrongImplicit))
+		rep.Graph.NumExtraEdges(depgraph.StrongImplicit))
 	if rep.Located {
 		inst := rep.Trace.At(rep.RootEntry).Inst
 		fmt.Printf("ROOT CAUSE located: %v  %s\n", inst,

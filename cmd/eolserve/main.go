@@ -70,7 +70,6 @@ func main() {
 			Shards:        *shardsFlag,
 			VerifyWorkers: engFlags.Workers,
 			CacheSize:     engFlags.Cache,
-			Checkpoints:   engFlags.Checkpoints,
 			Backend:       engFlags.Backend,
 		},
 		MaxDeadline: *maxDeadlineFlag,

@@ -39,7 +39,7 @@ import (
 	"eol/internal/backend"
 	"eol/internal/cliutil"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
@@ -160,7 +160,7 @@ func newShell(c *interp.Compiled, bk interp.Backend, input, expected []int64, ef
 	for i := 0; i < seq; i++ {
 		correct = append(correct, *tr.OutputAt(i))
 	}
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	an := confidence.New(c, g, nil, correct, wrong)
 	an.Incremental = true
 	an.Compute()
@@ -244,10 +244,10 @@ func (sh *shell) expand() {
 			fmt.Printf("  VerifyDep(%v -> %v) = %v\n", pi, sh.tr.At(u).Inst, verdict)
 			switch verdict {
 			case implicit.StrongID:
-				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: ddg.StrongImplicit})
+				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: depgraph.StrongImplicit})
 				added++
 			case implicit.ID:
-				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: ddg.Implicit})
+				sh.an.AddEdges(confidence.Arc{From: u, To: pd.Pred, Kind: depgraph.Implicit})
 				added++
 			}
 		}

@@ -32,7 +32,7 @@ import (
 	"eol/internal/backend"
 	"eol/internal/cliutil"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/obs"
@@ -120,15 +120,15 @@ func main() {
 	}
 
 	if *dotFlag != "" {
-		g := ddg.New(run.Trace)
+		g := depgraph.New(run.Trace)
 		set := cx.Relevant(g, seed)
 		f, err := os.Create(*dotFlag)
 		if err != nil {
 			cliutil.Fatalf("slicer: %v", err)
 		}
-		hl := ddg.NewSet(run.Trace.Len())
+		hl := depgraph.NewSet(run.Trace.Len())
 		hl.Add(seed)
-		err = g.WriteDOT(f, ddg.DOTOptions{
+		err = g.WriteDOT(f, depgraph.DOTOptions{
 			Only:      set,
 			Highlight: hl,
 			Label: func(i int) string {
@@ -146,24 +146,24 @@ func main() {
 	for _, which := range strings.Split(*slicesFlag, ",") {
 		switch strings.TrimSpace(strings.ToLower(which)) {
 		case "ds":
-			g := ddg.New(run.Trace)
+			g := depgraph.New(run.Trace)
 			set := slicing.Dynamic(g, seed)
 			printSlice(faulty, run.Trace, "DS (classic dynamic slice)", g, set, *instFlag)
 			printEngine(g, nil, *engineFlag)
 		case "rs":
-			g := ddg.New(run.Trace)
+			g := depgraph.New(run.Trace)
 			set := cx.Relevant(g, seed)
 			printSlice(faulty, run.Trace, "RS (relevant slice)", g, set, *instFlag)
 			printEngine(g, nil, *engineFlag)
 		case "ps":
-			g := ddg.New(run.Trace)
+			g := depgraph.New(run.Trace)
 			var correctOuts []trace.Output
 			for i := 0; i < seq; i++ {
 				correctOuts = append(correctOuts, *run.Trace.OutputAt(i))
 			}
 			an := confidence.New(faulty, g, nil, correctOuts, *o)
 			an.Compute()
-			set := ddg.NewSet(run.Trace.Len())
+			set := depgraph.NewSet(run.Trace.Len())
 			for _, cand := range an.FaultCandidates() {
 				set.Add(cand.Entry)
 			}
@@ -197,7 +197,7 @@ func mustCompile(path string) *interp.Compiled {
 // confidence analyzer ran. A single slicer invocation computes each
 // slice in one pass, so the fraction is n/a unless something (an
 // expansion, a pin) forced a re-prune.
-func printEngine(g *ddg.Graph, an *confidence.Analyzer, enabled bool) {
+func printEngine(g *depgraph.Graph, an *confidence.Analyzer, enabled bool) {
 	if !enabled {
 		return
 	}
@@ -210,13 +210,13 @@ func printEngine(g *ddg.Graph, an *confidence.Analyzer, enabled bool) {
 	}
 	fmt.Printf("  engine: %d nodes, %d CSR base edges, %d overlay edges (pd %d, id %d, sid %d), last dirty fraction %s\n",
 		es.Nodes, es.BaseEdges, es.OverlayEdges,
-		g.NumExtraEdges(ddg.Potential),
-		g.NumExtraEdges(ddg.Implicit),
-		g.NumExtraEdges(ddg.StrongImplicit),
+		g.NumExtraEdges(depgraph.Potential),
+		g.NumExtraEdges(depgraph.Implicit),
+		g.NumExtraEdges(depgraph.StrongImplicit),
 		dirty)
 }
 
-func printSlice(c *interp.Compiled, tr *trace.Trace, title string, g *ddg.Graph, set *ddg.Set, insts bool) {
+func printSlice(c *interp.Compiled, tr *trace.Trace, title string, g *depgraph.Graph, set *depgraph.Set, insts bool) {
 	stats := g.Stats(set)
 	fmt.Printf("\n%s: %d statements, %d instances\n", title, stats.Static, stats.Dynamic)
 	if insts {

@@ -47,7 +47,7 @@ import (
 	"eol/internal/confidence"
 	"eol/internal/core"
 	"eol/internal/corpus"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
@@ -265,18 +265,13 @@ type Settings struct {
 	// VerifyCacheSize bounds the switched-run cache (0 = default,
 	// negative = disabled).
 	VerifyCacheSize int
-	// Checkpoints bounds the execution snapshots captured during the
-	// failing run for checkpointed switched replay (0 = default bound,
-	// negative = disabled; see WithCheckpoints and docs/CHECKPOINT.md).
-	// The diagnosis, journal and candidate ranking are byte-identical on
-	// or off; only the Stats checkpoint counters and wall-clock time
-	// differ.
-	Checkpoints int
 	// Features selects the optional engine features as explicit
 	// tri-states: static_skip (the trace-replay skip filter),
-	// incremental_reprune and checkpoints. Every feature is on by
-	// default; a FeatureOff field turns it off (a negative Checkpoints
-	// count also turns checkpoints off). See WithFeatures.
+	// incremental_reprune and checkpoints (checkpointed switched replay,
+	// docs/CHECKPOINT.md). Every feature is on unless its field is
+	// FeatureOff. The diagnosis, journal and candidate ranking are
+	// byte-identical either way; only cost counters and wall-clock time
+	// differ. See WithFeatures.
 	Features Features
 	// Backend names the execution backend for the failing run and every
 	// re-execution: "vm" (the bytecode VM, the default), "tree" (the
@@ -363,10 +358,10 @@ func (sl Slice) ContainsStmt(id int) bool {
 	return false
 }
 
-func (s *Session) newSlice(g *ddg.Graph, set *ddg.Set) Slice {
+func (s *Session) newSlice(g *depgraph.Graph, set *depgraph.Set) Slice {
 	sl := Slice{}
 	stmts := map[int]bool{}
-	for _, i := range ddg.SortedEntries(set) {
+	for _, i := range set.Ordered() {
 		e := s.run.Trace.At(i)
 		sl.Instances = append(sl.Instances, e.Inst)
 		stmts[e.Inst.Stmt] = true
@@ -381,7 +376,7 @@ func (s *Session) newSlice(g *ddg.Graph, set *ddg.Set) Slice {
 
 // DynamicSlice computes the classic dynamic slice of the wrong output.
 func (s *Session) DynamicSlice() Slice {
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	set := slicing.Dynamic(g, slicing.FailureSeeds(s.run.Trace, s.seq))
 	return s.newSlice(g, set)
 }
@@ -389,7 +384,7 @@ func (s *Session) DynamicSlice() Slice {
 // RelevantSlice computes the relevant slice (dynamic + potential
 // dependences, Definition 1) of the wrong output.
 func (s *Session) RelevantSlice() Slice {
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	set := s.cx.Relevant(g, slicing.FailureSeeds(s.run.Trace, s.seq))
 	return s.newSlice(g, set)
 }
@@ -540,20 +535,6 @@ func WithVerifyCacheSize(n int) LocateOption {
 	return func(s *Settings) { s.VerifyCacheSize = n }
 }
 
-// WithCheckpoints bounds the checkpoint store captured during the
-// failing run (0 = the default bound, interp.DefaultCheckpoints).
-// Switched re-executions — the cost driver of implicit-dependence
-// verification — then fork from the nearest checkpoint and replay only
-// the suffix instead of the whole program. More checkpoints mean
-// shorter suffixes at the price of retained snapshot memory (see
-// Diagnosis.Stats.CheckpointBytes and docs/CHECKPOINT.md).
-func WithCheckpoints(n int) LocateOption {
-	if n < 0 {
-		n = 0
-	}
-	return func(s *Settings) { s.Checkpoints = n }
-}
-
 // WithFeatures overlays the given feature tri-states onto the session's
 // settings: non-default fields win, FeatureDefault fields leave the
 // current configuration alone. WithFeatures(Features{X: FeatureOff})
@@ -701,7 +682,6 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 		CrossFunctionPD: st.CrossFunctionPD,
 		VerifyWorkers:   st.VerifyWorkers,
 		VerifyCacheSize: st.VerifyCacheSize,
-		Checkpoints:     st.Checkpoints,
 		Features:        st.Features,
 		Observer:        observer,
 	}
@@ -761,7 +741,7 @@ func AlignPoint(orig, switched *Execution, pred, point Instance) (Instance, bool
 // candidate list — the paper's PS. Profile runs added with AddProfileRun
 // sharpen the fractional confidences.
 func (s *Session) PrunedSlice() []Candidate {
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	var correct []trace.Output
 	for i := 0; i < s.seq; i++ {
 		correct = append(correct, *s.run.Trace.OutputAt(i))
@@ -787,7 +767,7 @@ func (s *Session) Confidence(inst Instance) (float64, bool) {
 	if idx < 0 {
 		return 0, false
 	}
-	g := ddg.New(s.run.Trace)
+	g := depgraph.New(s.run.Trace)
 	var correct []trace.Output
 	for i := 0; i < s.seq; i++ {
 		correct = append(correct, *s.run.Trace.OutputAt(i))

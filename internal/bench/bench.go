@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 
+	"eol/internal/backend"
 	"eol/internal/check"
 	"eol/internal/confidence"
 	"eol/internal/core"
@@ -102,18 +103,19 @@ func (c *Case) Prepare() (*Prepared, error) {
 		}
 	}
 
-	correctRun := interp.Run(correct, interp.Options{Input: c.FailingInput, BuildTrace: true})
+	bk := backend.Default()
+	correctRun := bk.Run(correct, interp.Options{Input: c.FailingInput, BuildTrace: true})
 	if correctRun.Err != nil {
 		return nil, fmt.Errorf("%s: correct run: %w", c.Name(), correctRun.Err)
 	}
-	faultyRun := interp.Run(faulty, interp.Options{Input: c.FailingInput, BuildTrace: true})
+	faultyRun := bk.Run(faulty, interp.Options{Input: c.FailingInput, BuildTrace: true})
 	if faultyRun.Err != nil {
 		return nil, fmt.Errorf("%s: faulty run: %w", c.Name(), faultyRun.Err)
 	}
 
 	prof := confidence.NewProfile()
 	for _, in := range c.PassingInputs {
-		r := interp.Run(faulty, interp.Options{Input: in, BuildTrace: true})
+		r := bk.Run(faulty, interp.Options{Input: in, BuildTrace: true})
 		if r.Err != nil {
 			return nil, fmt.Errorf("%s: profile run: %w", c.Name(), r.Err)
 		}
@@ -144,7 +146,7 @@ func (c *Case) Prepare() (*Prepared, error) {
 
 // CorrectTrace returns the reference trace on the failing input.
 func (p *Prepared) CorrectTrace() *interp.Result {
-	return interp.Run(p.Correct, interp.Options{Input: p.Case.FailingInput, BuildTrace: true})
+	return backend.Default().Run(p.Correct, interp.Options{Input: p.Case.FailingInput, BuildTrace: true})
 }
 
 // Spec builds the localization problem with the ground-truth state

@@ -68,8 +68,7 @@ type SwitchFilter struct {
 	// It must match the verifier's WrongOut.Entry; -1 is only sound when
 	// the verifier has no expected value (HasVexp false), since without
 	// one no verdict can strengthen to StrongID via the wrong output.
-	wrong        int
-	budgetFactor int
+	wrong int
 
 	preds map[int]*predFacts       // per pred trace index
 	scans map[scanKey]*branchScan  // per (pred stmt, opposite label)
@@ -78,22 +77,17 @@ type SwitchFilter struct {
 
 // NewSwitchFilter builds a filter over one failing execution. wrongEntry
 // is the trace index of the first wrong output (pass -1 only when the
-// verifier runs without an expected value); budgetFactor mirrors
-// implicit.Verifier.BudgetFactor (<= 0 means the default of 10).
-func NewSwitchFilter(c *interp.Compiled, flow *dataflow.Analysis, tr *trace.Trace, wrongEntry, budgetFactor int) *SwitchFilter {
+// verifier runs without an expected value).
+func NewSwitchFilter(c *interp.Compiled, flow *dataflow.Analysis, tr *trace.Trace, wrongEntry int) *SwitchFilter {
 	if flow == nil {
 		flow = dataflow.New(c.Info, c.CFG)
 	}
-	if budgetFactor <= 0 {
-		budgetFactor = 10
-	}
 	return &SwitchFilter{
 		c: c, flow: flow, tr: tr,
-		wrong:        wrongEntry,
-		budgetFactor: budgetFactor,
-		preds:        map[int]*predFacts{},
-		scans:        map[scanKey]*branchScan{},
-		stmts:        map[int]*stmtStaticFacts{},
+		wrong: wrongEntry,
+		preds: map[int]*predFacts{},
+		scans: map[scanKey]*branchScan{},
+		stmts: map[int]*stmtStaticFacts{},
 	}
 }
 

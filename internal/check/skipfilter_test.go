@@ -47,7 +47,7 @@ func TestSwitchFilterSoundnessRandom(t *testing.T) {
 			C: c, Orig: tr,
 			WrongOut: *o, Vexp: o.Value + 1, HasVexp: true,
 		}
-		flt := check.NewSwitchFilter(c, nil, tr, o.Entry, 0)
+		flt := check.NewSwitchFilter(c, nil, tr, o.Entry)
 
 		checked := 0
 		fired := false

@@ -18,10 +18,6 @@ type EngineFlags struct {
 	// Cache sizes the switched-run cache: 0 = engine default, negative
 	// disables caching.
 	Cache int
-	// Checkpoints bounds the checkpoint store captured during the
-	// failing run: 0 = interpreter default, negative disables
-	// checkpointed switched replay (docs/CHECKPOINT.md).
-	Checkpoints int
 	// Backend names the execution backend ("vm", the default, or
 	// "tree"). Backends are byte-identical — the flag only changes
 	// wall-clock time (docs/VM.md).
@@ -29,16 +25,14 @@ type EngineFlags struct {
 }
 
 // RegisterEngineFlags registers the unified engine knobs -workers,
-// -cache, -checkpoints and -backend on fs. Removed flags fail like any
-// unknown flag (usage + exit code 2 under flag.ExitOnError).
+// -cache and -backend on fs. Removed flags fail like any unknown flag
+// (usage + exit code 2 under flag.ExitOnError).
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.IntVar(&ef.Workers, "workers", 0,
 		"verification workers (0 = GOMAXPROCS, 1 = sequential)")
 	fs.IntVar(&ef.Cache, "cache", 0,
 		"switched-run cache size (0 = default, negative = disabled)")
-	fs.IntVar(&ef.Checkpoints, "checkpoints", 0,
-		"failing-run checkpoint bound for switched replay (0 = default, negative = disabled)")
 	RegisterBackendFlag(fs, &ef.Backend)
 	return ef
 }

@@ -50,7 +50,6 @@ import (
 	"math"
 	"sort"
 
-	"eol/internal/ddg"
 	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
@@ -113,7 +112,7 @@ func (p *Profile) Range(stmt int) int {
 // an analysis-added edge pointing at the entry.
 type consumer struct {
 	entry int
-	kind  ddg.Kind
+	kind  depgraph.Kind
 	sym   int
 }
 
@@ -121,13 +120,13 @@ type consumer struct {
 // so an incremental Compute can re-propagate only its cone.
 type Arc struct {
 	From, To int
-	Kind     ddg.Kind
+	Kind     depgraph.Kind
 }
 
 // Analyzer computes confidences for one failing execution.
 type Analyzer struct {
 	C       *interp.Compiled
-	G       *ddg.Graph
+	G       *depgraph.Graph
 	Profile *Profile
 
 	// CorrectOuts are output events the user classified as correct;
@@ -138,7 +137,7 @@ type Analyzer struct {
 	// Kinds selects the dependence edges confidence flows along. It must
 	// include only explicit and verified-implicit kinds — unless Naive is
 	// set for the ablation below.
-	Kinds ddg.Kind
+	Kinds depgraph.Kind
 
 	// Naive enables the "relevant slicing + confidence" shortcut the
 	// paper warns against (§3.2): confidence-1 propagates across
@@ -165,8 +164,8 @@ type Analyzer struct {
 	consumers [][]consumer
 
 	computed   bool
-	compKinds  ddg.Kind // Kinds value the cached state was computed under
-	accVersion uint64   // graph version the cached state accounts for
+	compKinds  depgraph.Kind // Kinds value the cached state was computed under
+	accVersion uint64        // graph version the cached state accounts for
 
 	pendingArcs []Arc
 	pendingPins []int
@@ -178,11 +177,11 @@ type Analyzer struct {
 }
 
 // New prepares an analyzer over graph g with the classified outputs.
-func New(c *interp.Compiled, g *ddg.Graph, prof *Profile, correct []trace.Output, wrong trace.Output) *Analyzer {
+func New(c *interp.Compiled, g *depgraph.Graph, prof *Profile, correct []trace.Output, wrong trace.Output) *Analyzer {
 	return &Analyzer{
 		C: c, G: g, Profile: prof,
 		CorrectOuts: correct, WrongOut: wrong,
-		Kinds:  ddg.Explicit | ddg.Implicit | ddg.StrongImplicit,
+		Kinds:  depgraph.Explicit | depgraph.Implicit | depgraph.StrongImplicit,
 		benign: map[int]bool{},
 	}
 }
@@ -282,11 +281,11 @@ func (a *Analyzer) buildConsumers() {
 		for _, u := range e.Uses {
 			if u.Def >= 0 {
 				a.consumers[u.Def] = append(a.consumers[u.Def],
-					consumer{entry: i, kind: ddg.Data, sym: u.Sym})
+					consumer{entry: i, kind: depgraph.Data, sym: u.Sym})
 			}
 		}
 		from := i
-		a.G.EachDep(i, a.Kinds&^ddg.Explicit, func(ed ddg.Edge) {
+		a.G.EachDep(i, a.Kinds&^depgraph.Explicit, func(ed depgraph.Edge) {
 			a.consumers[ed.To] = append(a.consumers[ed.To], consumer{entry: from, kind: ed.Kind})
 		})
 	}
@@ -312,7 +311,7 @@ func (a *Analyzer) confOf(i int) float64 {
 		}
 		cc := a.conf[c.entry]
 		var phi float64
-		if c.kind == ddg.Data {
+		if c.kind == depgraph.Data {
 			cls := classifyUse(a.C, t.At(c.entry).Inst.Stmt, c.sym)
 			phi = cls.factor(r)
 		} else {
@@ -376,7 +375,7 @@ func (a *Analyzer) computePinned() []bool {
 				continue
 			}
 			if a.Naive {
-				a.G.EachDep(i, ddg.Potential, func(ed ddg.Edge) {
+				a.G.EachDep(i, depgraph.Potential, func(ed depgraph.Edge) {
 					if !pinned[ed.To] {
 						pinned[ed.To] = true
 						changed = true
@@ -436,7 +435,7 @@ func (a *Analyzer) tryPinUses(i int, pinned []bool, onPin func(def int)) {
 func (a *Analyzer) computeDelta() {
 	t := a.G.T
 	n := t.Len()
-	extraKinds := a.Kinds &^ ddg.Explicit
+	extraKinds := a.Kinds &^ depgraph.Explicit
 
 	dirty := depgraph.NewSet(n)
 	var work maxHeap
@@ -496,7 +495,7 @@ func (a *Analyzer) computeDelta() {
 		pinWork = pinWork[:len(pinWork)-1]
 		a.tryPinUses(d, a.pinned, onPin)
 		for _, c := range a.consumers[d] {
-			if c.kind == ddg.Data && a.pinned[c.entry] {
+			if c.kind == depgraph.Data && a.pinned[c.entry] {
 				a.tryPinUses(c.entry, a.pinned, onPin)
 			}
 		}
@@ -516,7 +515,7 @@ func (a *Analyzer) computeDelta() {
 					push(u.Def)
 				}
 			}
-			a.G.EachDep(i, extraKinds, func(ed ddg.Edge) { push(ed.To) })
+			a.G.EachDep(i, extraKinds, func(ed depgraph.Edge) { push(ed.To) })
 		}
 	}
 
@@ -574,7 +573,7 @@ func (a *Analyzer) FaultCandidates() []Candidate {
 }
 
 // PrunedStats summarizes the pruned slice in static/dynamic terms.
-func (a *Analyzer) PrunedStats() ddg.SliceStats {
+func (a *Analyzer) PrunedStats() depgraph.SliceStats {
 	pruned := depgraph.NewSet(a.G.T.Len())
 	a.slice.ForEach(func(e int) {
 		if a.conf[e] < 1 {

@@ -3,7 +3,7 @@ package confidence
 import (
 	"testing"
 
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
@@ -35,7 +35,7 @@ func fig4(t *testing.T) (*Analyzer, *interp.Compiled, *trace.Trace) {
 		prof.AddTrace(testsupport.Run(t, c, []int64{v}).Trace)
 	}
 	r := testsupport.Run(t, c, []int64{1})
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	// print(b) produced 1 (correct); print(c) produced 3, expected 5.
 	correct := []trace.Output{*r.Trace.OutputAt(0)}
 	wrong := *r.Trace.OutputAt(1)
@@ -121,7 +121,7 @@ func main() {
 }`
 	c := testsupport.Compile(t, src)
 	r := testsupport.Run(t, c, []int64{7})
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	a := New(c, g, NewProfile(), []trace.Output{*r.Trace.OutputAt(0)}, *r.Trace.OutputAt(1))
 	a.Compute()
 
@@ -156,7 +156,7 @@ func main() {
 }`
 	c := testsupport.Compile(t, src)
 	r := testsupport.Run(t, c, []int64{3, 4})
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	a := New(c, g, NewProfile(), []trace.Output{*r.Trace.OutputAt(0)}, *r.Trace.OutputAt(1))
 	a.Compute()
 
@@ -188,7 +188,7 @@ func main() {
 }`
 	c := testsupport.Compile(t, src)
 	r := testsupport.Run(t, c, []int64{3, 4})
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	an := New(c, g, NewProfile(), []trace.Output{*r.Trace.OutputAt(0)}, *r.Trace.OutputAt(1))
 	an.Compute()
 
@@ -213,7 +213,7 @@ func main() {
 func TestNoPropagationOverPotentialEdges(t *testing.T) {
 	c := testsupport.Compile(t, testsupport.Fig1Faulty)
 	r := testsupport.Run(t, c, testsupport.Fig1Input)
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 
 	// Add the FALSE potential edge S7 -> S9-style: from the correct
 	// print to the second if.
@@ -232,7 +232,7 @@ func TestNoPropagationOverPotentialEdges(t *testing.T) {
 	// Even adding a potential edge from the correct print to the root
 	// cause must not change its confidence, because Kinds excludes
 	// Potential.
-	g.AddEdge(correct[0].Entry, root, ddg.Potential)
+	g.AddEdge(correct[0].Entry, root, depgraph.Potential)
 	an.Compute()
 	if got := an.Confidence(root); got >= 1 {
 		t.Errorf("potential edge laundered confidence onto the root cause: %v", got)

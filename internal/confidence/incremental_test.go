@@ -11,7 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
@@ -73,9 +73,9 @@ func TestIncrementalMatchesFullFuzz(t *testing.T) {
 			correct = append(correct, *tr.OutputAt(j))
 		}
 
-		inc := New(c, ddg.New(tr), nil, correct, wrong)
+		inc := New(c, depgraph.New(tr), nil, correct, wrong)
 		inc.Incremental = true
-		full := New(c, ddg.New(tr), nil, correct, wrong)
+		full := New(c, depgraph.New(tr), nil, correct, wrong)
 		inc.Compute()
 		full.Compute()
 		assertAnalyzersAgree(t, "initial", inc, full, tr.Len())
@@ -89,9 +89,9 @@ func TestIncrementalMatchesFullFuzz(t *testing.T) {
 					continue
 				}
 				to := rnd.Intn(from) // DAG invariant: from > to
-				kind := ddg.Implicit
+				kind := depgraph.Implicit
 				if rnd.Intn(2) == 0 {
-					kind = ddg.StrongImplicit
+					kind = depgraph.StrongImplicit
 				}
 				inc.AddEdges(Arc{From: from, To: to, Kind: kind})
 				full.AddEdges(Arc{From: from, To: to, Kind: kind})
@@ -158,17 +158,17 @@ func TestKindsChangeForcesFullRecompute(t *testing.T) {
 		correct = append(correct, *tr.OutputAt(j))
 	}
 
-	inc := New(c, ddg.New(tr), nil, correct, wrong)
+	inc := New(c, depgraph.New(tr), nil, correct, wrong)
 	inc.Incremental = true
 	inc.Compute()
-	inc.AddEdges(Arc{From: tr.Len() - 1, To: 0, Kind: ddg.Implicit})
+	inc.AddEdges(Arc{From: tr.Len() - 1, To: 0, Kind: depgraph.Implicit})
 	inc.Compute()
-	inc.Kinds |= ddg.Potential // widen: next Compute must not trust the memo
+	inc.Kinds |= depgraph.Potential // widen: next Compute must not trust the memo
 	inc.Compute()
 
-	full := New(c, ddg.New(tr), nil, correct, wrong)
-	full.Kinds |= ddg.Potential
-	full.AddEdges(Arc{From: tr.Len() - 1, To: 0, Kind: ddg.Implicit})
+	full := New(c, depgraph.New(tr), nil, correct, wrong)
+	full.Kinds |= depgraph.Potential
+	full.AddEdges(Arc{From: tr.Len() - 1, To: 0, Kind: depgraph.Implicit})
 	full.Compute()
 	assertAnalyzersAgree(t, "kinds-widened", inc, full, tr.Len())
 }

@@ -18,19 +18,18 @@ import (
 )
 
 // backendConfigs is the engine configuration matrix the A/B comparison
-// sweeps. Checkpoints: 0 means the library default store size; -1
-// disables checkpointing entirely.
+// sweeps. noCkpt turns checkpointing off entirely.
 var backendConfigs = []struct {
 	label            string
 	workers, cacheSz int
 	noSkip           bool
-	checkpoints      int
+	noCkpt           bool
 }{
-	{"workers=1/nocache", 1, -1, false, 0},
-	{"workers=1/nocache/noskip", 1, -1, true, 0},
-	{"workers=1/nocache/nockpt", 1, -1, false, -1},
-	{"workers=8/nocache", 8, -1, false, 0},
-	{"workers=8/cache", 8, 0, false, 0},
+	{"workers=1/nocache", 1, -1, false, false},
+	{"workers=1/nocache/noskip", 1, -1, true, false},
+	{"workers=1/nocache/nockpt", 1, -1, false, true},
+	{"workers=8/nocache", 8, -1, false, false},
+	{"workers=8/cache", 8, 0, false, false},
 }
 
 // TestBackendDeterminismFig1: tree vs VM on the Figure 1 problem, with
@@ -40,12 +39,12 @@ func TestBackendDeterminismFig1(t *testing.T) {
 		treeSpec := fig1DetSpec(t)
 		treeSpec.Backend = interp.Tree
 		treeSpec.VerifyWorkers, treeSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		treeSpec.Features.StaticSkip, treeSpec.Checkpoints = offIf(cfg.noSkip), cfg.checkpoints
+		treeSpec.Features.StaticSkip, treeSpec.Features.Checkpoints = offIf(cfg.noSkip), offIf(cfg.noCkpt)
 
 		vmSpec := fig1DetSpec(t)
 		vmSpec.Backend = vm.Backend
 		vmSpec.VerifyWorkers, vmSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		vmSpec.Features.StaticSkip, vmSpec.Checkpoints = offIf(cfg.noSkip), cfg.checkpoints
+		vmSpec.Features.StaticSkip, vmSpec.Features.Checkpoints = offIf(cfg.noSkip), offIf(cfg.noCkpt)
 
 		treeRep, treeJournal := locateJournaled(t, treeSpec)
 		vmRep, vmJournal := locateJournaled(t, vmSpec)

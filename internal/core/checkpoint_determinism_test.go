@@ -36,7 +36,7 @@ func locateJournaled(t *testing.T, spec *core.Spec) (*core.Report, []byte) {
 // the engine configurations, with journal byte-comparison.
 func TestDeterminismCheckpoints(t *testing.T) {
 	offSpec := fig1DetSpec(t)
-	offSpec.Checkpoints = -1
+	offSpec.Features.Checkpoints = core.FeatureOff
 	offSpec.VerifyWorkers, offSpec.VerifyCacheSize = 1, -1
 	want, wantJournal := locateJournaled(t, offSpec)
 	if !want.Located {
@@ -63,7 +63,7 @@ func TestDeterminismCheckpoints(t *testing.T) {
 		spec.Features.StaticSkip = offIf(cfg.noSkip)
 
 		specOff := fig1DetSpec(t)
-		specOff.Checkpoints = -1
+		specOff.Features.Checkpoints = core.FeatureOff
 		specOff.VerifyWorkers, specOff.VerifyCacheSize = cfg.workers, cfg.cacheSz
 		specOff.Features.StaticSkip = offIf(cfg.noSkip)
 
@@ -105,7 +105,7 @@ func TestDeterminismCheckpointsSed(t *testing.T) {
 			t.Fatal(err)
 		}
 		specOff := p.Spec()
-		specOff.Checkpoints = -1
+		specOff.Features.Checkpoints = core.FeatureOff
 		want, wantJournal := locateJournaled(t, specOff)
 
 		spec := p.Spec()

@@ -56,7 +56,7 @@ import (
 	"eol/internal/backend"
 	"eol/internal/check"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/obs"
@@ -138,8 +138,6 @@ type Spec struct {
 	// boundaries for globals, so callee-side omissions become reachable
 	// (more candidates to verify, fewer blind spots).
 	CrossFunctionPD bool
-	// BudgetFactor for switched re-executions (default 10).
-	BudgetFactor int
 	// VerifyWorkers sizes the verification worker pool: 0 means
 	// GOMAXPROCS, 1 forces sequential verification. Any value produces
 	// identical Report counters and VerifyLog order; only wall-clock
@@ -156,18 +154,6 @@ type Spec struct {
 	// tri-states (see the Features type); ResolveFeatures defines how
 	// they combine with the defaults.
 	Features Features
-	// Checkpoints bounds the execution snapshots captured during the
-	// failing run for checkpointed switched replay (docs/CHECKPOINT.md):
-	// 0 means interp.DefaultCheckpoints, negative disables checkpointing
-	// entirely. Every switched re-execution then forks from the nearest
-	// checkpoint and replays only the suffix. Results (Report counters,
-	// VerifyLog, obs journal) are byte-identical on or off — only
-	// Stats.CheckpointHits/SuffixSteps/Checkpoints/CheckpointBytes and
-	// wall-clock time differ.
-	//
-	// Features.Checkpoints is the preferred on/off switch; keep this
-	// field >= 0 as the capture count.
-	Checkpoints int
 	// Observer, if non-nil, receives the run's observability stream:
 	// spans for each localization phase, counter deltas and final stats
 	// gauges (see internal/obs and docs/OBSERVABILITY.md). For a fixed
@@ -193,7 +179,7 @@ type Report struct {
 	// < 1 in the wrong output's expanded slice). IPSEntries is ranked
 	// most-suspicious-first; IPSConfidence holds the matching confidence
 	// values.
-	IPS           ddg.SliceStats
+	IPS           depgraph.SliceStats
 	IPSEntries    []int
 	IPSConfidence []float64
 
@@ -206,7 +192,7 @@ type Report struct {
 
 	// Trace and Graph expose the analyzed execution for reporting.
 	Trace *trace.Trace
-	Graph *ddg.Graph
+	Graph *depgraph.Graph
 }
 
 // ErrNoFailure is returned when the program's output matches Expected.
@@ -287,7 +273,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	// representation, so forks restore native execution state.
 	var cks interp.Checkpoints
 	if feats.Checkpoints {
-		cks = bk.NewCheckpoints(feats.CheckpointCount)
+		cks = bk.NewCheckpoints(interp.DefaultCheckpoints)
 	}
 	rec.Begin("failing_run")
 	run := bk.Run(spec.Program, interp.Options{Input: spec.Input, BuildTrace: true, Rec: rec, Ctx: ctx, Checkpoints: cks})
@@ -323,7 +309,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	}
 
 	rec.Begin("slicing")
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	cx := slicing.NewContext(spec.Program, tr)
 	cx.CrossFunction = spec.CrossFunctionPD
 	an := confidence.New(spec.Program, g, spec.Profile, correct, wrong)
@@ -332,8 +318,8 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	ver := &implicit.Verifier{
 		C: spec.Program, Input: spec.Input, Orig: tr,
 		WrongOut: wrong, Vexp: vexp, HasVexp: hasVexp,
-		PathMode: spec.PathMode, BudgetFactor: spec.BudgetFactor,
-		Rec: rec, Ctx: ctx, Backend: bk, Checkpoints: cks,
+		PathMode: spec.PathMode,
+		Rec:      rec, Ctx: ctx, Backend: bk, Checkpoints: cks,
 	}
 
 	engCfg := verifyengine.Config{
@@ -350,7 +336,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	// reaching definitions: the engine consults it from its planning
 	// loop on this goroutine, never concurrently.
 	if feats.StaticSkip && !spec.PathMode {
-		flt := check.NewSwitchFilter(spec.Program, cx.Flow, tr, wrong.Entry, spec.BudgetFactor)
+		flt := check.NewSwitchFilter(spec.Program, cx.Flow, tr, wrong.Entry)
 		engCfg.Filter = func(req implicit.Request) bool {
 			return flt.ProvablyNotID(req.Pred, req.Use, req.UseSym)
 		}
@@ -530,8 +516,8 @@ func (l *locator) finalizeStats() {
 		rep.Stats.Checkpoints = cs.Count
 		rep.Stats.CheckpointBytes = cs.Bytes
 	}
-	rep.Stats.StrongEdges = rep.Graph.NumExtraEdges(ddg.StrongImplicit)
-	rep.Stats.ImplicitEdges = rep.Graph.NumExtraEdges(ddg.Implicit)
+	rep.Stats.StrongEdges = rep.Graph.NumExtraEdges(depgraph.StrongImplicit)
+	rep.Stats.ImplicitEdges = rep.Graph.NumExtraEdges(depgraph.Implicit)
 	passes, reeval := l.an.RepropStats()
 	rep.Stats.Repropagated = reeval
 	if passes > 0 && l.cx.T.Len() > 0 {
@@ -585,11 +571,11 @@ func (l *locator) expand(u int) (bool, error) {
 	for i, v := range vs {
 		byVerdict[v] = append(byVerdict[v], pds[i])
 	}
-	kind := ddg.StrongImplicit
+	kind := depgraph.StrongImplicit
 	verdict := implicit.StrongID
 	group := byVerdict[implicit.StrongID]
 	if len(group) == 0 {
-		kind = ddg.Implicit
+		kind = depgraph.Implicit
 		verdict = implicit.ID
 		group = byVerdict[implicit.ID]
 	}
@@ -659,7 +645,7 @@ func (l *locator) siblingUses(p, u int) []int {
 func (l *locator) finish() {
 	l.an.Compute()
 	cands := l.an.FaultCandidates()
-	ips := ddg.NewSet(l.cx.T.Len())
+	ips := depgraph.NewSet(l.cx.T.Len())
 	for _, c := range cands {
 		ips.Add(c.Entry)
 		l.rep.IPSEntries = append(l.rep.IPSEntries, c.Entry)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/testsupport"
@@ -68,7 +68,7 @@ func TestFig1Locate(t *testing.T) {
 		t.Errorf("verifications = %d, want a small number", rep.Stats.Verifications)
 	}
 	// The added edge must be STRONG (switching S4 repairs the output).
-	if n := rep.Graph.NumExtraEdges(ddg.StrongImplicit); n < 1 {
+	if n := rep.Graph.NumExtraEdges(depgraph.StrongImplicit); n < 1 {
 		t.Errorf("strong implicit edges = %d, want ≥1", n)
 	}
 	// The final IPS must contain the whole failure-inducing chain.
@@ -103,7 +103,7 @@ func TestFig1FalseEdgeNotAdded(t *testing.T) {
 	secondIdx := rep.Trace.FindInstance(trace.Instance{Stmt: second, Occ: 1})
 	for i := 0; i < rep.Trace.Len(); i++ {
 		for _, e := range rep.Graph.ExtraEdges(i) {
-			if e.To == secondIdx && (e.Kind == ddg.Implicit || e.Kind == ddg.StrongImplicit) {
+			if e.To == secondIdx && (e.Kind == depgraph.Implicit || e.Kind == depgraph.StrongImplicit) {
 				t.Errorf("false potential dependence on the second if was added as %v", e.Kind)
 			}
 		}
@@ -224,7 +224,7 @@ func main() {
 	tIdx := rep.Trace.FindInstance(trace.Instance{Stmt: tDef, Occ: 1})
 	found := false
 	for _, e := range rep.Graph.ExtraEdges(tIdx) {
-		if e.Kind == ddg.Implicit || e.Kind == ddg.StrongImplicit {
+		if e.Kind == depgraph.Implicit || e.Kind == depgraph.StrongImplicit {
 			found = true
 		}
 	}
@@ -316,7 +316,7 @@ func main() {
 		t.Errorf("wrong output seq = %d, want 3", rep.WrongOutput.Seq)
 	}
 	// No strong edges are possible without vexp.
-	if n := rep.Graph.NumExtraEdges(ddg.StrongImplicit); n != 0 {
+	if n := rep.Graph.NumExtraEdges(depgraph.StrongImplicit); n != 0 {
 		t.Errorf("strong edges = %d without an expected value", n)
 	}
 	_ = rep

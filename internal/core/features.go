@@ -7,8 +7,9 @@ import (
 
 // FeatureMode is a tri-state switch for one optional engine feature.
 // FeatureDefault selects the built-in default, which is on for every
-// feature (a negative Spec.Checkpoints count also turns checkpoints
-// off); FeatureOn and FeatureOff force the feature.
+// feature, so a feature is on unless it is FeatureOff. FeatureOn exists
+// for overlays: a subject's "on" overrides a manifest-wide "off"
+// (Features.Overlay).
 type FeatureMode uint8
 
 const (
@@ -56,10 +57,9 @@ type Features struct {
 	// IncrementalReprune is delta re-propagation in confidence analysis.
 	// On by default.
 	IncrementalReprune FeatureMode
-	// Checkpoints is checkpointed switched replay. On by default unless
-	// Spec.Checkpoints is negative; when forced On while that count is
-	// negative, the default checkpoint count is used, otherwise
-	// Spec.Checkpoints keeps selecting the count.
+	// Checkpoints is checkpointed switched replay: the failing run
+	// captures up to interp.DefaultCheckpoints snapshots, and switched
+	// runs fork from the nearest one. On by default.
 	Checkpoints FeatureMode
 }
 
@@ -150,40 +150,21 @@ func (f Features) Map() map[string]string {
 }
 
 // ResolvedFeatures is a Spec's feature configuration after resolving the
-// tri-states against the defaults: plain booleans plus the checkpoint
-// count, ready for LocateContext to act on.
+// tri-states against the defaults, ready for LocateContext to act on.
 type ResolvedFeatures struct {
 	StaticSkip         bool
 	IncrementalReprune bool
 	Checkpoints        bool
-	// CheckpointCount is the capture bound when Checkpoints is true
-	// (0 = interp.DefaultCheckpoints).
-	CheckpointCount int
 }
 
-// ResolveFeatures resolves spec's Features: FeatureDefault means on
-// (for checkpoints, on unless Spec.Checkpoints is negative), and
-// FeatureOn/FeatureOff force the feature. This is the single source of
-// truth for what LocateContext enables.
+// ResolveFeatures resolves spec's Features: a feature is on unless it
+// is FeatureOff. This is the single source of truth for what
+// LocateContext enables.
 func (s *Spec) ResolveFeatures() ResolvedFeatures {
-	r := ResolvedFeatures{
-		StaticSkip:         true,
-		IncrementalReprune: true,
-		Checkpoints:        s.Checkpoints >= 0,
+	on := func(mode FeatureMode) bool { return mode != FeatureOff }
+	return ResolvedFeatures{
+		StaticSkip:         on(s.Features.StaticSkip),
+		IncrementalReprune: on(s.Features.IncrementalReprune),
+		Checkpoints:        on(s.Features.Checkpoints),
 	}
-	if s.Checkpoints > 0 {
-		r.CheckpointCount = s.Checkpoints
-	}
-	apply := func(mode FeatureMode, b *bool) {
-		switch mode {
-		case FeatureOn:
-			*b = true
-		case FeatureOff:
-			*b = false
-		}
-	}
-	apply(s.Features.StaticSkip, &r.StaticSkip)
-	apply(s.Features.IncrementalReprune, &r.IncrementalReprune)
-	apply(s.Features.Checkpoints, &r.Checkpoints)
-	return r
 }

@@ -117,8 +117,7 @@ func TestFeaturesOverlay(t *testing.T) {
 }
 
 // TestResolveFeaturesLegacyMapping pins the resolution contract: a zero
-// Spec enables every feature, FeatureOff turns each one off, and the
-// sign of the checkpoint count still folds into the checkpoints switch.
+// Spec enables every feature and FeatureOff turns each one off.
 func TestResolveFeaturesLegacyMapping(t *testing.T) {
 	var s Spec
 	want := ResolvedFeatures{StaticSkip: true, IncrementalReprune: true, Checkpoints: true}
@@ -139,21 +138,5 @@ func TestResolveFeaturesLegacyMapping(t *testing.T) {
 		if r := s.ResolveFeatures(); r != tc.want {
 			t.Errorf("%+v: %+v, want %+v", tc.f, r, tc.want)
 		}
-	}
-
-	// A negative checkpoint count turns checkpoints off ...
-	s = Spec{Checkpoints: -1}
-	if r := s.ResolveFeatures(); r.Checkpoints {
-		t.Errorf("Checkpoints=-1: %+v, want checkpoints off", r)
-	}
-	// ... unless forced on, which then uses the default count.
-	s.Features.Checkpoints = FeatureOn
-	if r := s.ResolveFeatures(); !r.Checkpoints || r.CheckpointCount != 0 {
-		t.Errorf("Checkpoints=-1 forced on: %+v, want on with the default count", r)
-	}
-	// A positive count selects the bound.
-	s = Spec{Checkpoints: 7}
-	if r := s.ResolveFeatures(); !r.Checkpoints || r.CheckpointCount != 7 {
-		t.Errorf("Checkpoints=7: %+v", r)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/lang/ast"
 	"eol/internal/lang/sem"
@@ -43,7 +43,7 @@ func (l *locator) perturbFallback() bool {
 					Def: use.Def, Use: u, Candidates: vals,
 				})
 				if res.Dependent {
-					l.an.AddEdges(confidence.Arc{From: u, To: use.Def, Kind: ddg.Implicit})
+					l.an.AddEdges(confidence.Arc{From: u, To: use.Def, Kind: depgraph.Implicit})
 					l.rep.Stats.ExpandedEdges++
 					added = true
 				}

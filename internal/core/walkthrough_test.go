@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/implicit"
 	"eol/internal/slicing"
 	"eol/internal/testsupport"
@@ -43,7 +43,7 @@ func TestPaperWalkthrough(t *testing.T) {
 	}
 	wrong := *tr.OutputAt(seq)
 	correct := []trace.Output{*tr.OutputAt(0)}
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 
 	// --- Step (1): prune the dynamic slice.
 	ds := slicing.Dynamic(g, wrong.Entry)
@@ -52,7 +52,7 @@ func TestPaperWalkthrough(t *testing.T) {
 	}
 	an := confidence.New(c, g, nil, correct, wrong)
 	an.Compute()
-	pruned := ddg.NewSet(tr.Len())
+	pruned := depgraph.NewSet(tr.Len())
 	for _, cand := range an.FaultCandidates() {
 		pruned.Add(cand.Entry)
 	}
@@ -95,12 +95,12 @@ func TestPaperWalkthrough(t *testing.T) {
 	if v != implicit.StrongID {
 		t.Fatalf("step 3: VerifyDep(S4, S6) = %v, want STRONG_ID", v)
 	}
-	g.AddEdge(s6idx, pds[0].Pred, ddg.StrongImplicit)
+	g.AddEdge(s6idx, pds[0].Pred, depgraph.StrongImplicit)
 
 	// --- Step (4): the new pruned slice contains the root cause and the
 	// whole cause-effect chain {S1, S2, S4, S6, S10}.
 	an.Compute()
-	final := ddg.NewSet(tr.Len())
+	final := depgraph.NewSet(tr.Len())
 	for _, cand := range an.FaultCandidates() {
 		final.Add(cand.Entry)
 	}
@@ -111,7 +111,7 @@ func TestPaperWalkthrough(t *testing.T) {
 	}
 	// And the chain explains the failure: the root cause reaches the
 	// wrong output in the expanded graph.
-	closure := g.BackwardSlice(ddg.Explicit|ddg.StrongImplicit, wrong.Entry)
+	closure := g.BackwardSlice(depgraph.Explicit|depgraph.StrongImplicit, wrong.Entry)
 	rootIdx := tr.FindInstance(trace.Instance{Stmt: s1, Occ: 1})
 	if !closure.Has(rootIdx) {
 		t.Error("step 4: the root cause is not reachable from the failure in the expanded graph")

@@ -67,10 +67,6 @@ type Options struct {
 	// NoSharedCache gives every subject a private cache instead of one
 	// shared across the corpus — for A/B-measuring the sharing gain.
 	NoSharedCache bool
-	// Checkpoints bounds each subject's failing-run checkpoint store
-	// (0 = interpreter default, negative disables checkpointed switched
-	// replay). Per-subject results are identical either way.
-	Checkpoints int
 	// Features selects optional engine features for every subject, as
 	// explicit tri-states; per-subject manifest features (wire spelling)
 	// overlay it key by key. Results-neutral, like all features.
@@ -343,7 +339,6 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		VerifyWorkers:   opts.VerifyWorkers,
 		VerifyCacheSize: opts.CacheSize,
 		VerifyCache:     shared,
-		Checkpoints:     opts.Checkpoints,
 		Features:        opts.Features.Overlay(subjFeats),
 	}
 

@@ -22,7 +22,8 @@ package critpred
 import (
 	"sort"
 
-	"eol/internal/ddg"
+	"eol/internal/backend"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/slicing"
@@ -51,9 +52,6 @@ type Options struct {
 	Strategy Strategy
 	// MaxSwitches bounds the number of re-executions (0 = all instances).
 	MaxSwitches int
-	// BudgetFactor bounds each switched run relative to the original
-	// trace length (default 10).
-	BudgetFactor int
 }
 
 // Result reports the search outcome.
@@ -72,25 +70,24 @@ type Result struct {
 // judged against the expected output values.
 func Search(c *interp.Compiled, input []int64, expected []int64, opts Options) *Result {
 	res := &Result{}
-	orig := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
+	bk := backend.Default()
+	orig := bk.Run(c, interp.Options{Input: input, BuildTrace: true})
 	if orig.Err != nil || orig.Trace == nil {
 		return res
 	}
 	order := candidateOrder(c, orig, expected, opts.Strategy)
 	res.Candidates = len(order)
 
-	factor := opts.BudgetFactor
-	if factor <= 0 {
-		factor = 10
-	}
-	budget := factor*orig.Trace.Len() + 1000
+	// Each switched run is bounded like a verification's (ten times the
+	// original run's length plus a constant).
+	budget := 10*orig.Trace.Len() + 1000
 
 	for _, inst := range order {
 		if opts.MaxSwitches > 0 && res.Switches >= opts.MaxSwitches {
 			return res
 		}
 		res.Switches++
-		sw := interp.Run(c, interp.Options{
+		sw := bk.Run(c, interp.Options{
 			Input:      input,
 			Switch:     &interp.SwitchPlan{Stmt: inst.Stmt, Occ: inst.Occ},
 			StepBudget: budget,
@@ -124,8 +121,8 @@ func candidateOrder(c *interp.Compiled, orig *interp.Result, expected []int64, s
 		seq, missing, ok := slicing.FirstWrongOutput(orig.OutputValues(), expected)
 		if ok && !missing {
 			seed := slicing.FailureSeeds(tr, seq)
-			g := ddg.New(tr)
-			dist := g.Distances(ddg.Explicit, seed)
+			g := depgraph.New(tr)
+			dist := g.Distances(depgraph.Explicit, seed)
 			inSlice := func(i int) (int, bool) {
 				if dist == nil || dist[i] < 0 {
 					return 0, false

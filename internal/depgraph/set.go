@@ -2,11 +2,10 @@ package depgraph
 
 import "math/bits"
 
-// Set is a bitset over trace entry indices. It replaces the map[int]bool
-// slice sets of the original ddg API: membership is one bit, iteration is
-// ascending entry order (= execution order, the same order
-// ddg.SortedEntries produced by sorting map keys), and closure extension
-// can reuse the same storage across incremental passes.
+// Set is a bitset over trace entry indices: membership is one bit,
+// iteration is ascending entry order (= execution order, the order
+// Ordered returns), and closure extension can reuse the same storage
+// across incremental passes.
 type Set struct {
 	words []uint64
 	count int

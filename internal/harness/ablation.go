@@ -6,11 +6,12 @@ import (
 	"io"
 	"strings"
 
+	"eol/internal/backend"
 	"eol/internal/bench"
 	"eol/internal/confidence"
 	"eol/internal/core"
 	"eol/internal/critpred"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/slicing"
 	"eol/internal/trace"
@@ -51,20 +52,20 @@ func AblationA(ctx context.Context) ([]AblationARow, error) {
 		// Relevant slicing adds every potential edge to the graph; also
 		// expand PD for entries reachable from the correct outputs so the
 		// naive pinning has false edges to cross (the paper's S9 -> S7).
-		g := ddg.New(tr)
+		g := depgraph.New(tr)
 		cx.Relevant(g, seed)
 		var correct []trace.Output
 		for i := 0; i < seq; i++ {
 			correct = append(correct, *tr.OutputAt(i))
-			g.BackwardSlice(ddg.Explicit, tr.OutputAt(i).Entry).ForEach(func(e int) {
+			g.BackwardSlice(depgraph.Explicit, tr.OutputAt(i).Entry).ForEach(func(e int) {
 				for _, pd := range cx.PotentialDeps(e) {
-					g.AddEdge(e, pd.Pred, ddg.Potential)
+					g.AddEdge(e, pd.Pred, depgraph.Potential)
 				}
 			})
 		}
 
 		an := confidence.New(p.Faulty, g, p.Profile, correct, *tr.OutputAt(seq))
-		an.Kinds |= ddg.Potential
+		an.Kinds |= depgraph.Potential
 		an.Naive = true
 		an.Compute()
 
@@ -248,8 +249,8 @@ func RenderAblation(ctx context.Context, name string) (string, error) {
 // built here from each case's passing test suite plus the failing run).
 type AblationDRow struct {
 	Case           string
-	StaticRS       ddg.SliceStats
-	UnionRS        ddg.SliceStats
+	StaticRS       depgraph.SliceStats
+	UnionRS        depgraph.SliceStats
 	StaticCaptures bool
 	UnionCaptures  bool
 }
@@ -270,7 +271,7 @@ func AblationD(ctx context.Context) ([]AblationDRow, error) {
 		seed := slicing.FailureSeeds(tr, seq)
 
 		cx := slicing.NewContext(p.Faulty, tr)
-		gStatic := ddg.New(tr)
+		gStatic := depgraph.New(tr)
 		rsStatic := cx.Relevant(gStatic, seed)
 
 		// Union graph from the faulty binary's test suite + the failing
@@ -278,7 +279,7 @@ func AblationD(ctx context.Context) ([]AblationDRow, error) {
 		// cases"; the failing run was among the executions available).
 		u := slicing.NewUnionGraph()
 		for _, in := range c.PassingInputs {
-			r := interp.Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
+			r := backend.Default().Run(p.Faulty, interp.Options{Input: in, BuildTrace: true})
 			if r.Err != nil {
 				return nil, r.Err
 			}
@@ -288,7 +289,7 @@ func AblationD(ctx context.Context) ([]AblationDRow, error) {
 
 		cxU := slicing.NewContext(p.Faulty, tr)
 		cxU.Union = u
-		gUnion := ddg.New(tr)
+		gUnion := depgraph.New(tr)
 		rsUnion := cxU.Relevant(gUnion, seed)
 
 		rows = append(rows, AblationDRow{

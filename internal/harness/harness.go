@@ -42,10 +42,11 @@ import (
 	"strings"
 	"time"
 
+	"eol/internal/backend"
 	"eol/internal/bench"
 	"eol/internal/confidence"
 	"eol/internal/core"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/obs"
 	"eol/internal/oracle"
@@ -101,7 +102,7 @@ func Table1() []Table1Row {
 // Table2Row is one row of Table 2 (slice sizes).
 type Table2Row struct {
 	Case        string
-	RS, DS, PS  ddg.SliceStats
+	RS, DS, PS  depgraph.SliceStats
 	RSCaptures  bool // RS contains the root cause
 	DSCaptures  bool
 	PSCaptures  bool
@@ -137,10 +138,10 @@ func table2Case(p *bench.Prepared) (*Table2Row, error) {
 	seed := slicing.FailureSeeds(tr, seq)
 	cx := slicing.NewContext(p.Faulty, tr)
 
-	gDS := ddg.New(tr)
+	gDS := depgraph.New(tr)
 	ds := slicing.Dynamic(gDS, seed)
 
-	gRS := ddg.New(tr)
+	gRS := depgraph.New(tr)
 	rs := cx.Relevant(gRS, seed)
 
 	// PS: automatic confidence pruning of DS (no user interaction).
@@ -151,7 +152,7 @@ func table2Case(p *bench.Prepared) (*Table2Row, error) {
 	}
 	an := confidence.New(p.Faulty, gDS, p.Profile, correct, wrong)
 	an.Compute()
-	ps := ddg.NewSet(tr.Len())
+	ps := depgraph.NewSet(tr.Len())
 	for _, cand := range an.FaultCandidates() {
 		ps.Add(cand.Entry)
 	}
@@ -186,8 +187,8 @@ type Table3Row struct {
 	Verifications int
 	Iterations    int
 	ExpandedEdges int
-	IPS           ddg.SliceStats
-	OS            ddg.SliceStats
+	IPS           depgraph.SliceStats
+	OS            depgraph.SliceStats
 	Located       bool
 }
 
@@ -235,12 +236,12 @@ func Table3Case(ctx context.Context, p *bench.Prepared, o obs.Observer) (*Table3
 // corrupted-state entries (ground truth from trace pairing) lying on the
 // backward closure of the wrong output in the final expanded graph. This
 // mechanizes the chain the paper's authors identified manually.
-func failureChain(p *bench.Prepared, rep *core.Report) ddg.SliceStats {
+func failureChain(p *bench.Prepared, rep *core.Report) depgraph.SliceStats {
 	pairing := oracle.Pair(rep.Trace, p.CorrectTrace().Trace)
 	corrupted := pairing.Corrupted()
 	slice := rep.Graph.BackwardSlice(
-		ddg.Explicit|ddg.Implicit|ddg.StrongImplicit, rep.WrongOutput.Entry)
-	chain := ddg.NewSet(rep.Trace.Len())
+		depgraph.Explicit|depgraph.Implicit|depgraph.StrongImplicit, rep.WrongOutput.Entry)
+	chain := depgraph.NewSet(rep.Trace.Len())
 	slice.ForEach(func(e int) {
 		if corrupted[e] {
 			chain.Add(e)
@@ -276,7 +277,7 @@ func Table4(ctx context.Context, reps int) ([]Table4Row, error) {
 
 		timeOne := func(trace bool) (time.Duration, error) {
 			start := time.Now()
-			r := interp.Run(p.Faulty, interp.Options{Input: c.FailingInput, BuildTrace: trace})
+			r := backend.Default().Run(p.Faulty, interp.Options{Input: c.FailingInput, BuildTrace: trace})
 			d := time.Since(start)
 			return d, r.Err
 		}
@@ -392,11 +393,6 @@ type Options struct {
 	// Cache overrides the cached mode's switched-run cache size
 	// (0 = engine default, negative disables it).
 	Cache int
-	// Checkpoints bounds the failing-run checkpoint store for the verify
-	// table's localizations (0 = interpreter default, negative disables
-	// checkpointed switched replay). Results are mode-independent; only
-	// the timings move.
-	Checkpoints int
 	// Backend names the execution backend for the verify table's
 	// localizations ("" = library default). Results are
 	// backend-independent; only the timings move.

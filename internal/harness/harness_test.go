@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 )
 
 // TestTable1 checks the benchmark inventory.
@@ -190,7 +190,7 @@ func TestTableWriters(t *testing.T) {
 	}
 }
 
-func ddgStats(st, dyn int) (s ddg.SliceStats) {
+func ddgStats(st, dyn int) (s depgraph.SliceStats) {
 	s.Static, s.Dynamic = st, dyn
 	return s
 }

@@ -76,7 +76,6 @@ func VerifyCase(p *bench.Prepared, opt Options) (*VerifyRow, error) {
 			spec.Backend = bk
 			spec.VerifyWorkers = m.workers
 			spec.VerifyCacheSize = m.cacheSz
-			spec.Checkpoints = opt.Checkpoints
 			if r == 0 {
 				spec.Observer = opt.Observer
 			}

@@ -36,7 +36,7 @@ import (
 	"fmt"
 
 	"eol/internal/align"
-	"eol/internal/ddg"
+	"eol/internal/backend"
 	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/obs"
@@ -85,10 +85,6 @@ type Verifier struct {
 	Vexp    int64
 	HasVexp bool
 
-	// BudgetFactor bounds switched re-executions to BudgetFactor × the
-	// original trace length (default 10) — the paper's timer.
-	BudgetFactor int
-
 	// PathMode, when set, uses explicit dependence *paths* between p' and
 	// u' (the letter of Definition 2) instead of single data-dependence
 	// edges out of p''s region (Algorithm 2's approximation).
@@ -106,11 +102,11 @@ type Verifier struct {
 	Ctx context.Context
 
 	// Backend selects the execution engine for the verifier's switched
-	// re-executions (nil = interp.Tree). It must be the backend that
-	// produced Orig and Checkpoints: backends are byte-identical, so any
-	// mix yields the same verdicts, but a foreign checkpoint store cannot
-	// be forked and every run would pay full-replay cost. Copied by
-	// Clone.
+	// re-executions (nil = backend.Default(), the VM). It must be the
+	// backend that produced Orig and Checkpoints: backends are
+	// byte-identical, so any mix yields the same verdicts, but a foreign
+	// checkpoint store cannot be forked and every run would pay
+	// full-replay cost. Copied by Clone.
 	Backend interp.Backend
 
 	// Checkpoints, if non-nil, holds execution snapshots captured during
@@ -261,53 +257,41 @@ func (v *Verifier) Clone() *Verifier {
 	return &Verifier{
 		C: v.C, Input: v.Input, Orig: v.Orig,
 		WrongOut: v.WrongOut, Vexp: v.Vexp, HasVexp: v.HasVexp,
-		BudgetFactor: v.BudgetFactor, PathMode: v.PathMode, Runner: v.Runner,
+		PathMode: v.PathMode, Runner: v.Runner,
 		Ctx: v.Ctx, Backend: v.Backend, Checkpoints: v.Checkpoints,
 	}
 }
 
-// backend resolves the verifier's execution backend (nil = interp.Tree).
+// backend resolves the verifier's execution backend (nil =
+// backend.Default()).
 func (v *Verifier) backend() interp.Backend {
 	if v.Backend != nil {
 		return v.Backend
 	}
-	return interp.Tree
+	return backend.Default()
 }
 
-// RunSwitched performs the switched re-execution underlying one
-// verification: run c on input with pred's branch outcome inverted, with
-// full tracing, bounded by budget steps. Exported so scheduling layers
-// can perform (and cache) the expensive part of VerifyDetailed.
-func RunSwitched(c *interp.Compiled, input []int64, pred trace.Instance, budget int) *interp.Result {
-	return RunSwitchedContext(nil, c, input, pred, budget)
-}
+// budget is the step bound of every re-execution the verifier runs: ten
+// times the failing run's length plus a constant. A run that overruns it
+// reads as a failed verification — the paper's timer.
+func (v *Verifier) budget() int { return 10*v.Orig.Len() + 1000 }
 
-// RunSwitchedContext is RunSwitched bounded by ctx (nil = unbounded): a
-// cancelled or deadlined context aborts the re-execution with
-// interp.ErrCanceled/ErrDeadline on the result.
-func RunSwitchedContext(ctx context.Context, c *interp.Compiled, input []int64, pred trace.Instance, budget int) *interp.Result {
-	return interp.Run(c, interp.Options{
-		Input:      input,
-		BuildTrace: true,
-		Switch:     &interp.SwitchPlan{Stmt: pred.Stmt, Occ: pred.Occ},
-		StepBudget: budget,
-		Ctx:        ctx,
-	})
-}
-
-// RunSwitchedFrom is the checkpoint-accelerated form of
-// RunSwitchedContext on an explicit backend b (nil = interp.Tree): when
-// cks holds a checkpoint of b at or before pred's instance in orig (the
-// failing run's trace), the switched run forks from it and re-executes
-// only the suffix. The result — trace, outputs, verdict-relevant state,
-// step count — is byte-identical to a full switched run; only
+// RunSwitchedFrom performs the switched re-execution underlying one
+// verification on backend b (nil = backend.Default()): run c on input
+// with pred's branch outcome inverted, with full tracing, bounded by
+// budget steps and by ctx (nil = unbounded). When cks holds a
+// checkpoint of b at or before pred's instance in orig (the failing
+// run's trace), the switched run forks from it and re-executes only the
+// suffix. The result — trace, outputs, verdict-relevant state, step
+// count — is byte-identical to a full switched run; only
 // Result.ResumedAt reveals the shortcut. Falls back to a full run under
 // b when no checkpoint qualifies (nil or foreign store, unknown
 // instance, no checkpoint before it, or a budget already spent at the
-// checkpoint).
+// checkpoint). Exported so scheduling layers can perform (and cache)
+// the expensive part of VerifyDetailed.
 func RunSwitchedFrom(ctx context.Context, b interp.Backend, c *interp.Compiled, input []int64, cks interp.Checkpoints, orig *trace.Trace, pred trace.Instance, budget int) *interp.Result {
 	if b == nil {
-		b = interp.Tree
+		b = backend.Default()
 	}
 	opts := interp.Options{
 		Input:      input,
@@ -338,13 +322,7 @@ func (v *Verifier) VerifyDetailed(req Request) *Result {
 	res := &Result{Verdict: NotID, UPrime: -1, OPrime: -1}
 
 	pe := v.Orig.At(req.Pred)
-	factor := v.BudgetFactor
-	if factor <= 0 {
-		factor = 10
-	}
-	budget := factor*v.Orig.Len() + 1000
-
-	sw := v.switchedRun(pe.Inst, budget)
+	sw := v.switchedRun(pe.Inst, v.budget())
 	res.Switched = sw
 	if errors.Is(sw.Err, interp.ErrBudget) {
 		// Timer expired: "we aggressively conclude the verification fails".
@@ -392,7 +370,7 @@ func (v *Verifier) VerifyDetailed(req Request) *Result {
 		// Safe variant: any explicit dependence path between p' and u'.
 		// One closure per switched trace: walk the trace directly rather
 		// than building a graph that is discarded immediately.
-		if depgraph.TraceBackward(ep, ddg.Explicit, u).Has(pPrimeIdx) {
+		if depgraph.TraceBackward(ep, depgraph.Explicit, u).Has(pPrimeIdx) {
 			res.Verdict = ID
 		}
 		return res

@@ -3,11 +3,13 @@ package implicit
 import (
 	"testing"
 
+	"eol/internal/cfg"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/slicing"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 // fig1Verifier runs the Figure 1 scenario and prepares a Verifier with
@@ -58,6 +60,29 @@ func TestFig1StrongImplicitDependence(t *testing.T) {
 	if verdict != StrongID {
 		t.Errorf("VerifyDep(S4, S6) = %v, want STRONG_ID", verdict)
 	}
+}
+
+// TestNilBackendRunsDefault: a Verifier without a Backend runs the
+// default backend, the VM, so the VM checkpoint store it carries is
+// forked from instead of ignored.
+func TestNilBackendRunsDefault(t *testing.T) {
+	c := testsupport.Compile(t, testsupport.Fig1Faulty)
+	st := vm.Backend.NewCheckpoints(interp.DefaultCheckpoints)
+	r := vm.Backend.Run(c, interp.Options{Input: testsupport.Fig1Input, BuildTrace: true, Checkpoints: st})
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	v := &Verifier{C: c, Input: testsupport.Fig1Input, Orig: r.Trace, Checkpoints: st}
+	use := r.Trace.Outputs[len(r.Trace.Outputs)-1].Entry
+	for i := 0; i < r.Trace.Len(); i++ {
+		if r.Trace.At(i).Branch == cfg.None {
+			continue
+		}
+		if res := v.VerifyDetailed(Request{Pred: i, Use: use}); res.Switched.ResumedAt > 0 {
+			return
+		}
+	}
+	t.Fatal("no switched run forked from the VM checkpoint store")
 }
 
 // TestFig1FalsePotentialRejected reproduces step (2): VerifyDep(S7, S10)
@@ -218,7 +243,7 @@ func main() {
 	p := r.Trace.FindInstance(trace.Instance{Stmt: ifP, Occ: 1})
 	u := r.Trace.FindInstance(trace.Instance{Stmt: pr, Occ: 1})
 
-	v := &Verifier{C: c, Input: []int64{0}, Orig: r.Trace, BudgetFactor: 2}
+	v := &Verifier{C: c, Input: []int64{0}, Orig: r.Trace}
 	got := v.Verify(Request{Pred: p, Use: u, UseSym: symID(t, c, "x"), UseElem: trace.ScalarElem})
 	if got != NotID {
 		t.Errorf("timed-out verification = %v, want NOT_ID", got)

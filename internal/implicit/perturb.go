@@ -44,12 +44,7 @@ func (v *Verifier) PerturbVerify(req PerturbRequest) *PerturbResult {
 	res := &PerturbResult{}
 	de := v.Orig.At(req.Def)
 	ue := v.Orig.At(req.Use)
-
-	factor := v.BudgetFactor
-	if factor <= 0 {
-		factor = 10
-	}
-	budget := factor*v.Orig.Len() + 1000
+	budget := v.budget()
 
 	// The values the use read in the original run, per location, for the
 	// affected-value check.

@@ -305,6 +305,9 @@ func Run(c *Compiled, opts Options) *Result {
 		defer func() { opts.Rec.End("interp_run", int64(ip.res.Steps)) }()
 	}
 	ip.run()
+	if ip.tr != nil {
+		ip.tr.Finish()
+	}
 	ip.res.Rendered = ip.out.String()
 	return ip.res
 }

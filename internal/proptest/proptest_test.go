@@ -4,18 +4,21 @@
 package proptest
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eol/internal/align"
 	"eol/internal/confidence"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/oracle"
 	"eol/internal/slicing"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
+	"eol/internal/vm"
 )
 
 const (
@@ -40,6 +43,45 @@ func eachRandomRun(t *testing.T, f func(t *testing.T, c *interp.Compiled, in []i
 			t.Fatalf("program %d failed at runtime: %v\n%s", i, r.Err, src)
 		}
 		f(t, c, in, r)
+	}
+}
+
+// eachIndexedTrace calls f on every kind of trace whose indices Finish
+// builds: the tree-walker's trace of each random run, the VM's trace of
+// the same run, and VM checkpoint forks of three switched runs (first,
+// middle and last predicate instance).
+func eachIndexedTrace(t *testing.T, f func(t *testing.T, c *interp.Compiled, label string, tr *trace.Trace)) {
+	t.Helper()
+	forks := 0
+	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
+		f(t, c, "tree", r.Trace)
+		st := vm.Backend.NewCheckpoints(8)
+		orig := vm.Backend.Run(c, interp.Options{Input: in, BuildTrace: true, Checkpoints: st})
+		f(t, c, "vm", orig.Trace)
+		var preds []int
+		for i := 0; i < orig.Trace.Len(); i++ {
+			if orig.Trace.At(i).Branch != 0 {
+				preds = append(preds, i)
+			}
+		}
+		if len(preds) == 0 {
+			return
+		}
+		for _, p := range []int{preds[0], preds[len(preds)/2], preds[len(preds)-1]} {
+			inst := orig.Trace.At(p).Inst
+			fork := vm.Backend.RunSwitchedFrom(st, orig.Trace, c, interp.Options{
+				Input:      in,
+				Switch:     &interp.SwitchPlan{Stmt: inst.Stmt, Occ: inst.Occ},
+				StepBudget: 10*orig.Trace.Len() + 1000,
+			})
+			if fork != nil {
+				forks++
+				f(t, c, fmt.Sprintf("vm fork switching %v", inst), fork.Trace)
+			}
+		}
+	})
+	if forks == 0 {
+		t.Fatal("no VM fork happened: the fork indices went unchecked")
 	}
 }
 
@@ -73,38 +115,45 @@ func TestDeterminismProperty(t *testing.T) {
 
 // TestRegionTreeInvariants: parents precede children; children are in
 // execution order; every non-root parent is a predicate or a call site;
-// the Euler ancestry index agrees with the parent-chain walk.
+// the Euler ancestry index agrees with the parent-chain walk; Children
+// and Roots list exactly the entries a scan of the parents finds.
 func TestRegionTreeInvariants(t *testing.T) {
-	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
-		tr := r.Trace
+	eachIndexedTrace(t, func(t *testing.T, c *interp.Compiled, label string, tr *trace.Trace) {
 		anc := tr.Ancestry()
+		kids := make([][]int, tr.Len())
+		var roots []int
 		for i := 0; i < tr.Len(); i++ {
 			p := tr.At(i).Parent
 			if p >= i {
-				t.Fatalf("entry %d has parent %d", i, p)
+				t.Fatalf("%s: entry %d has parent %d", label, i, p)
 			}
 			if p >= 0 {
+				kids[p] = append(kids[p], i)
 				st := c.Info.Stmt(tr.At(p).Inst.Stmt)
 				isCallSite := len(c.Info.StmtCalls[tr.At(p).Inst.Stmt]) > 0
 				if !ast.IsPredicate(st) && !isCallSite {
-					t.Fatalf("parent %d (%s) is neither predicate nor call site",
-						p, ast.StmtString(st))
+					t.Fatalf("%s: parent %d (%s) is neither predicate nor call site",
+						label, p, ast.StmtString(st))
 				}
-			}
-			kids := tr.Children(i)
-			for j := 1; j < len(kids); j++ {
-				if kids[j] <= kids[j-1] {
-					t.Fatalf("children of %d out of order: %v", i, kids)
-				}
+			} else {
+				roots = append(roots, i)
 			}
 			// Sampled ancestry agreement.
 			if i%7 == 0 {
 				for j := i; j < tr.Len() && j < i+11; j++ {
 					if anc.IsAncestor(i, j) != tr.IsAncestor(i, j) {
-						t.Fatalf("ancestry index disagrees for (%d,%d)", i, j)
+						t.Fatalf("%s: ancestry index disagrees for (%d,%d)", label, i, j)
 					}
 				}
 			}
+		}
+		for i, want := range kids {
+			if got := tr.Children(i); !slices.Equal(got, want) {
+				t.Fatalf("%s: children of %d = %v, want %v", label, i, got, want)
+			}
+		}
+		if got := tr.Roots(); !slices.Equal(got, roots) {
+			t.Fatalf("%s: roots = %v, want %v", label, got, roots)
 		}
 	})
 }
@@ -116,9 +165,9 @@ func TestSliceOrderingProperty(t *testing.T) {
 		tr := r.Trace
 		cx := slicing.NewContext(c, tr)
 		for _, o := range tr.Outputs {
-			gDS := ddg.New(tr)
+			gDS := depgraph.New(tr)
 			ds := slicing.Dynamic(gDS, o.Entry)
-			gRS := ddg.New(tr)
+			gRS := depgraph.New(tr)
 			rs := cx.Relevant(gRS, o.Entry)
 			if !ds.Has(o.Entry) || !rs.Has(o.Entry) {
 				t.Fatal("slice missing its seed")
@@ -245,23 +294,36 @@ func TestPotentialDepsRespectDefinition(t *testing.T) {
 }
 
 // TestOccurrenceIndexesAgree: InstancesOf and Occurrences and
-// FindInstance are mutually consistent.
+// FindInstance are mutually consistent, InstancesOf lists exactly the
+// entries of its statement, and FindInstance finds no occurrence past
+// the last.
 func TestOccurrenceIndexesAgree(t *testing.T) {
-	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
-		tr := r.Trace
+	eachIndexedTrace(t, func(t *testing.T, c *interp.Compiled, label string, tr *trace.Trace) {
+		byStmt := map[int][]int{}
+		for i := 0; i < tr.Len(); i++ {
+			s := tr.At(i).Inst.Stmt
+			byStmt[s] = append(byStmt[s], i)
+		}
 		for id := 1; id <= c.Info.NumStmts(); id++ {
 			insts := tr.InstancesOf(id)
+			if !slices.Equal(insts, byStmt[id]) {
+				t.Fatalf("%s: InstancesOf(S%d) = %v, want %v", label, id, insts, byStmt[id])
+			}
 			if len(insts) != tr.Occurrences(id) {
-				t.Fatalf("S%d: InstancesOf %d vs Occurrences %d", id, len(insts), tr.Occurrences(id))
+				t.Fatalf("%s: S%d: InstancesOf %d vs Occurrences %d", label, id, len(insts), tr.Occurrences(id))
 			}
 			for k, idx := range insts {
 				want := trace.Instance{Stmt: id, Occ: k + 1}
 				if tr.At(idx).Inst != want {
-					t.Fatalf("S%d instance %d: %v != %v", id, k, tr.At(idx).Inst, want)
+					t.Fatalf("%s: S%d instance %d: %v != %v", label, id, k, tr.At(idx).Inst, want)
 				}
 				if tr.FindInstance(want) != idx {
-					t.Fatalf("FindInstance(%v) = %d, want %d", want, tr.FindInstance(want), idx)
+					t.Fatalf("%s: FindInstance(%v) = %d, want %d", label, want, tr.FindInstance(want), idx)
 				}
+			}
+			past := trace.Instance{Stmt: id, Occ: len(insts) + 1}
+			if got := tr.FindInstance(past); got != -1 {
+				t.Fatalf("%s: FindInstance(%v) = %d past the last occurrence", label, past, got)
 			}
 		}
 	})
@@ -309,7 +371,7 @@ func TestConfidenceBounds(t *testing.T) {
 				correct = append(correct, o)
 			}
 		}
-		g := ddg.New(tr)
+		g := depgraph.New(tr)
 		an := confidence.New(c, g, nil, correct, wrong)
 		an.Compute()
 		for i := 0; i < tr.Len(); i++ {

@@ -12,7 +12,7 @@ import (
 	"strings"
 
 	"eol/internal/core"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/slicing"
@@ -61,13 +61,13 @@ func WriteMarkdown(w io.Writer, in Input) error {
 		rep.WrongOutput.Seq, rep.WrongOutput.Value, rep.Vexp, instText(at))
 
 	// Slice comparison.
-	g := ddg.New(tr)
+	g := depgraph.New(tr)
 	ds := slicing.Dynamic(g, rep.WrongOutput.Entry)
 	dsStats := g.Stats(ds)
 	fmt.Fprintf(w, "## Slices\n\n")
 	fmt.Fprintf(w, "| slice | statements | instances | contains root cause |\n")
 	fmt.Fprintf(w, "|---|---|---|---|\n")
-	containsRoot := func(set *ddg.Set) string {
+	containsRoot := func(set *depgraph.Set) string {
 		if len(in.RootCause) == 0 {
 			return "n/a"
 		}
@@ -80,7 +80,7 @@ func WriteMarkdown(w io.Writer, in Input) error {
 	}
 	fmt.Fprintf(w, "| dynamic slice (DS) | %d | %d | %s |\n",
 		dsStats.Static, dsStats.Dynamic, containsRoot(ds))
-	ips := ddg.NewSet(tr.Len())
+	ips := depgraph.NewSet(tr.Len())
 	for _, e := range rep.IPSEntries {
 		ips.Add(e)
 	}
@@ -91,7 +91,7 @@ func WriteMarkdown(w io.Writer, in Input) error {
 	fmt.Fprintf(w, "## Effort\n\n")
 	fmt.Fprintf(w, "%d user prunings, %d verifications, %d expansion iterations, %d implicit edges added (%d strong).\n\n",
 		rep.Stats.UserPrunings, rep.Stats.Verifications, rep.Stats.Iterations,
-		rep.Stats.ExpandedEdges, rep.Graph.NumExtraEdges(ddg.StrongImplicit))
+		rep.Stats.ExpandedEdges, rep.Graph.NumExtraEdges(depgraph.StrongImplicit))
 
 	// Verification log.
 	if len(rep.VerifyLog) > 0 {
@@ -115,7 +115,7 @@ func WriteMarkdown(w io.Writer, in Input) error {
 	var edges []string
 	for i := 0; i < tr.Len(); i++ {
 		for _, e := range rep.Graph.ExtraEdges(i) {
-			if e.Kind == ddg.Implicit || e.Kind == ddg.StrongImplicit {
+			if e.Kind == depgraph.Implicit || e.Kind == depgraph.StrongImplicit {
 				edges = append(edges, fmt.Sprintf("- %s --%s--> %s",
 					instText(tr.At(i).Inst), e.Kind, instText(tr.At(e.To).Inst)))
 			}

@@ -60,7 +60,7 @@ const maxBodyBytes = 16 << 20
 // queue, default caches.
 type Config struct {
 	// Corpus shapes each request's run: Shards, VerifyWorkers,
-	// CacheSize, Checkpoints, Features, and the default per-subject
+	// CacheSize, Features, Backend and the default per-subject
 	// Deadline all apply per request. Shared and Observer are owned by
 	// the server and ignored here.
 	Corpus corpus.Options

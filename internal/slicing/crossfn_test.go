@@ -3,7 +3,7 @@ package slicing
 import (
 	"testing"
 
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
 )
@@ -29,12 +29,12 @@ func main() {
     print(mode);
 }`
 
-func crossFnRun(t *testing.T) (*Context, *ddg.Graph, int, int, int) {
+func crossFnRun(t *testing.T) (*Context, *depgraph.Graph, int, int, int) {
 	t.Helper()
 	c := testsupport.Compile(t, crossFnSrc)
 	r := testsupport.Run(t, c, []int64{5})
 	cx := NewContext(c, r.Trace)
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	pr := testsupport.StmtID(t, c, "print(mode)")
 	u := r.Trace.FindInstance(trace.Instance{Stmt: pr, Occ: 1})
 	ifID := testsupport.StmtID(t, c, "if (request > 0)")

@@ -17,7 +17,7 @@ import (
 	"sort"
 
 	"eol/internal/dataflow"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/lang/sem"
@@ -70,8 +70,8 @@ func NewContext(c *interp.Compiled, t *trace.Trace) *Context {
 
 // Dynamic computes the classic dynamic slice: the backward closure of the
 // seeds over explicit dependences only.
-func Dynamic(g *ddg.Graph, seeds ...int) *ddg.Set {
-	return g.BackwardSlice(ddg.Explicit, seeds...)
+func Dynamic(g *depgraph.Graph, seeds ...int) *depgraph.Set {
+	return g.BackwardSlice(depgraph.Explicit, seeds...)
 }
 
 // PDep is one potential dependence of a use entry: the use (symbol and
@@ -183,8 +183,8 @@ func (cx *Context) PotentialDeps(u int) []PDep {
 // over explicit dependences plus potential dependences, which are
 // discovered on demand for every entry that enters the slice and recorded
 // in g as Potential edges.
-func (cx *Context) Relevant(g *ddg.Graph, seeds ...int) *ddg.Set {
-	slice := ddg.NewSet(cx.T.Len())
+func (cx *Context) Relevant(g *depgraph.Graph, seeds ...int) *depgraph.Set {
+	slice := depgraph.NewSet(cx.T.Len())
 	var work []int
 	for _, s := range seeds {
 		if slice.Add(s) {
@@ -195,9 +195,9 @@ func (cx *Context) Relevant(g *ddg.Graph, seeds ...int) *ddg.Set {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, pd := range cx.PotentialDeps(n) {
-			g.AddEdge(n, pd.Pred, ddg.Potential)
+			g.AddEdge(n, pd.Pred, depgraph.Potential)
 		}
-		g.EachDep(n, ddg.Explicit|ddg.Potential, func(e ddg.Edge) {
+		g.EachDep(n, depgraph.Explicit|depgraph.Potential, func(e depgraph.Edge) {
 			if slice.Add(e.To) {
 				work = append(work, e.To)
 			}

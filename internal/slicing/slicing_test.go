@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/testsupport"
@@ -13,7 +13,7 @@ import (
 
 // fig1 compiles and runs the paper's Figure 1 scenario and returns the
 // slicing context, the graph, and the wrong output's seed entry.
-func fig1(t *testing.T) (*Context, *ddg.Graph, int, *interp.Compiled) {
+func fig1(t *testing.T) (*Context, *depgraph.Graph, int, *interp.Compiled) {
 	t.Helper()
 	c := testsupport.Compile(t, testsupport.Fig1Faulty)
 	fixed := testsupport.Compile(t, testsupport.Fig1Fixed)
@@ -28,7 +28,7 @@ func fig1(t *testing.T) (*Context, *ddg.Graph, int, *interp.Compiled) {
 		t.Fatalf("first wrong output = %d, want 1", seq)
 	}
 	cx := NewContext(c, r.Trace)
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	return cx, g, FailureSeeds(r.Trace, seq), c
 }
 
@@ -273,7 +273,7 @@ func main() {
 	c := testsupport.Compile(t, src)
 	r := testsupport.Run(t, c, []int64{3})
 	cx := NewContext(c, r.Trace)
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	seed := FailureSeeds(r.Trace, 0)
 	ds := Dynamic(g, seed)
 	rs := cx.Relevant(g, seed)

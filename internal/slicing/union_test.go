@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"eol/internal/cfg"
-	"eol/internal/ddg"
+	"eol/internal/depgraph"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
 )
@@ -40,7 +40,7 @@ func TestUnionPDWithCoveringSuite(t *testing.T) {
 	}
 
 	// RS under union PD still captures the root cause.
-	g := ddg.New(r.Trace)
+	g := depgraph.New(r.Trace)
 	seed := FailureSeeds(r.Trace, 1)
 	rs := cx.Relevant(g, seed)
 	root := testsupport.StmtID(t, c, "read() * 0")

@@ -25,7 +25,7 @@ func (t *Trace) Ancestry() *Ancestry {
 		return t.anc
 	}
 
-	// Forks of a lazy base whose ancestry is already in interval mode
+	// Forks of a base whose ancestry is already in interval mode
 	// seed from it: a prefix interval wholly inside the cut keeps its
 	// end; one still open at the cut spans exactly [i, cut) here (while
 	// open, everything appended is its descendant), so its end clamps

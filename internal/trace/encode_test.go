@@ -46,14 +46,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptParent(t *testing.T) {
-	bad := New()
-	bad.entries = []Entry{{Inst: Instance{Stmt: 1, Occ: 1}, Parent: 5}}
-	var buf bytes.Buffer
-	if err := bad.Encode(&buf); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		entries []Entry
+	}{
+		{"forward parent", []Entry{{Inst: Instance{Stmt: 1, Occ: 1}, Parent: 5}}},
+		{"negative statement", []Entry{{Inst: Instance{Stmt: -1, Occ: 1}, Parent: -1}}},
+		{"repeated occurrence", []Entry{
+			{Inst: Instance{Stmt: 1, Occ: 1}, Parent: -1},
+			{Inst: Instance{Stmt: 1, Occ: 1}, Parent: -1},
+		}},
+		{"skipped occurrence", []Entry{
+			{Inst: Instance{Stmt: 1, Occ: 1}, Parent: -1},
+			{Inst: Instance{Stmt: 1, Occ: 3}, Parent: -1},
+		}},
 	}
-	if _, err := Decode(&buf); err == nil {
-		t.Error("forward parent must be rejected")
+	for _, c := range cases {
+		bad := New()
+		bad.entries = c.entries
+		var buf bytes.Buffer
+		if err := bad.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err == nil {
+			t.Errorf("%s must be rejected", c.name)
+		}
 	}
 }
 

@@ -49,14 +49,13 @@ func (p *Prefix) BaseLen() int { return p.t.Len() }
 
 // build computes the fork skeleton: one counting pass over the prefix,
 // then the shared children prototype — per prefix entry, the
-// capacity-clipped row of its children inside the cut. Every fork gets
-// its children array by bulk-copying the prototype instead of re-cutting
-// row by row. Entries, children rows, rootsList and Outputs of the base
-// trace are append-only and already final for indices < n, so this is
-// safe to run lazily, after the base run finished growing the trace.
+// capacity-clipped row of its children inside the cut, shared read-only
+// by every fork. Entries, children rows, rootsList and Outputs of the
+// base trace are final for indices < n once its run has finished, so
+// this is safe to run lazily, on the first Fork.
 func (p *Prefix) build() {
-	// A lazy base must have been finished by its run before any fork
-	// (Fork reads its children rows and roots list); fail loudly if not.
+	// The base must have been finished by its run before any fork (Fork
+	// reads its children rows and roots list); fail loudly if not.
 	p.t.ensureFinished()
 	childCut := make([]int32, p.n)
 	for i := 0; i < p.n; i++ {
@@ -86,32 +85,22 @@ func (p *Prefix) build() {
 // slice views, so the first append to any shared slice reallocates
 // instead of scribbling on the base trace; the prefix entries themselves
 // must be treated as read-only through the fork (Trace.At documents
-// this).
+// this). The suffix run appends to the fork and calls Finish; prefix
+// instances resolve through the base trace's complete row table, and
+// prefix children rows through the shared prototype, so the fork itself
+// allocates no O(prefix) state.
 func (p *Prefix) Fork() *Trace {
 	p.once.Do(p.build)
 	t := p.t
 	f := &Trace{
-		base:      t.entries[:p.n:p.n],
-		Outputs:   t.Outputs[:p.nOuts:p.nOuts],
-		rootsList: t.rootsList[:p.nRoots:p.nRoots],
+		base:         t.entries[:p.n:p.n],
+		Outputs:      t.Outputs[:p.nOuts:p.nOuts],
+		rootsList:    t.rootsList[:p.nRoots:p.nRoots],
+		baseRows:     t.own,
+		baseChildren: p.proto,
 	}
-	if t.lazy {
-		// Forks of a lazy base stay lazy: the suffix run appends without
-		// index maintenance and calls Finish; prefix instances resolve
-		// through the base trace's complete row table, and the children
-		// prototype is copied only once, into Finish's full-size array
-		// (lazy.go) — the fork itself allocates no O(prefix) state.
-		f.lazy = true
-		f.baseRows = t.own
-		f.baseChildren = p.proto
-		if t.anc != nil && t.anc.in == nil {
-			f.baseAnc = t.anc
-		}
-	} else {
-		f.children = make([][]int, p.n)
-		copy(f.children, p.proto)
-		f.instIdx = map[Instance]int{}
-		f.baseIdx = t.instIdx
+	if t.anc != nil && t.anc.in == nil {
+		f.baseAnc = t.anc
 	}
 	return f
 }

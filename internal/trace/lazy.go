@@ -2,11 +2,11 @@ package trace
 
 import "sort"
 
-// Lazily built traces: the optimized VM backend (internal/vm) appends
-// tens of thousands of entries per run, and the eager per-append index
-// maintenance — a children row append, an instance-map insert — is the
-// dominant cost of trace construction. A lazy trace records entries
-// only; Finish, called once when the run completes, materializes every
+// Deferred index construction: the VM appends tens of thousands of
+// entries per run, and per-append index maintenance — a children row
+// append, an instance-map insert — would dominate trace construction.
+// A trace therefore records entries only while its run executes;
+// Finish, called once when the run completes, materializes every
 // derived index in flat exact-sized passes:
 //
 //   - children rows and the roots list are carved out of one shared
@@ -16,31 +16,25 @@ import "sort"
 //     the trace index of S<s>#<start[s]+k>) instead of a hash map keyed
 //     by Instance.
 //
-// Analyses observe identical results through the Trace accessors; the
-// differential suite in internal/proptest pins the equivalence against
-// eagerly built tree-walker traces. Querying a lazy trace before Finish
-// (or appending after it) is a programming error and panics, which is
-// also what makes the scheme race-free: Finish runs on the executing
-// goroutine before the trace is ever shared.
+// The row table relies on two properties every interpreter trace has
+// and Decode checks on foreign ones: statement IDs are non-negative,
+// and each statement's occurrences are numbered 1, 2, ... in entry
+// order. internal/proptest checks every index against a brute-force
+// scan of the entries on both backends' traces and on VM forks.
+// Querying a trace before Finish (or appending after it) is a
+// programming error and panics, which is also what makes the scheme
+// race-free: Finish runs on the executing goroutine before the trace is
+// ever shared.
 
-// lazyRows is the instance index of a finished lazy trace, covering the
+// instRows is the instance index of a finished trace, covering the
 // owned suffix only (the whole trace when unforked). rows[s] lists the
 // trace indices of statement s's instances in execution order; start[s]
 // is the occurrence number of rows[s][0] (occurrence numbering continues
 // across a fork's checkpoint cut, so start-1 is also the number of
 // prefix instances whenever rows[s] is non-empty).
-type lazyRows struct {
+type instRows struct {
 	rows  [][]int
 	start []int32
-}
-
-// NewLazy creates an empty trace with deferred index maintenance:
-// Append records the entry only, and the caller must invoke Finish once
-// the run completes, before any index query. The eager New path remains
-// the reference; this is the construction mode of the VM backend
-// (docs/VM.md).
-func NewLazy() *Trace {
-	return &Trace{lazy: true}
 }
 
 // Reserve pre-allocates capacity for at least n further Append calls.
@@ -56,7 +50,7 @@ func (t *Trace) Reserve(n int) {
 	t.entries = grown
 }
 
-// AppendSlot extends a lazy trace by one zero entry and returns it for
+// AppendSlot extends the trace by one zero entry and returns it for
 // in-place initialization, together with its index. This is the VM
 // backend's emission path: filling a handful of integer fields in the
 // slot skips the 100-byte entry copy (and its pointer write barriers)
@@ -64,11 +58,8 @@ func (t *Trace) Reserve(n int) {
 // make and slice growth both hand out zeroed memory, and entries are
 // never truncated — so extending the length is all it takes.
 func (t *Trace) AppendSlot() (*Entry, int) {
-	if !t.lazy {
-		panic("trace: AppendSlot on an eager trace")
-	}
 	if t.own != nil {
-		panic("trace: Append to a finished lazy trace")
+		panic("trace: Append to a finished trace")
 	}
 	idx := t.Len()
 	if len(t.entries) < cap(t.entries) {
@@ -81,26 +72,22 @@ func (t *Trace) AppendSlot() (*Entry, int) {
 	return e, idx
 }
 
-// Finish materializes the derived indices of a lazily built trace. It
-// must be called exactly once, on the goroutine that appended, after
-// the last Append.
+// Finish materializes the derived indices of the trace. It must be
+// called exactly once, on the goroutine that appended, after the last
+// Append.
 func (t *Trace) Finish() {
-	if !t.lazy {
-		return
-	}
 	if t.own != nil {
-		panic("trace: Finish called twice on a lazy trace")
+		panic("trace: Finish called twice")
 	}
 	nb := len(t.base)
 	n := len(t.entries)
 
-	// Children and roots. Suffix-parent rows are carved from one arena
-	// sized by a counting pass. On unforked traces that arena-backed
-	// table IS the children index; on forked traces the prefix stays in
-	// the Prefix's shared read-only prototype, with the handful of
-	// prefix parents that gained suffix children (the control chain
-	// open at the checkpoint cut) overridden in a sparse map — no
-	// O(prefix) copy per fork.
+	// Children and roots. Rows of owned parents are carved from one
+	// arena sized by a counting pass; on unforked traces that is every
+	// row. On forked traces the prefix rows stay in the Prefix's shared
+	// read-only prototype, with the handful of prefix parents that gained
+	// suffix children (the control chain open at the checkpoint cut)
+	// overridden in a sparse map — no O(prefix) copy per fork.
 	counts := make([]int32, n)
 	roots, maxStmt := 0, 0
 	for i := range t.entries {
@@ -153,14 +140,10 @@ func (t *Trace) Finish() {
 			t.childOver[p] = append(row, idx)
 		}
 	}
-	if nb > 0 {
-		t.suffKids = kids
-	} else {
-		t.children = kids
-	}
+	t.children = kids
 
 	// Instance rows, same counting-pass-then-carve shape.
-	r := &lazyRows{
+	r := &instRows{
 		rows:  make([][]int, maxStmt+1),
 		start: make([]int32, maxStmt+1),
 	}
@@ -191,19 +174,19 @@ func (t *Trace) Finish() {
 	t.own = r
 }
 
-// ensureFinished guards every index query on a lazy trace.
+// ensureFinished guards every index query.
 func (t *Trace) ensureFinished() {
-	if t.lazy && t.own == nil {
-		panic("trace: lazy trace queried before Finish")
+	if t.own == nil {
+		panic("trace: queried before Finish")
 	}
 }
 
-// findLazy is FindInstance for finished lazy traces: the suffix rows
-// answer directly; an instance before the fork cut resolves through the
-// base trace's rows, valid only inside the shared prefix (the base run
-// continued past the cut, and those later instances did not necessarily
-// execute here).
-func (t *Trace) findLazy(inst Instance) int {
+// FindInstance returns the trace index of the given statement instance,
+// or -1 if it did not execute. The suffix rows answer directly; an
+// instance before the fork cut resolves through the base trace's rows,
+// valid only inside the shared prefix (the base run continued past the
+// cut, and those later instances did not necessarily execute here).
+func (t *Trace) FindInstance(inst Instance) int {
 	t.ensureFinished()
 	s := inst.Stmt
 	if r := t.own; s >= 0 && s < len(r.rows) && len(r.rows[s]) > 0 {
@@ -223,8 +206,8 @@ func (t *Trace) findLazy(inst Instance) int {
 	return -1
 }
 
-// occurrencesLazy is Occurrences for finished lazy traces.
-func (t *Trace) occurrencesLazy(stmt int) int {
+// Occurrences returns how many times statement stmt executed.
+func (t *Trace) Occurrences(stmt int) int {
 	t.ensureFinished()
 	if r := t.own; stmt >= 0 && stmt < len(r.rows) && len(r.rows[stmt]) > 0 {
 		// Occurrence numbering is contiguous across the fork cut, so the
@@ -238,10 +221,11 @@ func (t *Trace) occurrencesLazy(stmt int) int {
 	return 0
 }
 
-// instancesLazy is InstancesOf for finished lazy traces. Unforked
-// traces return their row directly (no allocation); forked traces
-// stitch the prefix part of the base row to the suffix row.
-func (t *Trace) instancesLazy(stmt int) []int {
+// InstancesOf returns the trace indices of all instances of statement
+// stmt, in execution order. Unforked traces return their row directly
+// (no allocation); forked traces stitch the prefix part of the base row
+// to the suffix row.
+func (t *Trace) InstancesOf(stmt int) []int {
 	t.ensureFinished()
 	if t.base == nil {
 		if r := t.own; stmt >= 0 && stmt < len(r.rows) {

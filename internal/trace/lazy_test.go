@@ -2,7 +2,7 @@ package trace
 
 import "testing"
 
-// buildLazyBase constructs a finished lazy trace shaped like an
+// buildLazyBase constructs a finished trace shaped like an
 // interpreter run: properly nested regions, an open loop chain at the
 // end (entry 5 still open when the trace is cut).
 //
@@ -14,7 +14,7 @@ import "testing"
 //	└── 5 (open at any cut ≥ 6)
 //	    └── 6
 func buildLazyBase() *Trace {
-	t := NewLazy()
+	t := New()
 	t.Append(Entry{Inst: Instance{Stmt: 1, Occ: 1}, Parent: -1})
 	t.Append(Entry{Inst: Instance{Stmt: 2, Occ: 1}, Parent: 0})
 	t.Append(Entry{Inst: Instance{Stmt: 3, Occ: 1}, Parent: 1})
@@ -49,7 +49,7 @@ func TestLazyMatchesEager(t *testing.T) {
 }
 
 // TestLazyForkSeededAncestry pins the seeded interval path: a fork of a
-// lazy base with a prebuilt ancestry must answer every IsAncestor pair
+// base with a prebuilt ancestry must answer every IsAncestor pair
 // exactly like the parent-chain walk, including pairs that mix prefix
 // and suffix entries and the re-extended open chain (4 → 5).
 func TestLazyForkSeededAncestry(t *testing.T) {
@@ -81,7 +81,7 @@ func TestLazyForkSeededAncestry(t *testing.T) {
 }
 
 // TestLazyForkPrefixQueries pins the two-level children and instance
-// resolution of a finished lazy fork.
+// resolution of a finished fork.
 func TestLazyForkPrefixQueries(t *testing.T) {
 	base := buildLazyBase()
 	f := base.PrefixAt(6).Fork()

@@ -26,6 +26,12 @@
 // forked switched run — see docs/CHECKPOINT.md) and an owned suffix that
 // Append extends. All accessors (At, Len, Children, FindInstance, ...)
 // present the two levels as one contiguous trace.
+//
+// Both execution backends build traces the same way: they append
+// entries during the run and call Finish once at its end, which builds
+// the children, roots and per-statement instance indices in flat passes
+// (lazy.go). Finish trusts its input; Decode validates foreign bytes
+// before it builds a trace from them.
 package trace
 
 import (
@@ -102,7 +108,8 @@ type Output struct {
 	Value int64
 }
 
-// Trace is a complete execution trace.
+// Trace is a complete execution trace. Index queries panic until
+// Finish has run, and appends panic after it.
 type Trace struct {
 	// base is the shared immutable prefix: nil for traces built by New,
 	// a capacity-clipped view of another trace's entries for traces built
@@ -113,91 +120,44 @@ type Trace struct {
 	entries []Entry
 	Outputs []Output
 
-	// children[i] lists the trace indices whose Parent == i, in order.
-	// Roots (Parent == -1) are in rootsList. Unlike entries, children
-	// covers base and suffix uniformly (fork pre-fills the prefix rows
-	// with capacity-clipped cuts of the base trace's rows).
+	// children[i-len(base)] lists the trace indices whose Parent == i,
+	// in order, for each owned entry i; prefix rows of a fork are in
+	// baseChildren and childOver. Roots (Parent == -1) are in rootsList,
+	// which covers base and suffix uniformly.
 	children  [][]int
 	rootsList []int
 
-	// instIdx maps an Instance to its trace index (suffix entries only on
-	// forked traces). baseIdx, set by Fork, is the *complete* base
-	// trace's index; a hit is valid only when the index falls inside the
-	// shared prefix.
-	instIdx map[Instance]int
-	baseIdx map[Instance]int
-
-	// anc is the lazily built ancestor index; see Ancestry.
-	anc *Ancestry
-
-	// stmtInsts maps a statement ID to its instance trace indices in
-	// execution order; built lazily by InstancesOf.
-	stmtInsts map[int][]int
-
-	// lazy marks a trace built with deferred index maintenance (NewLazy):
-	// Append records entries only, and own — the per-statement instance
-	// rows — doubles as the "Finish ran" marker. baseRows and
-	// baseChildren, set by Fork on forks of a lazy base, are the base
-	// trace's complete instance row table (a hit is valid only inside
-	// the shared prefix) and the prefix's shared read-only children
-	// prototype. Finish on such forks fills suffKids (children rows of
-	// suffix parents, indexed by parent-nb) and childOver (the few
-	// prefix parents whose rows gained suffix children) instead of
-	// copying the prototype into a flat array. See lazy.go.
-	// baseAnc, set by Fork when the lazy base already has an
-	// interval-mode ancestry index, seeds this fork's Ancestry with the
-	// base's interval ends instead of a full recomputation.
+	// anc is the lazily built ancestor index; see Ancestry. baseAnc, set
+	// by Fork when the base already has an interval-mode ancestry index,
+	// seeds this fork's Ancestry with the base's interval ends instead of
+	// a full recomputation.
+	anc     *Ancestry
 	baseAnc *Ancestry
 
-	lazy         bool
-	own          *lazyRows
-	baseRows     *lazyRows
+	// own, the per-statement instance rows of the owned entries, doubles
+	// as the "Finish ran" marker. baseRows and baseChildren, set by Fork,
+	// are the base trace's complete instance row table (a hit is valid
+	// only inside the shared prefix) and the prefix's shared read-only
+	// children prototype. Finish on forks fills childOver (the few
+	// prefix parents whose rows gained suffix children) instead of
+	// copying the prototype into a flat array.
+	own          *instRows
+	baseRows     *instRows
 	baseChildren [][]int
-	suffKids     [][]int
 	childOver    map[int][]int
 }
 
-// InstancesOf returns the trace indices of all instances of statement id,
-// in execution order. The index is built lazily on first call; the trace
-// must not be appended to afterwards.
-func (t *Trace) InstancesOf(stmt int) []int {
-	if t.lazy {
-		return t.instancesLazy(stmt)
-	}
-	if t.stmtInsts == nil {
-		t.stmtInsts = map[int][]int{}
-		for i := 0; i < t.Len(); i++ {
-			s := t.At(i).Inst.Stmt
-			t.stmtInsts[s] = append(t.stmtInsts[s], i)
-		}
-	}
-	return t.stmtInsts[stmt]
-}
+// New creates an empty trace. The caller appends its entries and then
+// calls Finish once, before any index query.
+func New() *Trace { return &Trace{} }
 
-// New creates an empty trace.
-func New() *Trace {
-	return &Trace{instIdx: map[Instance]int{}}
-}
-
-// Append adds an entry (with Parent already set) and maintains the
-// derived indices. It returns the entry index.
+// Append adds an entry (with Parent already set) and returns its index.
 func (t *Trace) Append(e Entry) int {
+	if t.own != nil {
+		panic("trace: Append to a finished trace")
+	}
 	e.Idx = t.Len()
-	if t.lazy {
-		if t.own != nil {
-			panic("trace: Append to a finished lazy trace")
-		}
-		t.entries = append(t.entries, e)
-		return e.Idx
-	}
 	t.entries = append(t.entries, e)
-	t.children = append(t.children, nil)
-	if e.Parent >= 0 {
-		t.children[e.Parent] = append(t.children[e.Parent], e.Idx)
-	} else {
-		t.rootsList = append(t.rootsList, e.Idx)
-	}
-	t.instIdx[e.Inst] = e.Idx
 	return e.Idx
 }
 
@@ -218,15 +178,12 @@ func (t *Trace) At(i int) *Entry {
 // nested regions' members), in execution order.
 func (t *Trace) Children(i int) []int {
 	t.ensureFinished()
-	if t.suffKids != nil {
-		if nb := len(t.base); i >= nb {
-			return t.suffKids[i-nb]
-		} else if row, ok := t.childOver[i]; ok {
-			return row
-		}
-		return t.baseChildren[i]
+	if nb := len(t.base); i >= nb {
+		return t.children[i-nb]
+	} else if row, ok := t.childOver[i]; ok {
+		return row
 	}
-	return t.children[i]
+	return t.baseChildren[i]
 }
 
 // Roots returns the top-level entries (global initializers and the
@@ -234,38 +191,6 @@ func (t *Trace) Children(i int) []int {
 func (t *Trace) Roots() []int {
 	t.ensureFinished()
 	return t.rootsList
-}
-
-// FindInstance returns the trace index of the given statement instance,
-// or -1 if it did not execute.
-func (t *Trace) FindInstance(inst Instance) int {
-	if t.lazy {
-		return t.findLazy(inst)
-	}
-	if i, ok := t.instIdx[inst]; ok {
-		return i
-	}
-	// A base-index hit is only valid inside the shared prefix: the base
-	// trace continued past the fork point, and those later instances did
-	// not (necessarily) execute in this trace.
-	if i, ok := t.baseIdx[inst]; ok && i < len(t.base) {
-		return i
-	}
-	return -1
-}
-
-// Occurrences returns how many times statement id executed.
-func (t *Trace) Occurrences(stmt int) int {
-	if t.lazy {
-		return t.occurrencesLazy(stmt)
-	}
-	n := 0
-	for occ := 1; ; occ++ {
-		if t.FindInstance(Instance{Stmt: stmt, Occ: occ}) < 0 {
-			return n
-		}
-		n++
-	}
 }
 
 // OutputAt returns the output event with the given sequence number, or

@@ -19,6 +19,7 @@ func buildTree() *Trace {
 	t.Append(Entry{Inst: Instance{Stmt: 3, Occ: 1}, Parent: 1})
 	t.Append(Entry{Inst: Instance{Stmt: 2, Occ: 2}, Parent: 0})
 	t.Append(Entry{Inst: Instance{Stmt: 4, Occ: 1}, Parent: -1})
+	t.Finish()
 	return t
 }
 
@@ -117,6 +118,7 @@ func TestAncestryAgreesWithWalk(t *testing.T) {
 			parent := int(p)%(i+1) - 1 // in [-1, i-1]
 			tr.Append(Entry{Inst: Instance{Stmt: 1, Occ: i + 1}, Parent: parent})
 		}
+		tr.Finish()
 		if tr.Len() == 0 {
 			return true
 		}

@@ -45,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"eol/internal/backend"
 	"eol/internal/implicit"
 	"eol/internal/interp"
 	"eol/internal/obs"
@@ -179,7 +180,7 @@ func New(base *implicit.Verifier, cfg Config) *Engine {
 	e.inputHash = hashInts(base.Input)
 	e.backend = base.Backend
 	if e.backend == nil {
-		e.backend = interp.Tree
+		e.backend = backend.Default()
 	}
 	e.backendName = e.backend.Name()
 	if base.Orig != nil {

@@ -162,7 +162,7 @@ func run(c *interp.Compiled, opts interp.Options) *interp.Result {
 	}
 	m.meter = interp.NewStepMeter(&m.res.Steps, budget, opts.Ctx, false)
 	if opts.BuildTrace {
-		m.tr = trace.NewLazy()
+		m.tr = trace.New()
 		m.res.Trace = m.tr
 		// Only a VM store can capture here; a foreign (tree) store is
 		// left untouched.
