@@ -33,18 +33,18 @@ import (
 // prepared caches benchmark-case preparation across benchmarks.
 var prepared = map[string]*bench.Prepared{}
 
-func prep(b *testing.B, name string) *bench.Prepared {
-	b.Helper()
+func prep(tb testing.TB, name string) *bench.Prepared {
+	tb.Helper()
 	if p, ok := prepared[name]; ok {
 		return p
 	}
 	c := bench.ByName(name)
 	if c == nil {
-		b.Fatalf("unknown case %s", name)
+		tb.Fatalf("unknown case %s", name)
 	}
 	p, err := c.Prepare()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	prepared[name] = p
 	return p
@@ -365,26 +365,37 @@ func BenchmarkCheckpointReplay(b *testing.B) {
 // newly verified edges (inc) or recomputes confidence over the whole
 // slice from scratch (full). The Reports are identical either way
 // (internal/core TestIncrementalDeterminismBench); this measures the
-// cost difference on the multi-iteration cases.
+// cost difference on the multi-iteration cases, and on the grep-long-sized
+// subject of TestGrepLongLocateAllocCeiling, where the oracle answers
+// hundreds of questions per Locate.
 func BenchmarkRepruneIncremental(b *testing.B) {
+	type subject struct {
+		name string
+		spec func() *core.Spec
+	}
+	var subjects []subject
 	for _, name := range []string{"grepsim/V4-F2", "sedsim/V3-F2", "sedsim/V3-F3"} {
-		p := prep(b, name)
+		subjects = append(subjects, subject{name, prep(b, name).Spec})
+	}
+	subjects = append(subjects, subject{"grepsim/V4-F2/30lines", grepLongSpec(b)})
+	for _, subj := range subjects {
 		for _, mode := range []struct {
 			label string
 			inc   core.FeatureMode
 		}{{"full", core.FeatureOff}, {"inc", core.FeatureDefault}} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode.label), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", subj.name, mode.label), func(b *testing.B) {
+				b.ReportAllocs()
 				var reeval int64
 				var frac float64
 				for i := 0; i < b.N; i++ {
-					spec := p.Spec()
+					spec := subj.spec()
 					spec.Features.IncrementalReprune = mode.inc
 					rep, err := core.Locate(spec)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if !rep.Located {
-						b.Fatalf("%s: not located", name)
+						b.Fatalf("%s: not located", subj.name)
 					}
 					reeval = rep.Stats.Repropagated
 					frac = rep.Stats.DirtyFraction

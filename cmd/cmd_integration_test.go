@@ -334,9 +334,8 @@ func TestCritpredCLI(t *testing.T) {
 }
 
 func TestEolshellSession(t *testing.T) {
-	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "eolshell"), "./cmd/eolshell")
 	bin(t, "minic") // ensure binDir exists
-	cmd = exec.Command("go", "build", "-o", filepath.Join(binDir, "eolshell"), "./cmd/eolshell")
+	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "eolshell"), "./cmd/eolshell")
 	cmd.Dir = repoRoot
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("build eolshell: %v\n%s", err, out)

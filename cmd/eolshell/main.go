@@ -136,7 +136,6 @@ type shell struct {
 	eng *verifyengine.Engine
 	rec *obs.Recorder
 
-	judged   map[int]bool // entries the user declared corrupted
 	expanded map[int]bool
 }
 
@@ -181,7 +180,7 @@ func newShell(c *interp.Compiled, bk interp.Backend, input, expected []int64, ef
 	return &shell{
 		c: c, tr: tr, cx: slicing.NewContext(c, tr), an: an, ver: ver,
 		eng: eng, rec: rec,
-		judged: map[int]bool{}, expanded: map[int]bool{},
+		expanded: map[int]bool{},
 	}, nil
 }
 
@@ -193,22 +192,12 @@ func (sh *shell) stmtText(id int) string {
 	return ast.StmtString(s)
 }
 
-// nextUnjudged returns the top-ranked candidate awaiting a verdict.
-func (sh *shell) nextUnjudged() (confidence.Candidate, bool) {
-	for _, cand := range sh.an.FaultCandidates() {
-		if !sh.judged[cand.Entry] {
-			return cand, true
-		}
-	}
-	return confidence.Candidate{}, false
-}
-
 func (sh *shell) list() {
 	cands := sh.an.FaultCandidates()
 	fmt.Printf("fault candidates (%d, most suspicious first):\n", len(cands))
 	for i, cand := range cands {
 		mark := " "
-		if sh.judged[cand.Entry] {
+		if sh.an.Judged(cand.Entry) {
 			mark = "×" // user-confirmed corrupted
 		}
 		inst := sh.tr.At(cand.Entry).Inst
@@ -262,7 +251,7 @@ func (sh *shell) expand() {
 
 func (sh *shell) loop(in *bufio.Scanner) {
 	for {
-		cand, ok := sh.nextUnjudged()
+		cand, ok := sh.an.Next()
 		if !ok {
 			fmt.Println("every candidate is confirmed corrupted; [e]xpand, [l]ist or [q]uit")
 		} else {
@@ -276,12 +265,12 @@ func (sh *shell) loop(in *bufio.Scanner) {
 		switch strings.ToLower(strings.TrimSpace(in.Text())) {
 		case "y", "yes":
 			if ok {
-				sh.an.MarkBenign(cand.Entry)
+				sh.an.Pin(cand.Entry)
 				sh.an.Compute()
 			}
 		case "n", "no":
 			if ok {
-				sh.judged[cand.Entry] = true
+				sh.an.Judge(cand.Entry)
 			}
 		case "e", "expand":
 			sh.expand()

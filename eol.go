@@ -654,9 +654,14 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 	switch {
 	case st.Correct != nil:
 		res := bk.Run(st.Correct.c, interp.Options{Input: s.input, BuildTrace: true, Ctx: ctx})
-		if res.Err == nil && res.Trace != nil {
+		switch {
+		case res.Err == nil:
 			orc = &oracle.StateOracle{Correct: res.Trace}
+		case !interp.IsCancellation(res.Err):
+			return nil, fmt.Errorf("eol: correct version run: %w", res.Err)
 		}
+		// A cancelled run falls through: Locate aborts on the same ctx
+		// and returns the partial Diagnosis.
 	case st.Oracle != nil:
 		orc = funcOracle{p: s.p, f: st.Oracle}
 	}
@@ -784,7 +789,8 @@ func (s *Session) Confidence(inst Instance) (float64, bool) {
 // over the region trees). This mechanizes the paper's interactive
 // protocol with ground truth and is what the evaluation harness uses.
 // The correct version must be structurally identical (expression-level
-// fault) for the pairing to be meaningful.
+// fault) for the pairing to be meaningful. If its run fails, Locate
+// returns that error rather than localizing without an oracle.
 func WithCorrectVersion(correct *Program) LocateOption {
 	return func(s *Settings) { s.Correct, s.Oracle = correct, nil }
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"eol/internal/interp"
 	"eol/internal/obs"
 	"eol/internal/testsupport"
 )
@@ -185,6 +186,30 @@ func TestSessionNoFailure(t *testing.T) {
 	}
 	if _, err := NewSession(fixed, testsupport.Fig1Input, e.Outputs()); !errors.Is(err, ErrNoFailure) {
 		t.Errorf("err = %v, want ErrNoFailure", err)
+	}
+}
+
+// TestLocateCorrectVersionRunFails: a correct version whose run fails
+// cannot serve as the oracle, so Locate reports the failure instead of
+// localizing without one.
+func TestLocateCorrectVersionRunFails(t *testing.T) {
+	s, faulty, _ := fig1Session(t)
+	root, _ := faulty.FindStatement("read() * 0")
+	broken := MustCompile(`
+var buf[2];
+func main() {
+    print(buf[read() + 5]);
+}`)
+	diag, err := s.Locate(WithRootCause(root), WithCorrectVersion(broken))
+	if err == nil {
+		t.Fatalf("Locate succeeded without its oracle: located=%v, %d user prunings",
+			diag.Located, diag.Stats.UserPrunings)
+	}
+	if !errors.Is(err, interp.ErrBounds) || !strings.Contains(err.Error(), "correct version run") {
+		t.Errorf("error %q does not report the correct run's fault", err)
+	}
+	if diag != nil {
+		t.Errorf("got a Diagnosis alongside the error: %+v", diag)
 	}
 }
 

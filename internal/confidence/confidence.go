@@ -32,18 +32,26 @@
 // Algorithm 2 calls Compute after every expansion wave and every benign
 // verdict, but each such step changes the graph by a handful of overlay
 // edges or pins one instance. When Incremental is set, edge additions
-// routed through AddEdges and pins through Pin/MarkBenign are queued as
-// deltas, and the next Compute touches only the invalidated cone: the
-// slice/closure sets grow by the new edges' backward cones, distances
-// relax decrease-only, the pinned fixpoint continues from the new pins
-// (it is monotone, so continuation and from-scratch agree), and
-// confidences re-evaluate along a worklist in decreasing entry order.
+// routed through AddEdges and pins through Pin are queued as deltas, and
+// the next Compute touches only the invalidated cone: the slice/closure
+// sets grow by the new edges' backward cones, distances relax
+// decrease-only, the pinned fixpoint continues from the new pins (it is
+// monotone, so continuation and from-scratch agree), and confidences
+// re-evaluate along a worklist in decreasing entry order.
 // Because every dependence edge points from a later entry to an earlier
 // one, consumers always finalize before their producers, and the delta
 // pass reproduces the full pass bit for bit — the same float operations
 // on the same operands (see docs/DEPGRAPH.md for the argument). Any state
 // the delta path cannot account for — Kinds or Naive changed, the graph
 // mutated behind the analyzer's back — falls back to a full pass.
+//
+// # Ranked selection
+//
+// PruneSlicing asks the user about the most suspicious candidate not yet
+// judged, after every answer. Next serves that question from a lazily
+// invalidated heap instead of re-sorting the slice (see Next), so an
+// answer costs O(changed confidences · log n) rather than
+// O(slice · log slice).
 package confidence
 
 import (
@@ -153,6 +161,7 @@ type Analyzer struct {
 	Incremental bool
 
 	benign map[int]bool
+	judged *depgraph.Set // entries answered "corrupted" (Judge); only grows
 
 	// Results of the last Compute.
 	conf   []float64
@@ -170,6 +179,15 @@ type Analyzer struct {
 	pendingArcs []Arc
 	pendingPins []int
 
+	// rank is the candidate heap behind Next; rankStale asks Next to
+	// rebuild it from the slice.
+	rank      binHeap[Candidate]
+	rankStale bool
+
+	// Worklist storage computeDelta reuses from pass to pass.
+	dirty *depgraph.Set
+	work  binHeap[int]
+
 	// Re-propagation accounting (RepropStats): Compute passes after the
 	// first, and confidence entries re-evaluated by them.
 	passes int
@@ -183,6 +201,10 @@ func New(c *interp.Compiled, g *depgraph.Graph, prof *Profile, correct []trace.O
 		CorrectOuts: correct, WrongOut: wrong,
 		Kinds:  depgraph.Explicit | depgraph.Implicit | depgraph.StrongImplicit,
 		benign: map[int]bool{},
+		judged: depgraph.NewSet(g.T.Len()),
+		rank:   binHeap[Candidate]{before: ranksBefore},
+		dirty:  depgraph.NewSet(g.T.Len()),
+		work:   binHeap[int]{before: func(x, y int) bool { return x > y }},
 	}
 }
 
@@ -210,11 +232,13 @@ func (a *Analyzer) Pin(entry int) {
 	}
 }
 
-// MarkBenign is the historical name for Pin.
-func (a *Analyzer) MarkBenign(entry int) { a.Pin(entry) }
+// Judge records the user's "corrupted" answer for entry: Next passes it
+// over from now on. Judging changes no confidence and leaves
+// FaultCandidates as it is.
+func (a *Analyzer) Judge(entry int) { a.judged.Add(entry) }
 
-// Benign reports whether entry was marked benign.
-func (a *Analyzer) Benign(entry int) bool { return a.benign[entry] }
+// Judged reports whether entry was judged corrupted.
+func (a *Analyzer) Judged(entry int) bool { return a.judged.Has(entry) }
 
 // RepropStats reports the re-propagation cost of Compute calls after the
 // first: how many such passes ran and how many confidence entries they
@@ -268,6 +292,7 @@ func (a *Analyzer) computeFull() {
 	a.accVersion = a.G.Version()
 	a.pendingArcs = a.pendingArcs[:0]
 	a.pendingPins = a.pendingPins[:0]
+	a.rankStale = true
 }
 
 // buildConsumers assembles the forward consumer lists: data uses from the
@@ -437,8 +462,15 @@ func (a *Analyzer) computeDelta() {
 	n := t.Len()
 	extraKinds := a.Kinds &^ depgraph.Explicit
 
-	dirty := depgraph.NewSet(n)
-	var work maxHeap
+	// Arcs move slice membership and distances, so the candidate heap is
+	// rebuilt; a pass with only pins changes confidences alone, and the
+	// loop below pushes a fresh heap item for each that changed.
+	if len(a.pendingArcs) > 0 {
+		a.rankStale = true
+	}
+
+	dirty, work := a.dirty, &a.work
+	dirty.Reset()
 	push := func(i int) {
 		if i >= 0 && i < n && dirty.Add(i) {
 			work.push(i)
@@ -510,6 +542,9 @@ func (a *Analyzer) computeDelta() {
 		nv := a.confOf(i)
 		if nv != a.conf[i] {
 			a.conf[i] = nv
+			if c, ok := a.candidate(i); ok && !a.rankStale && a.slice.Has(i) {
+				a.rank.push(c)
+			}
 			for _, u := range t.At(i).Uses {
 				if u.Def >= 0 {
 					push(u.Def)
@@ -544,32 +579,105 @@ type Candidate struct {
 	Dist  int
 }
 
+// ranksBefore is the candidate order: lowest confidence, then smallest
+// dependence distance to the failure, then latest execution. Entries are
+// distinct, so it is a strict total order on candidates, and any
+// procedure that selects by it (sort, heap, scan) picks the same one.
+func ranksBefore(x, y Candidate) bool {
+	if x.Conf != y.Conf {
+		return x.Conf < y.Conf
+	}
+	if x.Dist != y.Dist {
+		return x.Dist < y.Dist
+	}
+	return x.Entry > y.Entry
+}
+
+// candidate returns entry e's rank key as of the last Compute; ok is false
+// when e is pinned. Slice membership is the caller's to check.
+func (a *Analyzer) candidate(e int) (c Candidate, ok bool) {
+	if a.conf[e] >= 1 {
+		return Candidate{}, false
+	}
+	d := math.MaxInt32
+	if dd := a.dist[e]; dd >= 0 {
+		d = int(dd)
+	}
+	return Candidate{Entry: e, Conf: a.conf[e], Dist: d}, true
+}
+
 // FaultCandidates returns the pruned slice as a ranked list: entries of
 // the wrong output's slice with confidence < 1, most suspicious first
-// (lowest confidence, then smallest dependence distance to the failure,
-// then latest execution).
+// (ranksBefore).
 func (a *Analyzer) FaultCandidates() []Candidate {
 	var res []Candidate
 	a.slice.ForEach(func(e int) {
-		if a.conf[e] >= 1 {
-			return
+		if c, ok := a.candidate(e); ok {
+			res = append(res, c)
 		}
-		d := math.MaxInt32
-		if dd := a.dist[e]; dd >= 0 {
-			d = int(dd)
-		}
-		res = append(res, Candidate{Entry: e, Conf: a.conf[e], Dist: d})
 	})
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Conf != res[j].Conf {
-			return res[i].Conf < res[j].Conf
-		}
-		if res[i].Dist != res[j].Dist {
-			return res[i].Dist < res[j].Dist
-		}
-		return res[i].Entry > res[j].Entry
-	})
+	sort.Slice(res, func(i, j int) bool { return ranksBefore(res[i], res[j]) })
 	return res
+}
+
+// NumCandidates returns len(FaultCandidates()) without building the list.
+func (a *Analyzer) NumCandidates() int {
+	n := 0
+	a.slice.ForEach(func(e int) {
+		if a.conf[e] < 1 {
+			n++
+		}
+	})
+	return n
+}
+
+// FirstCandidate returns the first candidate, in FaultCandidates order,
+// whose entry keep accepts, and false when there is none.
+func (a *Analyzer) FirstCandidate(keep func(entry int) bool) (Candidate, bool) {
+	var best Candidate
+	found := false
+	a.slice.ForEach(func(e int) {
+		if c, ok := a.candidate(e); ok && (!found || ranksBefore(c, best)) && keep(e) {
+			best, found = c, true
+		}
+	})
+	return best, found
+}
+
+// Next returns the first candidate, in FaultCandidates order, that has not
+// been judged, and false when every candidate has been. Like
+// FaultCandidates it reflects the last Compute.
+//
+// The candidates sit in a lazily invalidated min-heap under ranksBefore.
+// Invariant: every current candidate that is not judged has an item in the
+// heap carrying its current key. Items go stale when their entry's
+// confidence changes or it is pinned (its key no longer matches) or when
+// it is judged; Next drops such items as they reach the top. Judged
+// entries only ever accumulate, so a dropped item is never needed again.
+// A full pass, or a delta pass that applied arcs, marks the heap for a
+// rebuild from the slice; a delta pass with only pins pushes one item per
+// changed confidence (computeDelta). Because ranksBefore is a strict total
+// order, the top valid item is exactly FaultCandidates' first unjudged
+// entry.
+func (a *Analyzer) Next() (Candidate, bool) {
+	if a.rankStale {
+		a.rank.s = a.rank.s[:0]
+		a.slice.ForEach(func(e int) {
+			if c, ok := a.candidate(e); ok && !a.judged.Has(e) {
+				a.rank.s = append(a.rank.s, c)
+			}
+		})
+		a.rank.heapify()
+		a.rankStale = false
+	}
+	for a.rank.len() > 0 {
+		top := a.rank.s[0]
+		if c, ok := a.candidate(top.Entry); ok && c == top && !a.judged.Has(top.Entry) {
+			return top, true
+		}
+		a.rank.pop()
+	}
+	return Candidate{}, false
 }
 
 // PrunedStats summarizes the pruned slice in static/dynamic terms.
@@ -583,49 +691,60 @@ func (a *Analyzer) PrunedStats() depgraph.SliceStats {
 	return a.G.Stats(pruned)
 }
 
-// maxHeap is a simple binary max-heap of entry indices, used to drain the
-// dirty set in decreasing order.
-type maxHeap []int
+// binHeap is a binary heap whose top is an element no other is before:
+// the dirty worklist drains entries in decreasing order with it, and Next
+// ranks candidates with it.
+type binHeap[T any] struct {
+	s      []T
+	before func(x, y T) bool
+}
 
-func (h maxHeap) len() int { return len(h) }
+func (h *binHeap[T]) len() int { return len(h.s) }
 
-func (h *maxHeap) push(i int) {
-	*h = append(*h, i)
-	s := *h
-	c := len(s) - 1
+func (h *binHeap[T]) push(x T) {
+	h.s = append(h.s, x)
+	c := len(h.s) - 1
 	for c > 0 {
 		p := (c - 1) / 2
-		if s[p] >= s[c] {
+		if !h.before(h.s[c], h.s[p]) {
 			break
 		}
-		s[p], s[c] = s[c], s[p]
+		h.s[p], h.s[c] = h.s[c], h.s[p]
 		c = p
 	}
 }
 
-func (h *maxHeap) pop() int {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	p := 0
+func (h *binHeap[T]) pop() T {
+	top := h.s[0]
+	last := len(h.s) - 1
+	h.s[0] = h.s[last]
+	h.s = h.s[:last]
+	h.down(0)
+	return top
+}
+
+// heapify establishes the heap order over elements appended to h.s.
+func (h *binHeap[T]) heapify() {
+	for i := len(h.s)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *binHeap[T]) down(p int) {
 	for {
 		c := 2*p + 1
-		if c >= len(s) {
-			break
+		if c >= len(h.s) {
+			return
 		}
-		if c+1 < len(s) && s[c+1] > s[c] {
+		if c+1 < len(h.s) && h.before(h.s[c+1], h.s[c]) {
 			c++
 		}
-		if s[p] >= s[c] {
-			break
+		if !h.before(h.s[c], h.s[p]) {
+			return
 		}
-		s[p], s[c] = s[c], s[p]
+		h.s[p], h.s[c] = h.s[c], h.s[p]
 		p = c
 	}
-	return top
 }
 
 // ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ func main() {
 	if an.Confidence(bv) >= 1 {
 		t.Fatalf("precondition: b unpinned, got %v", an.Confidence(bv))
 	}
-	an.MarkBenign(av)
+	an.Pin(av)
 	an.Compute()
 	if got := an.Confidence(av); got != 1 {
 		t.Errorf("benign a: C = %v, want 1", got)

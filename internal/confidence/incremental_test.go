@@ -3,9 +3,11 @@ package confidence
 // Differential coverage for the incremental re-propagation path: an
 // analyzer driven through AddEdges/Pin deltas must report exactly the
 // confidences, slice and candidate ranking of a from-scratch analyzer
-// over the same final graph — for any interleaving of edge additions and
-// pins. This is the contract that lets Algorithm 2's re-prune step touch
-// only the invalidated cone (see the package doc).
+// over the same final graph — for any interleaving of edge additions,
+// pins and judgements — and both analyzers' Next must pick the first
+// unjudged entry of that ranking. This is the contract that lets
+// Algorithm 2's re-prune step touch only the invalidated cone and take
+// its next question from the candidate heap (see the package doc).
 
 import (
 	"math/rand"
@@ -34,6 +36,22 @@ func assertAnalyzersAgree(t *testing.T, label string, inc, full *Analyzer, n int
 			t.Fatalf("%s: candidate %d = %+v incremental, %+v full", label, i, ic[i], fc[i])
 		}
 	}
+	want, wantOK := Candidate{}, false
+	for _, c := range ic {
+		if !inc.Judged(c.Entry) {
+			want, wantOK = c, true
+			break
+		}
+	}
+	for _, side := range []struct {
+		name string
+		an   *Analyzer
+	}{{"incremental", inc}, {"full", full}} {
+		if got, ok := side.an.Next(); ok != wantOK || got != want {
+			t.Fatalf("%s: %s Next() = %+v, %v; first unjudged candidate is %+v, %v",
+				label, side.name, got, ok, want, wantOK)
+		}
+	}
 	is, fs := inc.Slice().Ordered(), full.Slice().Ordered()
 	if len(is) != len(fs) {
 		t.Fatalf("%s: slice sizes %d incremental, %d full", label, len(is), len(fs))
@@ -47,7 +65,9 @@ func assertAnalyzersAgree(t *testing.T, label string, inc, full *Analyzer, n int
 
 // TestIncrementalMatchesFullFuzz drives paired analyzers — one
 // incremental, one recomputing from scratch after every change — through
-// random sequences of edge additions and pins over generated programs.
+// random sequences of edge additions, pins and judgements over generated
+// programs. Each round ends in a pruning pass shaped like PruneSlicing's:
+// the top candidate is pinned (a delta pass with pins only) or judged.
 func TestIncrementalMatchesFullFuzz(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12507342))
 	subjects := 0
@@ -101,10 +121,39 @@ func TestIncrementalMatchesFullFuzz(t *testing.T) {
 				inc.Pin(e)
 				full.Pin(e)
 			}
+			if rnd.Intn(2) == 0 {
+				e := rnd.Intn(tr.Len())
+				inc.Judge(e)
+				full.Judge(e)
+			}
 			inc.Compute()
 			full.Compute()
 			assertAnalyzersAgree(t, "round", inc, full, tr.Len())
+
+			for step := 0; step < 8; step++ {
+				c, ok := inc.Next()
+				if !ok {
+					break
+				}
+				if rnd.Intn(2) == 0 {
+					inc.Judge(c.Entry)
+					full.Judge(c.Entry)
+				} else {
+					inc.Pin(c.Entry)
+					full.Pin(c.Entry)
+					inc.Compute()
+					full.Compute()
+				}
+				assertAnalyzersAgree(t, "pruning", inc, full, tr.Len())
+			}
 		}
+
+		// Once every candidate is judged, neither side has a question left.
+		for _, c := range inc.FaultCandidates() {
+			inc.Judge(c.Entry)
+			full.Judge(c.Entry)
+		}
+		assertAnalyzersAgree(t, "all judged", inc, full, tr.Len())
 
 		// Both sides count re-prune passes; only the incremental side may
 		// re-evaluate fewer entries than passes × trace length.

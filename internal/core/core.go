@@ -346,7 +346,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	rep := &Report{WrongOutput: wrong, Vexp: vexp, Trace: tr, Graph: g}
 
 	l := &locator{spec: spec, ctx: ctx, cx: cx, an: an, ver: ver, eng: eng, rep: rep,
-		rec: rec, pdCache: map[int][]slicing.PDep{}, judged: map[int]bool{}}
+		rec: rec, pdCache: map[int][]slicing.PDep{}}
 
 	// Initial PruneSlicing (Algorithm 2 line 3).
 	if err := l.pruneSlicing(); err != nil {
@@ -424,7 +424,6 @@ type locator struct {
 	rep     *Report
 	rec     *obs.Recorder
 	pdCache map[int][]slicing.PDep
-	judged  map[int]bool // entries already answered "corrupted" by the user
 
 	boundaryVals []int64 // memoized perturbation probe values
 }
@@ -439,9 +438,9 @@ func (l *locator) pd(entry int) []slicing.PDep {
 }
 
 // pruneSlicing is the interactive pruning pass: present candidates in
-// rank order; benign answers pin the instance and re-rank, corrupted
-// answers are remembered. It stops when every candidate is judged
-// corrupted.
+// rank order (Analyzer.Next); benign answers pin the instance and
+// re-rank, corrupted answers are remembered (Analyzer.Judge) for the
+// rest of the run. It stops when every candidate is judged corrupted.
 //
 // Each Compute here is a re-prune: after the first pass it re-propagates
 // only the cone invalidated by the latest expansion edges and pins
@@ -460,25 +459,19 @@ func (l *locator) pruneSlicing() error {
 			l.rec.End("reprune", 0)
 			return fmt.Errorf("pruning aborted: %w", interp.CtxErr(err))
 		}
-		repeat := false
-		for _, cand := range l.an.FaultCandidates() {
-			if l.judged[cand.Entry] {
-				continue
-			}
-			if l.spec.Oracle.IsBenign(l.cx.T, cand.Entry) {
-				l.rep.Stats.UserPrunings++
-				l.rec.Count("pruned_entries", 1)
-				l.an.Pin(cand.Entry)
-				l.an.Compute()
-				repeat = true
-				break
-			}
-			l.judged[cand.Entry] = true
+		cand, ok := l.an.Next()
+		for ok && !l.spec.Oracle.IsBenign(l.cx.T, cand.Entry) {
+			l.an.Judge(cand.Entry)
+			cand, ok = l.an.Next()
 		}
-		if !repeat {
-			l.rec.End("reprune", int64(len(l.an.FaultCandidates())))
+		if !ok {
+			l.rec.End("reprune", int64(l.an.NumCandidates()))
 			return nil
 		}
+		l.rep.Stats.UserPrunings++
+		l.rec.Count("pruned_entries", 1)
+		l.an.Pin(cand.Entry)
+		l.an.Compute()
 	}
 }
 
@@ -526,19 +519,22 @@ func (l *locator) finalizeStats() {
 }
 
 // rootInCandidates reports whether a root-cause instance is in the
-// current fault candidate set.
+// current fault candidate set, recording the best-ranked one.
 func (l *locator) rootInCandidates() bool {
-	for _, cand := range l.an.FaultCandidates() {
-		stmt := l.cx.T.At(cand.Entry).Inst.Stmt
+	cand, ok := l.an.FirstCandidate(func(e int) bool {
+		stmt := l.cx.T.At(e).Inst.Stmt
 		for _, rc := range l.spec.RootCause {
 			if stmt == rc {
-				l.rep.Located = true
-				l.rep.RootEntry = cand.Entry
 				return true
 			}
 		}
+		return false
+	})
+	if ok {
+		l.rep.Located = true
+		l.rep.RootEntry = cand.Entry
 	}
-	return false
+	return ok
 }
 
 // expand verifies PD(u) and adds the verified (strong) implicit edges,

@@ -19,6 +19,12 @@ func NewSet(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64)}
 }
 
+// Reset empties the set, keeping its storage for reuse.
+func (s *Set) Reset() {
+	clear(s.words)
+	s.count = 0
+}
+
 // grow ensures the backing array covers bit i.
 func (s *Set) grow(i int) {
 	w := i >> 6
