@@ -9,6 +9,7 @@
 package eol
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -252,7 +253,9 @@ func BenchmarkVerifyEngine(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					e := verifyengine.New(newVerifier(),
 						verifyengine.Config{Workers: m.workers, CacheSize: m.cacheSz})
-					e.VerifyBatch(reqs)
+					if _, err := e.VerifyBatchContext(context.Background(), reqs); err != nil {
+						b.Fatal(err)
+					}
 					last = e.Stats()
 				}
 				if m.cacheSz >= 0 {

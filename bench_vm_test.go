@@ -10,6 +10,7 @@
 package eol
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -118,7 +119,9 @@ func BenchmarkBackendVerifyEngine(b *testing.B) {
 					v.Vexp, v.HasVexp = exp[seq], true
 				}
 				e := verifyengine.New(v, verifyengine.Config{Workers: 1, CacheSize: -1})
-				e.VerifyBatch(reqs)
+				if _, err := e.VerifyBatchContext(context.Background(), reqs); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -52,7 +52,6 @@ func main() {
 		Reps:     *repsFlag,
 		Workers:  engFlags.Workers,
 		Cache:    engFlags.Cache,
-		Backend:  engFlags.Backend,
 		Observer: observer,
 		Ctx:      ctx,
 	}

@@ -40,7 +40,7 @@ func bin(t *testing.T, name string) string {
 			buildErr = err
 			return
 		}
-		for _, tool := range []string{"minic", "slicer", "eoloc", "benchtab", "eolvet", "eolcorpus"} {
+		for _, tool := range []string{"minic", "slicer", "eoloc", "benchtab", "eolvet", "eolcorpus", "eolshell", "critpred"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			cmd.Dir = repoRoot
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -176,42 +176,12 @@ func TestDisasmGolden(t *testing.T) {
 		t.Errorf("slicer -disasm diverges from golden file:\n got:\n%s\nwant:\n%s", out, golden)
 	}
 
-	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "eolshell"), "./cmd/eolshell")
-	cmd.Dir = repoRoot
-	if bout, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build eolshell: %v\n%s", err, bout)
-	}
 	out, err = runTool(t, "eolshell", "-disasm", "testdata/fig1_faulty.mc")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	if out != string(golden) {
 		t.Errorf("eolshell -disasm diverges from golden file:\n got:\n%s\nwant:\n%s", out, golden)
-	}
-}
-
-// TestSlicerBackends runs the same slicing twice, once per execution
-// backend, and requires byte-identical output — the CLI-level
-// differential check.
-func TestSlicerBackends(t *testing.T) {
-	args := func(b string) []string {
-		return []string{"-backend", b,
-			"-correct", "testdata/fig1_fixed.mc", "-input", "1", "testdata/fig1_faulty.mc"}
-	}
-	vmOut, err := runTool(t, "slicer", args("vm")...)
-	if err != nil {
-		t.Fatalf("vm: %v\n%s", err, vmOut)
-	}
-	treeOut, err := runTool(t, "slicer", args("tree")...)
-	if err != nil {
-		t.Fatalf("tree: %v\n%s", err, treeOut)
-	}
-	if vmOut != treeOut {
-		t.Errorf("backends diverge:\nvm:\n%s\ntree:\n%s", vmOut, treeOut)
-	}
-	if out, err := runTool(t, "slicer", "-backend", "quantum",
-		"-correct", "testdata/fig1_fixed.mc", "-input", "1", "testdata/fig1_faulty.mc"); err == nil {
-		t.Errorf("unknown backend accepted:\n%s", out)
 	}
 }
 
@@ -308,15 +278,6 @@ func TestBenchtabTable1(t *testing.T) {
 }
 
 func TestCritpredCLI(t *testing.T) {
-	// Build critpred too (not in the initial tool list).
-	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "critpred"), "./cmd/critpred")
-	cmd.Dir = repoRoot
-	bin(t, "minic") // ensure binDir exists
-	cmd = exec.Command("go", "build", "-o", filepath.Join(binDir, "critpred"), "./cmd/critpred")
-	cmd.Dir = repoRoot
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build critpred: %v\n%s", err, out)
-	}
 	out, err := runTool(t, "critpred",
 		"-correct", "testdata/fig1_fixed.mc", "-input", "1", "testdata/fig1_faulty.mc")
 	if err != nil {
@@ -334,15 +295,9 @@ func TestCritpredCLI(t *testing.T) {
 }
 
 func TestEolshellSession(t *testing.T) {
-	bin(t, "minic") // ensure binDir exists
-	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "eolshell"), "./cmd/eolshell")
-	cmd.Dir = repoRoot
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build eolshell: %v\n%s", err, out)
-	}
 	// The paper's protocol: declare the chain corrupted (n), prune the
 	// benign rest (y), expand, list, quit.
-	sh := exec.Command(filepath.Join(binDir, "eolshell"),
+	sh := exec.Command(bin(t, "eolshell"),
 		"-correct", "testdata/fig1_fixed.mc", "-input", "1", "testdata/fig1_faulty.mc")
 	sh.Dir = repoRoot
 	sh.Stdin = strings.NewReader("n\nn\ny\ny\ny\ne\nl\nq\n")
@@ -365,13 +320,7 @@ func TestEolshellSession(t *testing.T) {
 }
 
 func TestEolshellExpectedFlag(t *testing.T) {
-	bin(t, "minic")
-	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "eolshell"), "./cmd/eolshell")
-	cmd.Dir = repoRoot
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build eolshell: %v\n%s", err, out)
-	}
-	sh := exec.Command(filepath.Join(binDir, "eolshell"),
+	sh := exec.Command(bin(t, "eolshell"),
 		"-expected", "8,8", "-input", "1", "testdata/fig1_faulty.mc")
 	sh.Dir = repoRoot
 	sh.Stdin = strings.NewReader("q\n")
@@ -442,13 +391,23 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestRemovedSpeculateFlag: speculative verification, the SPDG reach
-// filter and the checkpoint count are gone, and their -speculate,
-// -no-static-reach and -checkpoints flags are now unknown flags (usage
-// error, exit 2) on every command that used to accept them.
+// filter, the checkpoint count, the backend selector and the gob trace
+// file are gone, and their -speculate, -no-static-reach, -checkpoints,
+// -backend and -savetrace flags are now unknown flags (usage error,
+// exit 2) on every command that used to accept them.
 func TestRemovedSpeculateFlag(t *testing.T) {
 	buildServeTools(t)
-	for _, tool := range []string{"eoloc", "eolcorpus", "eolserve"} {
-		for _, flag := range []string{"-speculate", "-no-static-reach", "-checkpoints=64"} {
+	removed := map[string][]string{
+		"eoloc":     {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree"},
+		"eolcorpus": {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree"},
+		"eolserve":  {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree"},
+		"eolshell":  {"-backend=tree"},
+		"slicer":    {"-backend=tree"},
+		"benchtab":  {"-backend=tree"},
+		"minic":     {"-savetrace=t.gob"},
+	}
+	for tool, flags := range removed {
+		for _, flag := range flags {
 			out, code := runExit(t, tool, flag)
 			name, _, _ := strings.Cut(flag, "=")
 			if code != 2 || !strings.Contains(out, "flag provided but not defined: "+name) {
@@ -544,20 +503,6 @@ func TestMinicVet(t *testing.T) {
 	}
 }
 
-func TestMinicSaveTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.gob")
-	out, err := runTool(t, "minic", "-input", "1", "-savetrace", path, "testdata/fig1_faulty.mc")
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(out, "trace saved") {
-		t.Errorf("output:\n%s", out)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Errorf("trace file missing or empty: %v", err)
-	}
-}
-
 // TestEolcorpusSmoke drives eolcorpus over the smoke manifest: the two
 // fig1 subjects locate, the slow subject hits its 5ms deadline, and the
 // default JSON output is byte-identical across shard counts.
@@ -585,8 +530,8 @@ func TestEolcorpusSmoke(t *testing.T) {
 	}
 }
 
-// TestEolcorpusAB is the corpus-level A/B over the engine features, the
-// backends and the shard count: every configuration must write the same
+// TestEolcorpusAB is the corpus-level A/B over the engine features and
+// the shard count: every configuration must write the same
 // JSON report and the same run journal as the default, and every
 // journal must validate. On staticreach.json the trace-replay filter
 // must actually retire candidates.
@@ -598,7 +543,6 @@ func TestEolcorpusAB(t *testing.T) {
 	}{
 		{"default", nil, false},
 		{"no-checkpoints", nil, true},
-		{"tree", []string{"-backend", "tree"}, false},
 		{"shards2", []string{"-shards", "2"}, false},
 	}
 	fired := regexp.MustCompile(`"replay_skips": [1-9]`)

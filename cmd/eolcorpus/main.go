@@ -74,7 +74,6 @@ func main() {
 		VerifyWorkers: engFlags.Workers,
 		CacheSize:     engFlags.Cache,
 		NoSharedCache: *privateFlag,
-		Backend:       engFlags.Backend,
 		Observer:      observer,
 	})
 	if cerr := closeObs(); cerr != nil {

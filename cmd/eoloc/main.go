@@ -17,7 +17,6 @@
 //	-report FILE    write a markdown debugging report
 //	-deadline D     wall-clock bound for the whole localization ("30s");
 //	                on expiry eoloc exits 1 with class [deadline]
-//	-backend B      execution backend: vm (default) or tree
 //	-workers N      verification workers (0 = GOMAXPROCS, 1 = sequential)
 //	-cache N        switched-run cache size (0 = default, negative = off)
 //	-trace FILE     write the deterministic JSONL run journal
@@ -71,12 +70,7 @@ func main() {
 	faulty := mustCompile(flag.Arg(0))
 	correct := mustCompile(*correctFlag)
 
-	bk, err := backend.Lookup(engFlags.Backend)
-	if err != nil {
-		cliutil.Usagef("eoloc: %v", err)
-	}
-
-	corRun := bk.Run(correct, interp.Options{Input: input, BuildTrace: true})
+	corRun := backend.Default().Run(correct, interp.Options{Input: input, BuildTrace: true})
 	if corRun.Err != nil {
 		cliutil.Fatalf("eoloc: correct run: %v", corRun.Err)
 	}
@@ -88,7 +82,6 @@ func main() {
 
 	spec := &core.Spec{
 		Program:         faulty,
-		Backend:         bk,
 		Input:           input,
 		Expected:        corRun.OutputValues(),
 		Oracle:          &oracle.StateOracle{Correct: corRun.Trace},
@@ -118,7 +111,7 @@ func main() {
 			if err != nil {
 				cliutil.Usagef("eoloc: -profile: %v", err)
 			}
-			r := bk.Run(faulty, interp.Options{Input: in, BuildTrace: true})
+			r := backend.Default().Run(faulty, interp.Options{Input: in, BuildTrace: true})
 			if r.Err != nil {
 				cliutil.Fatalf("eoloc: profile run: %v", r.Err)
 			}

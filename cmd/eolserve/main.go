@@ -70,7 +70,6 @@ func main() {
 			Shards:        *shardsFlag,
 			VerifyWorkers: engFlags.Workers,
 			CacheSize:     engFlags.Cache,
-			Backend:       engFlags.Backend,
 		},
 		MaxDeadline: *maxDeadlineFlag,
 		Sessions:    *sessionsFlag,

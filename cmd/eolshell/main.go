@@ -23,14 +23,14 @@
 //
 // The [e]xpand verifications go through the verification engine, so the
 // unified -workers / -cache flags size its pool and switched-run cache,
-// and -trace / -progress observe the session like any eoloc run. The
-// -backend flag selects the execution engine (vm or tree, docs/VM.md),
-// and -disasm prints the faulty program's compiled bytecode with
+// and -trace / -progress observe the session like any eoloc run.
+// -disasm prints the faulty program's compiled bytecode with
 // source-statement annotations instead of starting a session.
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -82,11 +82,6 @@ func main() {
 		cliutil.Usagef("eolshell: %v", err)
 	}
 
-	bk, err := backend.Lookup(engFlags.Backend)
-	if err != nil {
-		cliutil.Usagef("eolshell: %v", err)
-	}
-
 	var expected []int64
 	switch {
 	case *expectedFlag != "":
@@ -103,7 +98,7 @@ func main() {
 		if err != nil {
 			cliutil.Fatalf("eolshell: %v", err)
 		}
-		r := bk.Run(correct, interp.Options{Input: input})
+		r := backend.Default().Run(correct, interp.Options{Input: input})
 		if r.Err != nil {
 			cliutil.Fatalf("eolshell: correct run: %v", r.Err)
 		}
@@ -116,7 +111,7 @@ func main() {
 	if err != nil {
 		cliutil.Fatalf("eolshell: %v", err)
 	}
-	sh, err := newShell(faulty, bk, input, expected, *engFlags, obs.NewRecorder(observer))
+	sh, err := newShell(faulty, input, expected, *engFlags, obs.NewRecorder(observer))
 	if err != nil {
 		cliutil.Fatalf("eolshell: %v", err)
 	}
@@ -139,9 +134,9 @@ type shell struct {
 	expanded map[int]bool
 }
 
-func newShell(c *interp.Compiled, bk interp.Backend, input, expected []int64, ef cliutil.EngineFlags, rec *obs.Recorder) (*shell, error) {
+func newShell(c *interp.Compiled, input, expected []int64, ef cliutil.EngineFlags, rec *obs.Recorder) (*shell, error) {
 	rec.Begin("failing_run")
-	run := bk.Run(c, interp.Options{Input: input, BuildTrace: true, Rec: rec})
+	run := backend.Default().Run(c, interp.Options{Input: input, BuildTrace: true, Rec: rec})
 	rec.End("failing_run", int64(run.Steps))
 	if run.Err != nil {
 		return nil, fmt.Errorf("failing run aborted: %w", run.Err)
@@ -163,7 +158,7 @@ func newShell(c *interp.Compiled, bk interp.Backend, input, expected []int64, ef
 	an := confidence.New(c, g, nil, correct, wrong)
 	an.Incremental = true
 	an.Compute()
-	ver := &implicit.Verifier{C: c, Input: input, Orig: tr, WrongOut: wrong, Backend: bk, Rec: rec}
+	ver := &implicit.Verifier{C: c, Input: input, Orig: tr, WrongOut: wrong, Rec: rec}
 	if seq < len(expected) {
 		ver.Vexp, ver.HasVexp = expected[seq], true
 	}
@@ -225,7 +220,9 @@ func (sh *shell) expand() {
 				Pred: pd.Pred, Use: u, UseSym: pd.UseSym, UseElem: pd.UseElem,
 			}
 		}
-		verdicts := sh.eng.VerifyBatch(reqs)
+		// The session has no deadline, so the batch is never cancelled
+		// and returns no error.
+		verdicts, _ := sh.eng.VerifyBatchContext(context.Background(), reqs)
 		added := 0
 		for i, pd := range pds {
 			verdict := verdicts[i]

@@ -14,7 +14,6 @@
 //	-switch S:K      invert the K-th instance of predicate statement S
 //	-perturb S:K:V   override the value defined by the K-th instance of
 //	                 statement S with V
-//	-savetrace FILE  write the execution trace (gob) for offline analysis
 //	-cfgdot FUNC     print FUNC's control-flow graph as Graphviz DOT
 //	                 (with control-dependence annotations) and exit
 //	-budget N        step budget (default 10,000,000)
@@ -31,6 +30,7 @@ import (
 	"os"
 	"strings"
 
+	"eol/internal/backend"
 	"eol/internal/check"
 	"eol/internal/cliutil"
 	"eol/internal/interp"
@@ -46,7 +46,6 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "print the execution trace")
 	switchFlag := flag.String("switch", "", "invert predicate instance S:K")
 	perturbFlag := flag.String("perturb", "", "override defined value S:K:V")
-	saveFlag := flag.String("savetrace", "", "write the trace (gob) to this file")
 	cfgFlag := flag.String("cfgdot", "", "print this function's CFG as DOT and exit")
 	budgetFlag := flag.Int("budget", 0, "step budget")
 	flag.Parse()
@@ -117,29 +116,13 @@ func main() {
 		opts.Perturb = &interp.PerturbPlan{Stmt: s, Occ: k, Value: v}
 		opts.BuildTrace = true
 	}
-	if *saveFlag != "" {
-		opts.BuildTrace = true
-	}
-
-	r := interp.Run(c, opts)
+	r := backend.Default().Run(c, opts)
 	fmt.Print(r.Rendered)
 	if opts.Switch != nil && !r.SwitchApplied {
 		fmt.Printf("(switch %v never reached)\n", opts.Switch)
 	}
 	if opts.Perturb != nil && !r.PerturbApplied {
 		fmt.Printf("(perturbation %v never reached)\n", opts.Perturb)
-	}
-	if *saveFlag != "" && r.Trace != nil {
-		f, err := os.Create(*saveFlag)
-		if err != nil {
-			cliutil.Fatalf("minic: %v", err)
-		}
-		err = r.Trace.Encode(f)
-		cerr := f.Close()
-		if err != nil || cerr != nil {
-			cliutil.Fatalf("minic: saving trace: %v %v", err, cerr)
-		}
-		fmt.Printf("trace saved to %s (%d entries)\n", *saveFlag, r.Trace.Len())
 	}
 	if *traceFlag && r.Trace != nil {
 		fmt.Printf("--- trace: %d entries, %d outputs ---\n", r.Trace.Len(), len(r.Trace.Outputs))

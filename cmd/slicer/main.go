@@ -8,7 +8,6 @@
 //
 //	-input "1,2,3"    integer input stream (failing input)
 //	-text "abc"       input as the bytes of a string
-//	-backend B        execution backend: vm (default) or tree
 //	-disasm           print the faulty program's compiled bytecode with
 //	                  source-statement annotations and exit
 //	-slices ds,rs,ps  which slices to print (default all)
@@ -51,8 +50,6 @@ func main() {
 	engineFlag := flag.Bool("engine", false, "print dependence-graph engine statistics per slice")
 	dotFlag := flag.String("dot", "", "write the RS dependence graph as DOT to this file")
 	disasmFlag := flag.Bool("disasm", false, "print the compiled bytecode listing and exit")
-	var backendFlag string
-	cliutil.RegisterBackendFlag(flag.CommandLine, &backendFlag)
 	obsFlags := cliutil.RegisterObsFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -75,17 +72,13 @@ func main() {
 	faulty := mustCompile(flag.Arg(0))
 	correct := mustCompile(*correctFlag)
 
-	bk, err := backend.Lookup(backendFlag)
-	if err != nil {
-		cliutil.Usagef("slicer: %v", err)
-	}
-
 	observer, closeObs, err := obsFlags.Observer()
 	if err != nil {
 		cliutil.Fatalf("slicer: %v", err)
 	}
 	rec := obs.NewRecorder(observer)
 
+	bk := backend.Default()
 	expRun := bk.Run(correct, interp.Options{Input: input, Rec: rec})
 	if expRun.Err != nil {
 		cliutil.Fatalf("slicer: correct run: %v", expRun.Err)

@@ -273,15 +273,6 @@ type Settings struct {
 	// byte-identical either way; only cost counters and wall-clock time
 	// differ. See WithFeatures.
 	Features Features
-	// Backend names the execution backend for the failing run and every
-	// re-execution: "vm" (the bytecode VM, the default), "tree" (the
-	// tree-walking reference interpreter), or "" for the default.
-	// Backends are byte-identical — same diagnosis, counters and journal
-	// — so this only changes wall-clock time; see WithBackend and
-	// docs/VM.md. The tree-walker has no checkpointed replay: under it
-	// every switched run replays in full and the checkpoint counters
-	// (Stats.CheckpointHits and friends) stay zero.
-	Backend string
 	// Observer receives the run's deterministic event stream (see
 	// WithObserver and docs/OBSERVABILITY.md).
 	Observer Observer
@@ -543,15 +534,6 @@ func WithFeatures(f Features) LocateOption {
 	return func(s *Settings) { s.Features = s.Features.Overlay(f) }
 }
 
-// WithBackend selects the execution backend by name: "vm" (bytecode
-// VM, the default) or "tree" (the tree-walking reference interpreter).
-// Backends produce byte-identical diagnoses, counters and journals —
-// the choice only changes wall-clock time. Unknown names surface as an
-// error from Locate. See docs/VM.md.
-func WithBackend(name string) LocateOption {
-	return func(s *Settings) { s.Backend = name }
-}
-
 // WithObserver attaches an observer to the localization run: it receives
 // the deterministic event stream — phase spans, counter deltas, final
 // stats gauges. See NewJournal, NewProgress and docs/OBSERVABILITY.md.
@@ -645,15 +627,10 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 	}
 	st := &s.settings
 
-	bk, err := backend.Lookup(st.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("eol: %w", err)
-	}
-
 	var orc core.Oracle
 	switch {
 	case st.Correct != nil:
-		res := bk.Run(st.Correct.c, interp.Options{Input: s.input, BuildTrace: true, Ctx: ctx})
+		res := backend.Default().Run(st.Correct.c, interp.Options{Input: s.input, BuildTrace: true, Ctx: ctx})
 		switch {
 		case res.Err == nil:
 			orc = &oracle.StateOracle{Correct: res.Trace}
@@ -675,7 +652,6 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 
 	spec := &core.Spec{
 		Program:         s.p.c,
-		Backend:         bk,
 		Input:           s.input,
 		Expected:        s.expected,
 		RootCause:       st.RootCause,
@@ -851,9 +827,9 @@ func LocateCorpus(ctx context.Context, m *CorpusManifest, opts CorpusOptions) (*
 }
 
 // CorpusShared is warm state shared across corpus runs: the compile
-// cache, the switched-run cache, and the static dependence cache. Pass
-// one via CorpusOptions.Shared to keep caches hot between LocateCorpus
-// calls (this is what the eolserve daemon does per process).
+// cache and the switched-run cache. Pass one via CorpusOptions.Shared to
+// keep caches hot between LocateCorpus calls (this is what the eolserve
+// daemon does per process).
 type CorpusShared = corpus.Shared
 
 // NewCorpusShared builds warm corpus state. cacheSize sizes the

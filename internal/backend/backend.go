@@ -1,19 +1,23 @@
 // Package backend is the registry of MiniC execution backends: the
 // single place that knows every interp.Backend implementation by name.
-// It exists so the layers that select a backend from configuration —
-// the eol facade, core.Spec, the CLI flags, corpus manifests — depend
-// on one tiny package instead of importing internal/vm directly, and so
-// the default lives in exactly one place.
+// It exists so the layers that run programs — the commands, the eol
+// facade, core, corpus — depend on one tiny package instead of
+// importing internal/vm directly, and so the default lives in exactly
+// one place.
 //
-// The bytecode VM is the default: it produces byte-identical results to
-// the tree-walker (the contract every differential lane pins down) at a
-// fraction of the per-step cost. The tree-walker remains always
-// available as the reference oracle under the name "tree".
+// The bytecode VM is the default and the only production backend: every
+// command, Session.Locate call and server request runs on Default. It produces
+// byte-identical results to the tree-walker (the contract every
+// differential lane pins down) at a fraction of the per-step cost. The
+// tree-walker is the reference oracle, looked up as "tree" by tests and
+// by eolbench's oracle pass (corpus.Options.Backend); the manifest
+// "backend" key is validated with Lookup and otherwise ignored.
 package backend
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"eol/internal/interp"
 	"eol/internal/vm"
@@ -39,26 +43,10 @@ func Lookup(name string) (interp.Backend, error) {
 	if b, ok := registry[name]; ok {
 		return b, nil
 	}
-	return nil, fmt.Errorf("unknown execution backend %q (valid: %s)", name, names())
-}
-
-// Names lists the registered backend names, sorted.
-func Names() []string {
-	ns := make([]string, 0, len(registry))
+	valid := make([]string, 0, len(registry))
 	for n := range registry {
-		ns = append(ns, n)
+		valid = append(valid, n)
 	}
-	sort.Strings(ns)
-	return ns
-}
-
-func names() string {
-	s := ""
-	for i, n := range Names() {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
+	sort.Strings(valid)
+	return nil, fmt.Errorf("unknown execution backend %q (valid: %s)", name, strings.Join(valid, ", "))
 }

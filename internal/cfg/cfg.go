@@ -188,15 +188,6 @@ func Build(info *sem.Info) (*Program, error) {
 	return p, nil
 }
 
-// MustBuild panics on error; for tests and embedded benchmark programs.
-func MustBuild(info *sem.Info) *Program {
-	p, err := Build(info)
-	if err != nil {
-		panic(fmt.Sprintf("cfg.MustBuild: %v", err))
-	}
-	return p
-}
-
 // ---------------------------------------------------------------------------
 // Construction
 

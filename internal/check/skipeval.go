@@ -505,7 +505,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 					setCell(d.key, false) // parameter bindings of untainted args
 				}
 			}
-			calls = append(calls, pendingCall{entry: i, release: rp.spanEnd(i), defs: deferred})
+			calls = append(calls, pendingCall{entry: i, release: rp.anc.End(i), defs: deferred})
 			continue
 		}
 		t := usesTainted(e)

@@ -226,11 +226,7 @@ func (f *SwitchFilter) analyze(predIdx int) *predFacts {
 	}
 
 	// The dynamic region: the contiguous run of control descendants.
-	anc := f.tr.Ancestry()
-	regionEnd := predIdx + 1
-	for regionEnd < f.tr.Len() && anc.IsAncestor(predIdx, regionEnd) {
-		regionEnd++
-	}
+	regionEnd := rp.anc.End(predIdx)
 
 	// Vanishing side (the branch E took): every effect is on the trace.
 	touched := map[cellKey]cellVal{} // pre-region values of written cells

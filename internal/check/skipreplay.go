@@ -159,12 +159,13 @@ type pendingDef struct {
 // unknowns as execution proceeds.
 type replay struct {
 	f       *SwitchFilter
+	anc     *trace.Ancestry
 	cells   map[cellKey]cellVal
 	pending []pendingDef
 }
 
 func newReplay(f *SwitchFilter) *replay {
-	return &replay{f: f, cells: map[cellKey]cellVal{}}
+	return &replay{f: f, anc: f.tr.Ancestry(), cells: map[cellKey]cellVal{}}
 }
 
 func (rp *replay) lookup(key cellKey) cellVal {
@@ -218,14 +219,6 @@ func (rp *replay) release(i int) {
 	}
 }
 
-func (rp *replay) spanEnd(i int) int {
-	j := i + 1
-	for j < rp.f.tr.Len() && rp.f.tr.IsAncestor(i, j) {
-		j++
-	}
-	return j
-}
-
 func (rp *replay) step(i int) {
 	rp.release(i)
 	e := rp.f.tr.At(i)
@@ -248,7 +241,7 @@ func (rp *replay) step(i int) {
 		}
 	}
 	if len(deferred) > 0 {
-		rp.pending = append(rp.pending, pendingDef{i, rp.spanEnd(i), deferred})
+		rp.pending = append(rp.pending, pendingDef{i, rp.anc.End(i), deferred})
 	}
 }
 

@@ -18,31 +18,18 @@ type EngineFlags struct {
 	// Cache sizes the switched-run cache: 0 = engine default, negative
 	// disables caching.
 	Cache int
-	// Backend names the execution backend ("vm", the default, or
-	// "tree"). Backends are byte-identical — the flag only changes
-	// wall-clock time (docs/VM.md).
-	Backend string
 }
 
-// RegisterEngineFlags registers the unified engine knobs -workers,
-// -cache and -backend on fs. Removed flags fail like any unknown flag
-// (usage + exit code 2 under flag.ExitOnError).
+// RegisterEngineFlags registers the unified engine knobs -workers and
+// -cache on fs. Removed flags fail like any unknown flag (usage + exit
+// code 2 under flag.ExitOnError).
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.IntVar(&ef.Workers, "workers", 0,
 		"verification workers (0 = GOMAXPROCS, 1 = sequential)")
 	fs.IntVar(&ef.Cache, "cache", 0,
 		"switched-run cache size (0 = default, negative = disabled)")
-	RegisterBackendFlag(fs, &ef.Backend)
 	return ef
-}
-
-// RegisterBackendFlag registers -backend on fs, bound to target. Split
-// out of RegisterEngineFlags for commands that execute programs without
-// running localizations (cmd/slicer's slicing modes, cmd/minic).
-func RegisterBackendFlag(fs *flag.FlagSet, target *string) {
-	fs.StringVar(target, "backend", "vm",
-		"execution `backend`: vm (bytecode) or tree (reference interpreter, no checkpointed replay)")
 }
 
 // ObsFlags holds the observability knobs shared by every command:

@@ -24,12 +24,12 @@ func TestEngineFlagsCanonicalNames(t *testing.T) {
 
 // TestEngineFlagsRemovedAliases: the pre-unification spellings
 // -verify-workers/-verify-cache finished their deprecation cycle and,
-// like the removed -speculate, -no-static-reach and -checkpoints, now
-// fail as any unknown flag. Under the commands' flag.ExitOnError sets that means
-// usage output and exit code 2; with ContinueOnError here it surfaces
-// as a Parse error naming the flag.
+// like the removed -speculate, -no-static-reach, -checkpoints and
+// -backend, now fail as any unknown flag. Under the commands'
+// flag.ExitOnError sets that means usage output and exit code 2; with
+// ContinueOnError here it surfaces as a Parse error naming the flag.
 func TestEngineFlagsRemovedAliases(t *testing.T) {
-	for _, alias := range []string{"verify-workers", "verify-cache", "speculate", "no-static-reach", "checkpoints"} {
+	for _, alias := range []string{"verify-workers", "verify-cache", "speculate", "no-static-reach", "checkpoints", "backend"} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		var buf bytes.Buffer
 		fs.SetOutput(&buf)
@@ -70,12 +70,12 @@ func TestUsageHidesAliases(t *testing.T) {
 	fs.SetOutput(&buf)
 	fs.Usage()
 	out := buf.String()
-	for _, want := range []string{"-workers", "-cache", "-backend", "-trace", "-progress"} {
+	for _, want := range []string{"-workers", "-cache", "-trace", "-progress"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("usage does not advertise %s:\n%s", want, out)
 		}
 	}
-	for _, gone := range []string{"verify-workers", "verify-cache", "speculate", "no-static-reach", "checkpoints"} {
+	for _, gone := range []string{"verify-workers", "verify-cache", "speculate", "no-static-reach", "checkpoints", "backend"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("usage still mentions removed alias %s:\n%s", gone, out)
 		}

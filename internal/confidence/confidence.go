@@ -680,17 +680,6 @@ func (a *Analyzer) Next() (Candidate, bool) {
 	return Candidate{}, false
 }
 
-// PrunedStats summarizes the pruned slice in static/dynamic terms.
-func (a *Analyzer) PrunedStats() depgraph.SliceStats {
-	pruned := depgraph.NewSet(a.G.T.Len())
-	a.slice.ForEach(func(e int) {
-		if a.conf[e] < 1 {
-			pruned.Add(e)
-		}
-	})
-	return a.G.Stats(pruned)
-}
-
 // binHeap is a binary heap whose top is an element no other is before:
 // the dirty worklist drains entries in decreasing order with it, and Next
 // ranks candidates with it.

@@ -108,11 +108,12 @@ type Spec struct {
 	Program *interp.Compiled
 	// Backend selects the execution engine for the failing run and every
 	// switched/perturbed re-execution (nil = backend.Default(), the
-	// bytecode VM). Backends are byte-identical — same Report counters,
-	// VerifyLog, obs journal — so this only changes wall-clock time; the
-	// tree-walker (interp.Tree) remains the differential oracle. The
-	// tree-walker has no checkpointed replay: under it every switched run
-	// replays in full and the checkpoint counters stay zero.
+	// bytecode VM). Production callers leave it nil; differential tests
+	// and eolbench's oracle pass set the tree-walker (interp.Tree), the
+	// reference the VM is checked against. Backends are byte-identical —
+	// same Report counters, VerifyLog, obs journal. The tree-walker has
+	// no checkpointed replay: under it every switched run replays in
+	// full and the checkpoint counters stay zero.
 	Backend interp.Backend
 	// Input is the failing input.
 	Input []int64

@@ -71,12 +71,12 @@ type Options struct {
 	// explicit tri-states; per-subject manifest features (wire spelling)
 	// overlay it key by key. Results-neutral, like all features.
 	Features core.Features
-	// Backend names the execution backend for subjects that do not pick
-	// their own ("" = library default). Backends are byte-identical, so
-	// the corpus JSON and journal never depend on — or record — the
-	// choice: that blindness is what lets the corpus A/B test
-	// (cmd/cmd_integration_test.go) compare tree and vm outputs byte
-	// for byte.
+	// Backend names the execution backend for every subject ("" = the
+	// VM). Only the reference oracle sets it: eolbench's per-family
+	// oracle pass and the tree/VM A/B tests ("tree"). Backends are
+	// byte-identical, so the corpus JSON and journal never depend on —
+	// or record — the choice; that blindness is what lets
+	// TestTreeBackendAB compare tree and VM outputs byte for byte.
 	Backend string
 	// Shared, if non-nil, supplies externally owned warm state — the
 	// compile cache and the switched-run cache — that outlives this Run
@@ -300,11 +300,7 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		return fail(fmt.Errorf("compile: %w", err))
 	}
 
-	bkName := s.Backend
-	if bkName == "" {
-		bkName = opts.Backend
-	}
-	bk, err := backend.Lookup(bkName)
+	bk, err := backend.Lookup(opts.Backend)
 	if err != nil {
 		return fail(err)
 	}

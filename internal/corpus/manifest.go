@@ -90,10 +90,10 @@ type Subject struct {
 	// CrossFunctionPD extends potential dependences across function
 	// boundaries for globals.
 	CrossFunctionPD bool `json:"cross_function_pd,omitempty"`
-	// Backend names the execution backend for this subject ("vm" or
-	// "tree"; "" = Defaults.Backend, then Options.Backend, then the
-	// library default). Backends are byte-identical, so results and the
-	// journal do not depend on — and never record — the choice.
+	// Backend is accepted on schema_version 1 and validated (a name the
+	// backend registry does not know fails Validate), then ignored:
+	// every subject runs on Options.Backend, the VM unless a test or
+	// benchmark asks for the reference oracle.
 	Backend string `json:"backend,omitempty"`
 	// Features selects optional engine features by wire name
 	// (static_skip, incremental_reprune, checkpoints) with tri-state

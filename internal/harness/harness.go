@@ -393,10 +393,6 @@ type Options struct {
 	// Cache overrides the cached mode's switched-run cache size
 	// (0 = engine default, negative disables it).
 	Cache int
-	// Backend names the execution backend for the verify table's
-	// localizations ("" = library default). Results are
-	// backend-independent; only the timings move.
-	Backend string
 	// Observer, if non-nil, observes the Table 3 localizations and the
 	// verify table's warm-up round. Timed rounds always run unobserved
 	// so observation never perturbs the measurements.

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"time"
 
-	"eol/internal/backend"
 	"eol/internal/bench"
 	"eol/internal/core"
 )
@@ -52,10 +51,6 @@ func VerifyCase(p *bench.Prepared, opt Options) (*VerifyRow, error) {
 	if reps <= 0 {
 		reps = 5
 	}
-	bk, err := backend.Lookup(opt.Backend)
-	if err != nil {
-		return nil, err
-	}
 	modes := []struct {
 		name             string
 		workers, cacheSz int
@@ -73,7 +68,6 @@ func VerifyCase(p *bench.Prepared, opt Options) (*VerifyRow, error) {
 	for r := 0; r < reps+1; r++ { // first round is warm-up
 		for i, m := range modes {
 			spec := p.Spec()
-			spec.Backend = bk
 			spec.VerifyWorkers = m.workers
 			spec.VerifyCacheSize = m.cacheSz
 			if r == 0 {

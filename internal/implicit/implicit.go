@@ -102,11 +102,12 @@ type Verifier struct {
 	Ctx context.Context
 
 	// Backend selects the execution engine for the verifier's switched
-	// re-executions (nil = backend.Default(), the VM). It must be the
-	// backend that produced Orig and Checkpoints: backends are
-	// byte-identical, so any mix yields the same verdicts, but a foreign
-	// checkpoint store cannot be forked and every run would pay
-	// full-replay cost. Copied by Clone.
+	// re-executions (nil = backend.Default(), the VM). core passes
+	// Spec.Backend through; only tests and eolbench's oracle pass pick
+	// the tree-walker. It must be the backend that produced Orig and
+	// Checkpoints: backends are byte-identical, so any mix yields the
+	// same verdicts, but a foreign checkpoint store cannot be forked and
+	// every run would pay full-replay cost. Copied by Clone.
 	Backend interp.Backend
 
 	// Checkpoints, if non-nil, holds execution snapshots captured during

@@ -65,16 +65,6 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error. Intended for tests and for
-// embedded benchmark programs that are known to be valid.
-func MustParse(src string) *ast.Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("parser.MustParse: %v", err))
-	}
-	return prog
-}
-
 type parser struct {
 	toks []token.Token
 	pos  int

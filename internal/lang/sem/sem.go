@@ -179,16 +179,6 @@ func Analyze(prog *ast.Program) (*Info, error) {
 	return c.info, nil
 }
 
-// MustAnalyze panics on semantic error. Intended for tests and embedded
-// benchmark programs.
-func MustAnalyze(prog *ast.Program) *Info {
-	info, err := Analyze(prog)
-	if err != nil {
-		panic(fmt.Sprintf("sem.MustAnalyze: %v", err))
-	}
-	return info
-}
-
 type scope struct {
 	outer *scope
 	names map[string]*Symbol

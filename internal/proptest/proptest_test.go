@@ -113,20 +113,42 @@ func TestDeterminismProperty(t *testing.T) {
 	})
 }
 
-// TestRegionTreeInvariants: parents precede children; children are in
-// execution order; every non-root parent is a predicate or a call site;
-// the Euler ancestry index agrees with the parent-chain walk; Children
-// and Roots list exactly the entries a scan of the parents finds.
+// isAncestorWalk is the reference ancestor test the Ancestry index must
+// agree with: walk y's parent chain looking for x (reflexive).
+func isAncestorWalk(tr *trace.Trace, x, y int) bool {
+	for n := y; n >= 0; n = tr.At(n).Parent {
+		if n == x {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRegionTreeInvariants: parents precede children; regions nest
+// properly (each entry's parent is on the open chain, so every region
+// is a contiguous interval — what the Ancestry index relies on);
+// children are in execution order; every non-root parent is a predicate
+// or a call site; the ancestry index agrees with the parent-chain walk;
+// Children and Roots list exactly the entries a scan of the parents
+// finds.
 func TestRegionTreeInvariants(t *testing.T) {
 	eachIndexedTrace(t, func(t *testing.T, c *interp.Compiled, label string, tr *trace.Trace) {
 		anc := tr.Ancestry()
 		kids := make([][]int, tr.Len())
 		var roots []int
+		var open []int // the previous entry's ancestor chain, root first
 		for i := 0; i < tr.Len(); i++ {
 			p := tr.At(i).Parent
 			if p >= i {
 				t.Fatalf("%s: entry %d has parent %d", label, i, p)
 			}
+			for len(open) > 0 && open[len(open)-1] != p {
+				open = open[:len(open)-1]
+			}
+			if p >= 0 && len(open) == 0 {
+				t.Fatalf("%s: entry %d's parent %d is not on the open chain (improper nesting)", label, i, p)
+			}
+			open = append(open, i)
 			if p >= 0 {
 				kids[p] = append(kids[p], i)
 				st := c.Info.Stmt(tr.At(p).Inst.Stmt)
@@ -138,12 +160,18 @@ func TestRegionTreeInvariants(t *testing.T) {
 			} else {
 				roots = append(roots, i)
 			}
-			// Sampled ancestry agreement.
+			// Sampled ancestry agreement; with proper nesting, End(i) is
+			// right iff End(i)-1 is a descendant of i and End(i) is not.
 			if i%7 == 0 {
 				for j := i; j < tr.Len() && j < i+11; j++ {
-					if anc.IsAncestor(i, j) != tr.IsAncestor(i, j) {
+					if anc.IsAncestor(i, j) != isAncestorWalk(tr, i, j) {
 						t.Fatalf("%s: ancestry index disagrees for (%d,%d)", label, i, j)
 					}
+				}
+				end := anc.End(i)
+				if end <= i || end > tr.Len() || !isAncestorWalk(tr, i, end-1) ||
+					(end < tr.Len() && isAncestorWalk(tr, i, end)) {
+					t.Fatalf("%s: End(%d) = %d is not the end of its region", label, i, end)
 				}
 			}
 		}

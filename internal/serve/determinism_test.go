@@ -102,6 +102,33 @@ func TestRemovedFeatureIgnored(t *testing.T) {
 	}
 }
 
+// TestWireBackendIgnored: schema_version 1 still accepts a "backend"
+// key on subjects and defaults, validates it, and ignores it, so a
+// request naming either backend gets the bytes of the request without
+// the key. Every request runs on the VM.
+func TestWireBackendIgnored(t *testing.T) {
+	want := batchBytes(t, corpus.Options{})
+	_, ts := startServer(t, Config{})
+	for _, name := range []string{"tree", "vm"} {
+		m := loadManifest(t)
+		m.Defaults.Backend = name
+		for i := range m.Subjects {
+			m.Subjects[i].Backend = name
+		}
+		var body bytes.Buffer
+		if err := api.Encode(&body, api.RequestFromManifest(m)); err != nil {
+			t.Fatal(err)
+		}
+		code, _, got := post(t, ts.URL+"/v1/corpus", "", body.Bytes())
+		if code != 200 {
+			t.Fatalf("backend %q: status %d: %s", name, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("backend %q: response differs from the request without the key:\ngot:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
+
 // TestLocateMatchesCorpusRows: a /v1/locate response for one subject
 // carries the same SubjectResult as that subject's row in the corpus
 // report.

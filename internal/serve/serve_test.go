@@ -134,6 +134,8 @@ func TestInvalidRequests(t *testing.T) {
 		{"no expected", "/v1/corpus", `{"subjects":[{"source":"main(){}"}]}`},
 		{"unknown feature", "/v1/locate", `{"source":"main(){}","expected":[1],"features":{"warp_drive":"on"}}`},
 		{"bad feature mode", "/v1/corpus", `{"subjects":[{"source":"main(){}","expected":[1],"features":{"speculation":"maybe"}}]}`},
+		{"unknown backend", "/v1/locate", `{"source":"main(){}","expected":[1],"backend":"quantum"}`},
+		{"unknown default backend", "/v1/corpus", `{"defaults":{"backend":"quantum"},"subjects":[{"source":"main(){}","expected":[1]}]}`},
 	}
 	for _, c := range cases {
 		code, _, b := post(t, ts.URL+c.path, "", []byte(c.body))

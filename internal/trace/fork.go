@@ -92,15 +92,12 @@ func (p *Prefix) build() {
 func (p *Prefix) Fork() *Trace {
 	p.once.Do(p.build)
 	t := p.t
-	f := &Trace{
+	return &Trace{
 		base:         t.entries[:p.n:p.n],
 		Outputs:      t.Outputs[:p.nOuts:p.nOuts],
 		rootsList:    t.rootsList[:p.nRoots:p.nRoots],
 		baseRows:     t.own,
 		baseChildren: p.proto,
+		baseAnc:      t.anc,
 	}
-	if t.anc != nil && t.anc.in == nil {
-		f.baseAnc = t.anc
-	}
-	return f
 }

@@ -16,10 +16,9 @@ import "sort"
 //     the trace index of S<s>#<start[s]+k>) instead of a hash map keyed
 //     by Instance.
 //
-// The row table relies on two properties every interpreter trace has
-// and Decode checks on foreign ones: statement IDs are non-negative,
-// and each statement's occurrences are numbered 1, 2, ... in entry
-// order. internal/proptest checks every index against a brute-force
+// The row table relies on two properties every interpreter trace has:
+// statement IDs are non-negative, and each statement's occurrences are
+// numbered 1, 2, ... in entry order. internal/proptest checks every index against a brute-force
 // scan of the entries on both backends' traces and on VM forks.
 // Querying a trace before Finish (or appending after it) is a
 // programming error and panics, which is also what makes the scheme

@@ -30,8 +30,9 @@
 // Both execution backends build traces the same way: they append
 // entries during the run and call Finish once at its end, which builds
 // the children, roots and per-statement instance indices in flat passes
-// (lazy.go). Finish trusts its input; Decode validates foreign bytes
-// before it builds a trace from them.
+// (lazy.go). Traces only ever come from a run (or a fork of one), so
+// Finish trusts its input: parents precede their children and regions
+// nest properly.
 package trace
 
 import (
@@ -128,9 +129,9 @@ type Trace struct {
 	rootsList []int
 
 	// anc is the lazily built ancestor index; see Ancestry. baseAnc, set
-	// by Fork when the base already has an interval-mode ancestry index,
-	// seeds this fork's Ancestry with the base's interval ends instead of
-	// a full recomputation.
+	// by Fork when the base already has an ancestry index, seeds this
+	// fork's Ancestry with the base's interval ends instead of a full
+	// recomputation.
 	anc     *Ancestry
 	baseAnc *Ancestry
 
@@ -220,27 +221,6 @@ func (t *Trace) OutputValues() []int64 {
 		vals[i] = o.Value
 	}
 	return vals
-}
-
-// IsAncestor reports whether entry a is an ancestor of entry b in the
-// region tree (reflexive: IsAncestor(x, x) == true).
-func (t *Trace) IsAncestor(a, b int) bool {
-	for n := b; n >= 0; n = t.At(n).Parent {
-		if n == a {
-			return true
-		}
-	}
-	return false
-}
-
-// RegionDepth returns the depth of entry i in the region tree (roots have
-// depth 0).
-func (t *Trace) RegionDepth(i int) int {
-	d := 0
-	for n := t.At(i).Parent; n >= 0; n = t.At(n).Parent {
-		d++
-	}
-	return d
 }
 
 // String summarizes the trace.

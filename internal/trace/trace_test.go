@@ -23,6 +23,17 @@ func buildTree() *Trace {
 	return t
 }
 
+// isAncestorWalk is the reference ancestor test the Ancestry index must
+// agree with: walk y's parent chain looking for x (reflexive).
+func isAncestorWalk(t *Trace, x, y int) bool {
+	for n := y; n >= 0; n = t.At(n).Parent {
+		if n == x {
+			return true
+		}
+	}
+	return false
+}
+
 func TestTreeStructure(t *testing.T) {
 	tr := buildTree()
 	if tr.Len() != 5 {
@@ -54,15 +65,19 @@ func TestAncestorsAndDepth(t *testing.T) {
 	}
 	anc := tr.Ancestry()
 	for _, c := range cases {
-		if got := tr.IsAncestor(c.a, c.b); got != c.want {
-			t.Errorf("IsAncestor(%d,%d) = %v", c.a, c.b, got)
+		if got := isAncestorWalk(tr, c.a, c.b); got != c.want {
+			t.Errorf("isAncestorWalk(%d,%d) = %v", c.a, c.b, got)
 		}
 		if got := anc.IsAncestor(c.a, c.b); got != c.want {
 			t.Errorf("Ancestry.IsAncestor(%d,%d) = %v", c.a, c.b, got)
 		}
 	}
-	if tr.RegionDepth(0) != 0 || tr.RegionDepth(2) != 2 || tr.RegionDepth(4) != 0 {
-		t.Errorf("depths: %d %d %d", tr.RegionDepth(0), tr.RegionDepth(2), tr.RegionDepth(4))
+	// Region subtrees: 0 spans [0,4), 1 spans [1,3), leaves span
+	// themselves.
+	for i, want := range []int{4, 3, 3, 4, 5} {
+		if got := anc.End(i); got != want {
+			t.Errorf("End(%d) = %d, want %d", i, got, want)
+		}
 	}
 }
 
@@ -109,25 +124,39 @@ func TestOutputs(t *testing.T) {
 	}
 }
 
-// TestAncestryAgreesWithWalk is a property test: the Euler-tour index
-// must agree with the parent-chain walk on random forests.
+// TestAncestryAgreesWithWalk is a property test: the interval index
+// must agree with the parent-chain walk on random properly nested
+// forests, the only shape an interpreter run emits. Each entry's parent
+// is drawn from the open chain — the previous entry, one of its
+// ancestors, or none (a new root).
 func TestAncestryAgreesWithWalk(t *testing.T) {
-	f := func(parents []uint8) bool {
+	f := func(picks []uint8) bool {
 		tr := New()
-		for i, p := range parents {
-			parent := int(p)%(i+1) - 1 // in [-1, i-1]
+		var open []int // the previous entry's ancestor chain, root first
+		for i, p := range picks {
+			open = open[:int(p)%(len(open)+1)]
+			parent := -1
+			if len(open) > 0 {
+				parent = open[len(open)-1]
+			}
 			tr.Append(Entry{Inst: Instance{Stmt: 1, Occ: i + 1}, Parent: parent})
+			open = append(open, i)
 		}
 		tr.Finish()
-		if tr.Len() == 0 {
-			return true
-		}
 		anc := tr.Ancestry()
 		for a := 0; a < tr.Len(); a++ {
+			end := a + 1
 			for b := 0; b < tr.Len(); b++ {
-				if anc.IsAncestor(a, b) != tr.IsAncestor(a, b) {
+				want := isAncestorWalk(tr, a, b)
+				if anc.IsAncestor(a, b) != want {
 					return false
 				}
+				if want {
+					end = b + 1
+				}
+			}
+			if anc.End(a) != end {
+				return false
 			}
 		}
 		return true

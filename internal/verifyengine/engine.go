@@ -7,13 +7,13 @@
 // The engine attacks that cost on two axes without changing observable
 // results:
 //
-//   - Parallelism: VerifyBatch fans a batch of verification requests out
-//     across a bounded worker pool (GOMAXPROCS-sized by default). Each
-//     worker owns a Clone of the base implicit.Verifier, so no verifier
-//     state is shared; results are then absorbed into the base verifier
-//     in request order, which keeps the Verifications counter, the
-//     VerifyLog order and the verdict memo byte-identical to what a
-//     sequential loop would have produced.
+//   - Parallelism: VerifyBatchContext fans a batch of verification
+//     requests out across a bounded worker pool (GOMAXPROCS-sized by
+//     default). Each worker owns a Clone of the base implicit.Verifier,
+//     so no verifier state is shared; results are then absorbed into
+//     the base verifier in request order, which keeps the Verifications
+//     counter, the VerifyLog order and the verdict memo byte-identical
+//     to what a sequential loop would have produced.
 //   - Memoization: switched re-executions are pure functions of
 //     (program, input, switched predicate instance, budget), so they are
 //     cached in an LRU RunCache keyed exactly by that tuple. Verifying
@@ -75,7 +75,7 @@ type Config struct {
 	Filter func(implicit.Request) bool
 	// Rec, if non-nil, receives verify_batch spans, per-verification
 	// switched_run marks and per-batch counter deltas. All emission
-	// happens on the VerifyBatch caller's goroutine — batch planning and
+	// happens on the VerifyBatchContext caller's goroutine — batch planning and
 	// sequential absorption — never from workers, and the worker count is
 	// never recorded, so the stream is identical for any Workers value.
 	Rec *obs.Recorder
@@ -92,8 +92,8 @@ type Config struct {
 // the underlying cache and is global when the cache is shared.
 type Stats struct {
 	Workers int
-	// Batches and Batched count VerifyBatch calls and the requests they
-	// carried.
+	// Batches and Batched count VerifyBatchContext calls and the
+	// requests they carried.
 	Batches, Batched int64
 	// Runs counts switched re-executions actually performed.
 	Runs int64
@@ -130,7 +130,7 @@ func (s Stats) HitRate() float64 {
 // implicit.SwitchedRunner, so the verifier's re-executions flow through
 // the engine's cache even for direct Verify calls outside a batch.
 //
-// VerifyBatch must be called from one goroutine at a time (the locator's
+// VerifyBatchContext must be called from one goroutine at a time (the locator's
 // loop); the engine's internals — workers, cache, runner — handle their
 // own synchronization.
 type Engine struct {
@@ -248,15 +248,6 @@ func (e *Engine) runSwitched(pred trace.Instance, budget int) *interp.Result {
 		e.suffixSteps.Add(int64(r.Steps - r.ResumedAt))
 	}
 	return r
-}
-
-// VerifyBatch verifies reqs and returns their verdicts in request order,
-// under the engine's configured context. Kept for callers that predate
-// the context-first API; on cancellation the partial verdicts are
-// returned as-is (unabsorbed requests read as NOT_ID).
-func (e *Engine) VerifyBatch(reqs []implicit.Request) []implicit.Verdict {
-	verdicts, _ := e.VerifyBatchContext(e.ctx, reqs)
-	return verdicts
 }
 
 // VerifyBatchContext verifies reqs and returns their verdicts in request

@@ -1,6 +1,7 @@
 package verifyengine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -79,8 +80,19 @@ func sequentialBaseline(t *testing.T, reqs []implicit.Request) ([]implicit.Verdi
 	return verdicts, v
 }
 
+// verifyBatch runs one batch under a background context, failing the
+// test on error.
+func verifyBatch(t *testing.T, e *Engine, reqs []implicit.Request) []implicit.Verdict {
+	t.Helper()
+	verdicts, err := e.VerifyBatchContext(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return verdicts
+}
+
 // TestBatchMatchesSequential: for every worker count and cache setting,
-// VerifyBatch must produce the sequential path's verdicts, log order and
+// VerifyBatchContext must produce the sequential path's verdicts, log order and
 // verification count.
 func TestBatchMatchesSequential(t *testing.T) {
 	_, reqs := fixture(t)
@@ -92,7 +104,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				base, reqs := fixture(t)
 				e := New(base, Config{Workers: workers, CacheSize: cacheSize})
-				got := e.VerifyBatch(reqs)
+				got := verifyBatch(t, e, reqs)
 				if !reflect.DeepEqual(got, wantVerdicts) {
 					t.Errorf("verdicts = %v, want %v", got, wantVerdicts)
 				}
@@ -113,7 +125,7 @@ func TestBatchDeduplicates(t *testing.T) {
 	base, reqs := fixture(t)
 	e := New(base, Config{Workers: 4})
 	doubled := append(append([]implicit.Request{}, reqs...), reqs...)
-	got := e.VerifyBatch(doubled)
+	got := verifyBatch(t, e, doubled)
 	for i := range reqs {
 		if got[i] != got[i+len(reqs)] {
 			t.Errorf("req %d: duplicate verdict %v != %v", i, got[i], got[i+len(reqs)])
@@ -134,7 +146,7 @@ func TestBatchDeduplicates(t *testing.T) {
 func TestRunCacheSharesExecutions(t *testing.T) {
 	base, reqs := fixture(t)
 	e := New(base, Config{Workers: 1, CacheSize: 0})
-	e.VerifyBatch(reqs)
+	verifyBatch(t, e, reqs)
 	s := e.Stats()
 	preds := map[int]bool{}
 	for _, r := range reqs {
@@ -157,12 +169,12 @@ func TestSecondEngineHitsSharedCache(t *testing.T) {
 	cache := NewRunCache(0)
 	base1, reqs1 := fixture(t)
 	e1 := New(base1, Config{Workers: 2, Cache: cache})
-	e1.VerifyBatch(reqs1)
+	verifyBatch(t, e1, reqs1)
 	runsAfterFirst := e1.Stats().Runs
 
 	base2, reqs2 := fixture(t)
 	e2 := New(base2, Config{Workers: 2, Cache: cache})
-	e2.VerifyBatch(reqs2)
+	verifyBatch(t, e2, reqs2)
 	if got := e2.Stats().Runs; got != 0 {
 		t.Errorf("second engine performed %d runs, want 0 (cache shared)", got)
 	}
