@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke bench-module bench-vm verify-table journal-smoke corpus-smoke serve-smoke
+.PHONY: all build test race vet lint bench bench-smoke bench-module bench-vm verify-table serve-smoke
 
 all: build test lint
 
@@ -62,29 +62,6 @@ bench-vm:
 # Sequential vs parallel vs cached verification scheduling table.
 verify-table:
 	$(GO) run ./cmd/benchtab -table verify -reps 5
-
-# Observability smoke: run one localization with the JSONL run journal
-# on, then validate the journal (docs/OBSERVABILITY.md).
-journal-smoke:
-	$(GO) run ./cmd/eoloc -correct testdata/fig1_fixed.mc -input 1 \
-		-root 'read() * 0' -trace /tmp/eol-journal-smoke.jsonl \
-		testdata/fig1_faulty.mc
-	$(GO) run ./cmd/journalcheck /tmp/eol-journal-smoke.jsonl
-
-# Corpus smoke lane: sharded multi-subject localization over the smoke
-# manifest — two fig1 subjects locate, one long-running subject hits its
-# 5ms deadline, so eolcorpus must exit 1. The shards=1 and shards=2
-# outputs are compared byte-for-byte (the determinism contract of
-# docs/CORPUS.md) and the corpus journal is validated.
-corpus-smoke:
-	$(GO) build -o /tmp/eolcorpus-smoke ./cmd/eolcorpus
-	/tmp/eolcorpus-smoke -shards 1 -o /tmp/eol-corpus-1.json \
-		testdata/corpus/smoke.json; test $$? -eq 1
-	/tmp/eolcorpus-smoke -shards 2 -o /tmp/eol-corpus-2.json \
-		-trace /tmp/eol-corpus-smoke.jsonl testdata/corpus/smoke.json; \
-		test $$? -eq 1
-	cmp /tmp/eol-corpus-1.json /tmp/eol-corpus-2.json
-	$(GO) run ./cmd/journalcheck /tmp/eol-corpus-smoke.jsonl
 
 # Serve smoke lane: boot the resident server (docs/SERVER.md) on an
 # ephemeral port and drive it with eoloadgen — health probe; a corpus

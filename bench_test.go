@@ -384,15 +384,15 @@ func BenchmarkRepruneIncremental(b *testing.B) {
 	for _, subj := range subjects {
 		for _, mode := range []struct {
 			label string
-			inc   core.FeatureMode
-		}{{"full", core.FeatureOff}, {"inc", core.FeatureDefault}} {
+			full  bool
+		}{{"full", true}, {"inc", false}} {
 			b.Run(fmt.Sprintf("%s/%s", subj.name, mode.label), func(b *testing.B) {
 				b.ReportAllocs()
 				var reeval int64
 				var frac float64
 				for i := 0; i < b.N; i++ {
 					spec := subj.spec()
-					spec.Features.IncrementalReprune = mode.inc
+					spec.Disable.IncrementalReprune = mode.full
 					rep, err := core.Locate(spec)
 					if err != nil {
 						b.Fatal(err)

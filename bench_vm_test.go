@@ -139,7 +139,7 @@ func BenchmarkBackendLocate(b *testing.B) {
 					spec.Backend = be.bk
 					spec.VerifyWorkers = 1
 					spec.VerifyCacheSize = -1
-					spec.Features.Checkpoints = core.FeatureOff
+					spec.Disable.Checkpoints = true
 					rep, err := core.Locate(spec)
 					if err != nil {
 						b.Fatal(err)

@@ -5,7 +5,6 @@ package cmd_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -40,7 +39,7 @@ func bin(t *testing.T, name string) string {
 			buildErr = err
 			return
 		}
-		for _, tool := range []string{"minic", "slicer", "eoloc", "benchtab", "eolvet", "eolcorpus", "eolshell", "critpred"} {
+		for _, tool := range []string{"minic", "slicer", "eoloc", "benchtab", "eolvet", "eolcorpus", "eolshell", "critpred", "journalcheck"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
 			cmd.Dir = repoRoot
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -219,10 +218,13 @@ func TestSlicerDOT(t *testing.T) {
 	}
 }
 
+// TestEoloc localizes the Figure 1 fault and writes the run journal,
+// which the journalcheck tool must accept.
 func TestEoloc(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "fig1.jsonl")
 	out, err := runTool(t, "eoloc",
 		"-correct", "testdata/fig1_fixed.mc", "-input", "1",
-		"-root", "read() * 0", "testdata/fig1_faulty.mc")
+		"-root", "read() * 0", "-trace", journal, "testdata/fig1_faulty.mc")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -234,6 +236,9 @@ func TestEoloc(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("eoloc output missing %q:\n%s", want, out)
 		}
+	}
+	if out, code := runExit(t, "journalcheck", journal); code != 0 {
+		t.Errorf("journalcheck exit code = %d, want 0\n%s", code, out)
 	}
 }
 
@@ -399,7 +404,7 @@ func TestRemovedSpeculateFlag(t *testing.T) {
 	buildServeTools(t)
 	removed := map[string][]string{
 		"eoloc":     {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree"},
-		"eolcorpus": {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree"},
+		"eolcorpus": {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree", "-private-cache"},
 		"eolserve":  {"-speculate", "-no-static-reach", "-checkpoints=64", "-backend=tree"},
 		"eolshell":  {"-backend=tree"},
 		"slicer":    {"-backend=tree"},
@@ -504,46 +509,58 @@ func TestMinicVet(t *testing.T) {
 }
 
 // TestEolcorpusSmoke drives eolcorpus over the smoke manifest: the two
-// fig1 subjects locate, the slow subject hits its 5ms deadline, and the
-// default JSON output is byte-identical across shard counts.
+// fig1 subjects locate, the slow subject hits its 5ms deadline, the
+// default JSON output is byte-identical across shard counts, whether
+// written to stdout or to -o, and the -trace journal passes
+// journalcheck.
 func TestEolcorpusSmoke(t *testing.T) {
-	out1, code1 := runExit(t, "eolcorpus", "-shards", "1", "testdata/corpus/smoke.json")
+	dir := t.TempDir()
+	report1, report2 := filepath.Join(dir, "shards1.json"), filepath.Join(dir, "shards2.json")
+	journal := filepath.Join(dir, "shards2.jsonl")
+	_, code1 := runExit(t, "eolcorpus", "-shards", "1", "-o", report1, "testdata/corpus/smoke.json")
+	_, code2 := runExit(t, "eolcorpus", "-shards", "2", "-o", report2, "-trace", journal, "testdata/corpus/smoke.json")
 	out4, code4 := runExit(t, "eolcorpus", "-shards", "4", "testdata/corpus/smoke.json")
-	if code1 != 1 || code4 != 1 {
-		t.Fatalf("exit codes = %d/%d, want 1 (deadline subject fails)\n%s", code1, code4, out1)
+	if code1 != 1 || code2 != 1 || code4 != 1 {
+		t.Fatalf("exit codes = %d/%d/%d, want 1 (deadline subject fails)\n%s", code1, code2, code4, out4)
+	}
+	out1, err := os.ReadFile(report1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out2, err := os.ReadFile(report2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Strip the stderr tail line ("N of M subjects failed"); the JSON
 	// body must be byte-identical between shard counts.
-	strip := func(s string) string {
-		if i := strings.Index(s, "eolcorpus:"); i >= 0 {
-			return s[:i]
-		}
-		return s
+	if i := strings.Index(out4, "eolcorpus:"); i >= 0 {
+		out4 = out4[:i]
 	}
-	if strip(out1) != strip(out4) {
-		t.Errorf("default output differs between -shards 1 and 4:\n--- 1:\n%s\n--- 4:\n%s", out1, out4)
+	if !bytes.Equal(out1, out2) || string(out1) != out4 {
+		t.Errorf("default output differs between -shards 1, 2 and 4:\n--- 1:\n%s\n--- 2:\n%s\n--- 4:\n%s", out1, out2, out4)
 	}
 	for _, want := range []string{`"name": "fig1"`, `"located": true`, `"class": "deadline"`, `"failed": 1`} {
-		if !strings.Contains(out1, want) {
+		if !bytes.Contains(out1, []byte(want)) {
 			t.Errorf("output missing %s:\n%s", want, out1)
 		}
 	}
+	if out, code := runExit(t, "journalcheck", journal); code != 0 {
+		t.Errorf("journalcheck exit code = %d, want 0\n%s", code, out)
+	}
 }
 
-// TestEolcorpusAB is the corpus-level A/B over the engine features and
-// the shard count: every configuration must write the same
-// JSON report and the same run journal as the default, and every
-// journal must validate. On staticreach.json the trace-replay filter
-// must actually retire candidates.
+// TestEolcorpusAB is the corpus-level A/B over the shard count: every
+// configuration must write the same JSON report and the same run
+// journal as the default, and every journal must validate. On
+// staticreach.json the trace-replay filter must actually retire
+// candidates.
 func TestEolcorpusAB(t *testing.T) {
 	configs := []struct {
-		name   string
-		args   []string
-		noCkpt bool // run a copy of the manifest with checkpoints off
+		name string
+		args []string
 	}{
-		{"default", nil, false},
-		{"no-checkpoints", nil, true},
-		{"shards2", []string{"-shards", "2"}, false},
+		{"default", nil},
+		{"shards2", []string{"-shards", "2"}},
 	}
 	fired := regexp.MustCompile(`"replay_skips": [1-9]`)
 	dir := t.TempDir()
@@ -554,11 +571,7 @@ func TestEolcorpusAB(t *testing.T) {
 				reportPath := filepath.Join(dir, manifest+"-"+cfg.name+".json")
 				journalPath := filepath.Join(dir, manifest+"-"+cfg.name+".jsonl")
 				args := append([]string{"-o", reportPath, "-trace", journalPath}, cfg.args...)
-				manifestPath := "testdata/corpus/" + manifest + ".json"
-				if cfg.noCkpt {
-					manifestPath = checkpointsOffCopy(t, dir, manifestPath)
-				}
-				if out, code := runExit(t, "eolcorpus", append(args, manifestPath)...); code != 0 {
+				if out, code := runExit(t, "eolcorpus", append(args, "testdata/corpus/"+manifest+".json")...); code != 0 {
 					t.Fatalf("exit code = %d, want 0\n%s", code, out)
 				}
 				report, err := os.ReadFile(reportPath)
@@ -588,40 +601,6 @@ func TestEolcorpusAB(t *testing.T) {
 			})
 		}
 	}
-}
-
-// checkpointsOffCopy writes a copy of the manifest at path (relative to
-// the repository root) into dir, with "defaults": {"features":
-// {"checkpoints": "off"}} and absolute subject file paths, and returns
-// the copy's path.
-func checkpointsOffCopy(t *testing.T, dir, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(repoRoot, path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["defaults"] = map[string]any{"features": map[string]string{"checkpoints": "off"}}
-	for _, s := range m["subjects"].([]any) {
-		subj := s.(map[string]any)
-		for _, key := range []string{"file", "correct_file"} {
-			if f, ok := subj[key].(string); ok {
-				subj[key] = filepath.Join(repoRoot, filepath.Dir(path), f)
-			}
-		}
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copyPath := filepath.Join(dir, "checkpoints-off-"+filepath.Base(path))
-	if err := os.WriteFile(copyPath, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return copyPath
 }
 
 // TestEolocDeadline exercises eoloc's -deadline flag: a generous bound

@@ -13,7 +13,6 @@
 //	-fail-fast      cancel remaining subjects after the first failure
 //	-workers N      verification workers per session (0 = GOMAXPROCS)
 //	-cache N        shared switched-run cache size (negative = off)
-//	-private-cache  per-subject caches instead of one shared cache
 //	-timing         include wall-clock / shard / cache fields, which
 //	                vary run to run (default output is deterministic)
 //	-o FILE         write the JSON result there instead of stdout
@@ -46,7 +45,6 @@ func main() {
 	shardsFlag := flag.Int("shards", 0, "concurrent localization sessions (0 = GOMAXPROCS)")
 	deadlineFlag := flag.Duration("deadline", 0, "default per-subject wall-clock bound (e.g. 30s; 0 = none)")
 	failFastFlag := flag.Bool("fail-fast", false, "cancel remaining subjects after the first failure")
-	privateFlag := flag.Bool("private-cache", false, "per-subject switched-run caches instead of one shared cache")
 	timingFlag := flag.Bool("timing", false, "include scheduling-dependent fields (timings, shards, cache counters)")
 	outFlag := flag.String("o", "", "write the JSON result to this `file` instead of stdout")
 	engFlags := cliutil.RegisterEngineFlags(flag.CommandLine)
@@ -73,7 +71,6 @@ func main() {
 		FailFast:      *failFastFlag,
 		VerifyWorkers: engFlags.Workers,
 		CacheSize:     engFlags.Cache,
-		NoSharedCache: *privateFlag,
 		Observer:      observer,
 	})
 	if cerr := closeObs(); cerr != nil {

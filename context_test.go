@@ -3,9 +3,16 @@ package eol
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"eol/internal/corpus"
+	"eol/internal/serve"
 	"eol/internal/testsupport"
 )
 
@@ -65,6 +72,52 @@ func TestBackgroundWrappersUnchanged(t *testing.T) {
 	}
 	if len(diag.Candidates) == 0 {
 		t.Error("no candidates from the background-context path")
+	}
+}
+
+// TestFacadeHasNoBackendSelector: the facade's corpus and server
+// options carry every field of their internal counterparts except
+// Backend, so a library caller cannot select the tree-walker oracle.
+func TestFacadeHasNoBackendSelector(t *testing.T) {
+	for _, types := range [][2]reflect.Type{
+		{reflect.TypeOf(CorpusOptions{}), reflect.TypeOf(corpus.Options{})},
+		{reflect.TypeOf(ServeConfig{}), reflect.TypeOf(serve.Config{})},
+	} {
+		facade, internal := types[0], types[1]
+		if _, ok := facade.FieldByName("Backend"); ok {
+			t.Errorf("%v has a Backend field", facade)
+		}
+		for i := 0; i < internal.NumField(); i++ {
+			if name := internal.Field(i).Name; name != "Backend" {
+				if _, ok := facade.FieldByName(name); !ok {
+					t.Errorf("%v lacks %v.%s", facade, internal, name)
+				}
+			}
+		}
+	}
+	sh := NewCorpusShared(-1)
+	var j Observer = NewJournal(io.Discard)
+	got := CorpusOptions{Shards: 3, Deadline: time.Second, FailFast: true, VerifyWorkers: 2, CacheSize: -1, Shared: sh, Observer: j}.corpus()
+	want := corpus.Options{Shards: 3, Deadline: time.Second, FailFast: true, VerifyWorkers: 2, CacheSize: -1, Shared: sh, Observer: j}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CorpusOptions converts to %+v, want %+v", got, want)
+	}
+}
+
+// TestNewServerAppliesConfig: NewServer hands the facade config to the
+// server. With a one-token bucket on a stopped clock, the second request
+// is rate-limited.
+func TestNewServerAppliesConfig(t *testing.T) {
+	s := NewServer(ServeConfig{Rate: 1, Burst: 1, Now: func() time.Time { return time.Unix(0, 0) }})
+	defer s.Close()
+	var codes []int
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/locate", strings.NewReader("{}")))
+		codes = append(codes, rec.Code)
+	}
+	if codes[0] == http.StatusTooManyRequests || codes[1] != http.StatusTooManyRequests {
+		t.Errorf("status codes %v, want the second request rate-limited", codes)
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"io"
 
@@ -265,14 +266,6 @@ type Settings struct {
 	// VerifyCacheSize bounds the switched-run cache (0 = default,
 	// negative = disabled).
 	VerifyCacheSize int
-	// Features selects the optional engine features as explicit
-	// tri-states: static_skip (the trace-replay skip filter),
-	// incremental_reprune and checkpoints (checkpointed switched replay,
-	// docs/CHECKPOINT.md). Every feature is on unless its field is
-	// FeatureOff. The diagnosis, journal and candidate ranking are
-	// byte-identical either way; only cost counters and wall-clock time
-	// differ. See WithFeatures.
-	Features Features
 	// Observer receives the run's deterministic event stream (see
 	// WithObserver and docs/OBSERVABILITY.md).
 	Observer Observer
@@ -462,24 +455,6 @@ func (s *Session) VerifyImplicitDependence(pred, use Instance, variable string) 
 // ---------------------------------------------------------------------------
 // Localization
 
-// Features selects the locator's optional engine features as explicit
-// tri-states (FeatureDefault / FeatureOn / FeatureOff); see
-// Settings.Features. Every feature is results-neutral: the diagnosis,
-// counters and journal are byte-identical whatever the switches — only
-// cost counters and wall-clock time change.
-type Features = core.Features
-
-// FeatureMode is the tri-state of one Features field.
-type FeatureMode = core.FeatureMode
-
-// Feature modes: FeatureDefault selects the built-in default (on),
-// FeatureOn/FeatureOff force the feature.
-const (
-	FeatureDefault = core.FeatureDefault
-	FeatureOn      = core.FeatureOn
-	FeatureOff     = core.FeatureOff
-)
-
 // LocateOption configures Locate by mutating the Session's Settings.
 type LocateOption func(*Settings)
 
@@ -524,14 +499,6 @@ func WithVerifyWorkers(n int) LocateOption {
 // instance reuse one re-execution.
 func WithVerifyCacheSize(n int) LocateOption {
 	return func(s *Settings) { s.VerifyCacheSize = n }
-}
-
-// WithFeatures overlays the given feature tri-states onto the session's
-// settings: non-default fields win, FeatureDefault fields leave the
-// current configuration alone. WithFeatures(Features{X: FeatureOff})
-// turns feature X off.
-func WithFeatures(f Features) LocateOption {
-	return func(s *Settings) { s.Features = s.Features.Overlay(f) }
 }
 
 // WithObserver attaches an observer to the localization run: it receives
@@ -663,7 +630,6 @@ func (s *Session) LocateContext(ctx context.Context, opts ...LocateOption) (*Dia
 		CrossFunctionPD: st.CrossFunctionPD,
 		VerifyWorkers:   st.VerifyWorkers,
 		VerifyCacheSize: st.VerifyCacheSize,
-		Features:        st.Features,
 		Observer:        observer,
 	}
 	rep, err := core.LocateContext(ctx, spec)
@@ -798,9 +764,38 @@ type CorpusManifest = corpus.Manifest
 // CorpusSubject is one subject of a corpus manifest.
 type CorpusSubject = corpus.Subject
 
-// CorpusOptions configures LocateCorpus (shards, deadlines, cache
-// sharing, fail-fast, journal observer).
-type CorpusOptions = corpus.Options
+// CorpusOptions configures LocateCorpus. The zero value shards over
+// GOMAXPROCS and shares one default-sized switched-run cache.
+type CorpusOptions struct {
+	// Shards is the number of subjects localized concurrently
+	// (0 = GOMAXPROCS); it never changes results.
+	Shards int
+	// Deadline bounds each subject's wall clock when the manifest sets
+	// none (0 = unbounded).
+	Deadline time.Duration
+	// FailFast cancels the remaining subjects after the first subject
+	// error.
+	FailFast bool
+	// VerifyWorkers sizes each session's verification pool
+	// (0 = GOMAXPROCS).
+	VerifyWorkers int
+	// CacheSize bounds the switched-run cache shared by all subjects
+	// (0 = default, negative = no caching).
+	CacheSize int
+	// Shared, if non-nil, is warm state kept across calls; its run cache
+	// replaces the one CacheSize would size.
+	Shared *CorpusShared
+	// Observer, if non-nil, receives the corpus journal.
+	Observer Observer
+}
+
+func (o CorpusOptions) corpus() corpus.Options {
+	return corpus.Options{
+		Shards: o.Shards, Deadline: o.Deadline, FailFast: o.FailFast,
+		VerifyWorkers: o.VerifyWorkers, CacheSize: o.CacheSize,
+		Shared: o.Shared, Observer: o.Observer,
+	}
+}
 
 // CorpusResult is the outcome of a corpus run: per-subject results in
 // manifest order plus totals.
@@ -823,7 +818,7 @@ func LoadCorpus(path string) (*CorpusManifest, error) { return corpus.Load(path)
 // Per-subject counters, the journal, and the located/failed totals are
 // byte-identical for any shard count; see docs/CORPUS.md.
 func LocateCorpus(ctx context.Context, m *CorpusManifest, opts CorpusOptions) (*CorpusResult, error) {
-	return corpus.Run(ctx, m, opts)
+	return corpus.Run(ctx, m, opts.corpus())
 }
 
 // CorpusShared is warm state shared across corpus runs: the compile
@@ -843,7 +838,25 @@ func NewCorpusShared(cacheSize int) *CorpusShared { return corpus.NewShared(cach
 // session/queue bounds, per-tenant rate limits, and the async job
 // table. The zero value is a usable development server. See
 // docs/SERVER.md.
-type ServeConfig = serve.Config
+type ServeConfig struct {
+	// Corpus shapes each request's run; Shared and Observer are owned by
+	// the server and ignored here.
+	Corpus CorpusOptions
+	// MaxDeadline caps every subject's deadline (0 = uncapped).
+	MaxDeadline time.Duration
+	// Sessions bounds concurrently running requests (0 = GOMAXPROCS).
+	Sessions int
+	// Queue bounds requests waiting for a session slot (0 = 2×Sessions).
+	Queue int
+	// Rate is each tenant's sustained request rate in requests/second
+	// (0 = unlimited); Burst the bucket depth (0 = max(1, Rate)).
+	Rate  float64
+	Burst int
+	// MaxJobs bounds the async job table (0 = 64).
+	MaxJobs int
+	// Now is the rate limiter's clock (nil = time.Now).
+	Now func() time.Time
+}
 
 // Server is the resident localization service: LocateCorpus behind
 // HTTP/JSON with persistent warm state, multi-tenant rate limiting,
@@ -852,7 +865,13 @@ type ServeConfig = serve.Config
 type Server = serve.Server
 
 // NewServer builds a Server with fresh warm state.
-func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
+func NewServer(cfg ServeConfig) *Server {
+	return serve.New(serve.Config{
+		Corpus: cfg.Corpus.corpus(), MaxDeadline: cfg.MaxDeadline,
+		Sessions: cfg.Sessions, Queue: cfg.Queue, Rate: cfg.Rate, Burst: cfg.Burst,
+		MaxJobs: cfg.MaxJobs, Now: cfg.Now,
+	})
+}
 
 // ---------------------------------------------------------------------------
 // Observability

@@ -86,3 +86,112 @@ func TestSwitchFilterSoundnessRandom(t *testing.T) {
 	}
 	t.Logf("confirmed %d fires across %d/%d programs", fires, progsWithFires, programs)
 }
+
+// TestSwitchFilterCallCommit pins when the replay filter commits a call
+// statement's assignment: at the end of the callee's span, after every
+// callee entry, not right after the call entry. Each subject switches
+// the one predicate and asks about the wrong output's use of c, which
+// no branch writes. The filter's answer depends only on the commit
+// point, and a real switched run must agree with it.
+func TestSwitchFilterCallCommit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		vexp int64
+		// provable is the filter's verdict; want the switched run's.
+		provable bool
+		want     implicit.Verdict
+	}{
+		{
+			// g = set() leaves g = 7 although set writes 5 first, so
+			// the switched branch's g = 7 is a no-op and the skip is
+			// provable. Committing before set's body replays g = 5 and
+			// taints g, which reaches the wrong output.
+			name: "prefix call commits after the callee's write",
+			src: `var g;
+
+func set() {
+	g = 5;
+	return 7;
+}
+
+func main() {
+	var a = read();
+	var c = 3;
+	g = set();
+	if (a > 10) {
+		g = 7;
+	}
+	print(c + g);
+}`,
+			vexp: 11, provable: true, want: implicit.NotID,
+		},
+		{
+			// The switched branch taints g, and copy reads g before
+			// g = copy() overwrites it, so the taint reaches k and the
+			// wrong output: the switched run prints the expected 7.
+			// Committing before copy's body clears g's taint too early
+			// and would skip a StrongID verification.
+			name: "suffix call commits after the callee's read",
+			src: `var g;
+var k;
+
+func copy() {
+	k = g;
+	return 1;
+}
+
+func main() {
+	var a = read();
+	var c = 3;
+	if (a > 10) {
+		g = 4;
+	}
+	g = copy();
+	print(c + k);
+}`,
+			vexp: 7, provable: false, want: implicit.StrongID,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := interp.Compile(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			input := []int64{1}
+			run := interp.Run(c, interp.Options{Input: input, BuildTrace: true})
+			if run.Err != nil {
+				t.Fatal(run.Err)
+			}
+			tr := run.Trace
+			o := tr.OutputAt(0)
+			pred, sym := -1, -1
+			for i := 0; i < tr.Len(); i++ {
+				if b := tr.At(i).Branch; b == cfg.True || b == cfg.False {
+					pred = i
+				}
+			}
+			for _, rec := range tr.At(o.Entry).Uses {
+				if rec.Sym >= 0 && c.Info.Symbols[rec.Sym].Name == "c" {
+					sym = rec.Sym
+				}
+			}
+			if pred < 0 || sym < 0 {
+				t.Fatalf("predicate %d, symbol c %d not found in the trace", pred, sym)
+			}
+
+			flt := check.NewSwitchFilter(c, nil, tr, o.Entry)
+			if got := flt.ProvablyNotID(pred, o.Entry, sym); got != tc.provable {
+				t.Errorf("ProvablyNotID = %v, want %v (%s)", got, tc.provable, flt.Reason(pred))
+			}
+			ver := &implicit.Verifier{
+				C: c, Input: input, Orig: tr,
+				WrongOut: *o, Vexp: tc.vexp, HasVexp: true,
+			}
+			res := ver.VerifyDetailed(implicit.Request{Pred: pred, Use: o.Entry, UseSym: sym})
+			if res.Verdict != tc.want {
+				t.Errorf("switched run verdict = %v, want %v", res.Verdict, tc.want)
+			}
+		})
+	}
+}

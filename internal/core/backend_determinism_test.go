@@ -39,12 +39,12 @@ func TestBackendDeterminismFig1(t *testing.T) {
 		treeSpec := fig1DetSpec(t)
 		treeSpec.Backend = interp.Tree
 		treeSpec.VerifyWorkers, treeSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		treeSpec.Features.StaticSkip, treeSpec.Features.Checkpoints = offIf(cfg.noSkip), offIf(cfg.noCkpt)
+		treeSpec.Disable.StaticSkip, treeSpec.Disable.Checkpoints = cfg.noSkip, cfg.noCkpt
 
 		vmSpec := fig1DetSpec(t)
 		vmSpec.Backend = vm.Backend
 		vmSpec.VerifyWorkers, vmSpec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		vmSpec.Features.StaticSkip, vmSpec.Features.Checkpoints = offIf(cfg.noSkip), offIf(cfg.noCkpt)
+		vmSpec.Disable.StaticSkip, vmSpec.Disable.Checkpoints = cfg.noSkip, cfg.noCkpt
 
 		treeRep, treeJournal := locateJournaled(t, treeSpec)
 		vmRep, vmJournal := locateJournaled(t, vmSpec)

@@ -36,7 +36,7 @@ func locateJournaled(t *testing.T, spec *core.Spec) (*core.Report, []byte) {
 // the engine configurations, with journal byte-comparison.
 func TestDeterminismCheckpoints(t *testing.T) {
 	offSpec := fig1DetSpec(t)
-	offSpec.Features.Checkpoints = core.FeatureOff
+	offSpec.Disable.Checkpoints = true
 	offSpec.VerifyWorkers, offSpec.VerifyCacheSize = 1, -1
 	want, wantJournal := locateJournaled(t, offSpec)
 	if !want.Located {
@@ -60,12 +60,11 @@ func TestDeterminismCheckpoints(t *testing.T) {
 	} {
 		spec := fig1DetSpec(t)
 		spec.VerifyWorkers, spec.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		spec.Features.StaticSkip = offIf(cfg.noSkip)
+		spec.Disable.StaticSkip = cfg.noSkip
 
 		specOff := fig1DetSpec(t)
-		specOff.Features.Checkpoints = core.FeatureOff
+		specOff.Disable = core.Disable{StaticSkip: cfg.noSkip, Checkpoints: true}
 		specOff.VerifyWorkers, specOff.VerifyCacheSize = cfg.workers, cfg.cacheSz
-		specOff.Features.StaticSkip = offIf(cfg.noSkip)
 
 		on, onJournal := locateJournaled(t, spec)
 		off, offJournal := locateJournaled(t, specOff)
@@ -105,7 +104,7 @@ func TestDeterminismCheckpointsSed(t *testing.T) {
 			t.Fatal(err)
 		}
 		specOff := p.Spec()
-		specOff.Features.Checkpoints = core.FeatureOff
+		specOff.Disable.Checkpoints = true
 		want, wantJournal := locateJournaled(t, specOff)
 
 		spec := p.Spec()

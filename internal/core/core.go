@@ -151,16 +151,30 @@ type Spec struct {
 	// calls (e.g. many localizations of one program family). Overrides
 	// VerifyCacheSize.
 	VerifyCache *verifyengine.RunCache
-	// Features selects the optional engine features as explicit
-	// tri-states (see the Features type); ResolveFeatures defines how
-	// they combine with the defaults.
-	Features Features
+	// Disable turns engine features off. Every feature is on outside
+	// tests; only _test.go files set Disable, to compare a feature's
+	// path against the reference path it replaces.
+	Disable Disable
 	// Observer, if non-nil, receives the run's observability stream:
 	// spans for each localization phase, counter deltas and final stats
 	// gauges (see internal/obs and docs/OBSERVABILITY.md). For a fixed
 	// cache/skip-filter configuration the stream is byte-identical for
 	// any VerifyWorkers value.
 	Observer obs.Observer
+}
+
+// Disable names the engine features a Spec turns off. Each feature
+// changes only the cost of Locate: verdicts, the Table 3 counters,
+// VerifyLog and the obs journal are byte-identical with any of them off.
+type Disable struct {
+	// StaticSkip is the trace-replay skip filter (check.SwitchFilter).
+	StaticSkip bool
+	// IncrementalReprune is delta re-propagation in confidence analysis.
+	IncrementalReprune bool
+	// Checkpoints is checkpointed switched replay: the failing run
+	// captures up to interp.DefaultCheckpoints snapshots, and switched
+	// runs fork from the nearest one.
+	Checkpoints bool
 }
 
 // Report is the outcome of LocateFault, carrying the Table 3 counters.
@@ -258,8 +272,6 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 		maxIter = 10
 	}
 
-	feats := spec.ResolveFeatures()
-
 	rec := obs.NewRecorder(spec.Observer)
 	rec.Begin("locate")
 
@@ -273,7 +285,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	// fork from (unless disabled). The store is the backend's own
 	// representation, so forks restore native execution state.
 	var cks interp.Checkpoints
-	if feats.Checkpoints {
+	if !spec.Disable.Checkpoints {
 		cks = bk.NewCheckpoints(interp.DefaultCheckpoints)
 	}
 	rec.Begin("failing_run")
@@ -314,7 +326,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	cx := slicing.NewContext(spec.Program, tr)
 	cx.CrossFunction = spec.CrossFunctionPD
 	an := confidence.New(spec.Program, g, spec.Profile, correct, wrong)
-	an.Incremental = feats.IncrementalReprune
+	an.Incremental = !spec.Disable.IncrementalReprune
 	rec.End("slicing", int64(tr.Len()))
 	ver := &implicit.Verifier{
 		C: spec.Program, Input: spec.Input, Orig: tr,
@@ -336,7 +348,7 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	// the default edge-mode verifier. It reuses the slicing context's
 	// reaching definitions: the engine consults it from its planning
 	// loop on this goroutine, never concurrently.
-	if feats.StaticSkip && !spec.PathMode {
+	if !spec.Disable.StaticSkip && !spec.PathMode {
 		flt := check.NewSwitchFilter(spec.Program, cx.Flow, tr, wrong.Entry)
 		engCfg.Filter = func(req implicit.Request) bool {
 			return flt.ProvablyNotID(req.Pred, req.Use, req.UseSym)
@@ -445,7 +457,7 @@ func (l *locator) pd(entry int) []slicing.PDep {
 //
 // Each Compute here is a re-prune: after the first pass it re-propagates
 // only the cone invalidated by the latest expansion edges and pins
-// (unless Features.IncrementalReprune is off). The dirty-set sizes are
+// (unless Disable.IncrementalReprune is set). The dirty-set sizes are
 // mode-dependent cost counters and therefore live in Report.Stats
 // (Repropagated/DirtyFraction), not in the journal — the reprune span
 // itself is emitted identically in both modes.

@@ -16,15 +16,6 @@ import (
 	"eol/internal/trace"
 )
 
-// offIf maps a config table's boolean "feature off" column onto the
-// feature's mode.
-func offIf(off bool) core.FeatureMode {
-	if off {
-		return core.FeatureOff
-	}
-	return core.FeatureDefault
-}
-
 // fig1DetSpec rebuilds the Figure 1 localization problem (a fresh Spec
 // per call: Locate and the engine attach state to the spec's verifier).
 func fig1DetSpec(t *testing.T) *core.Spec {
@@ -109,7 +100,7 @@ func TestDeterminismFig1(t *testing.T) {
 // skipping switched runs somewhere in the suite (the whole point).
 func TestDeterminismStaticSkip(t *testing.T) {
 	off := fig1DetSpec(t)
-	off.Features.StaticSkip = core.FeatureOff
+	off.Disable.StaticSkip = true
 	want := locateConfigured(t, off, 1, -1)
 	got := locateConfigured(t, fig1DetSpec(t), 1, -1)
 	assertSameOutcome(t, "fig1/skip-on", want, got)
@@ -125,7 +116,7 @@ func TestDeterminismStaticSkip(t *testing.T) {
 			t.Fatal(err)
 		}
 		specOff := p.Spec()
-		specOff.Features.StaticSkip = core.FeatureOff
+		specOff.Disable.StaticSkip = true
 		want := locateConfigured(t, specOff, 1, -1)
 		got := locateConfigured(t, p.Spec(), 1, -1)
 		assertSameOutcome(t, name+"/skip-on", want, got)

@@ -1,7 +1,7 @@
 package core_test
 
 // Differential coverage for incremental re-pruning at the Locate level:
-// Features.IncrementalReprune toggles how the re-prune step after each expansion
+// Disable.IncrementalReprune toggles how the re-prune step after each expansion
 // iteration is computed (delta re-propagation vs full recompute), and
 // the two modes must produce identical Reports — verdict, Table 3
 // counters, VerifyLog, IPS entries and confidences. Only the cost
@@ -44,12 +44,11 @@ func TestIncrementalDeterminismFig1(t *testing.T) {
 		{"workers=8/nocache/noskip", 8, -1, true},
 	} {
 		full := fig1DetSpec(t)
-		full.Features.IncrementalReprune = core.FeatureOff
-		full.Features.StaticSkip = offIf(cfg.noSkip)
+		full.Disable = core.Disable{IncrementalReprune: true, StaticSkip: cfg.noSkip}
 		want := locateConfigured(t, full, cfg.workers, cfg.cacheSz)
 
 		inc := fig1DetSpec(t)
-		inc.Features.StaticSkip = offIf(cfg.noSkip)
+		inc.Disable.StaticSkip = cfg.noSkip
 		got := locateConfigured(t, inc, cfg.workers, cfg.cacheSz)
 		assertSameDiagnosis(t, cfg.label, want, got)
 		if want.Stats.DirtyFraction != 0 && want.Stats.DirtyFraction != 1 {
@@ -79,7 +78,7 @@ func TestIncrementalDeterminismBench(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := pA.Spec()
-		full.Features.IncrementalReprune = core.FeatureOff
+		full.Disable.IncrementalReprune = true
 		want := locateConfigured(t, full, 1, -1)
 		got := locateConfigured(t, pB.Spec(), 1, -1)
 		assertSameDiagnosis(t, name, want, got)

@@ -62,8 +62,8 @@ func TestJournalDeterminismFig1(t *testing.T) {
 		{"cache/noskip", 0, true},
 	} {
 		specA, specB := fig1DetSpec(t), fig1DetSpec(t)
-		specA.Features.StaticSkip = offIf(cfg.noSkip)
-		specB.Features.StaticSkip = offIf(cfg.noSkip)
+		specA.Disable.StaticSkip = cfg.noSkip
+		specB.Disable.StaticSkip = cfg.noSkip
 		want := journalFor(t, specA, 1, cfg.cacheSz)
 		got := journalFor(t, specB, 8, cfg.cacheSz)
 		if err := obs.ValidateJournal(bytes.NewReader(want)); err != nil {
@@ -82,7 +82,7 @@ func TestJournalDeterminismFig1(t *testing.T) {
 // Report, never in the event stream (docs/OBSERVABILITY.md).
 func TestJournalDeterminismIncremental(t *testing.T) {
 	specFull, specInc := fig1DetSpec(t), fig1DetSpec(t)
-	specFull.Features.IncrementalReprune = core.FeatureOff
+	specFull.Disable.IncrementalReprune = true
 	want := journalFor(t, specFull, 1, -1)
 	got := journalFor(t, specInc, 1, -1)
 	if !bytes.Equal(want, got) {
@@ -103,7 +103,7 @@ func TestJournalDeterminismIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		specFull := pA.Spec()
-		specFull.Features.IncrementalReprune = core.FeatureOff
+		specFull.Disable.IncrementalReprune = true
 		want := journalFor(t, specFull, 4, 0)
 		got := journalFor(t, pB.Spec(), 4, 0)
 		if !bytes.Equal(want, got) {

@@ -31,18 +31,16 @@ func repeatManifest(b *testing.B, n int) *Manifest {
 	return m
 }
 
-// benchmarkCorpus runs the repeat-corpus and reports the aggregate
-// switched-run cache hit rate (hits/(hits+misses) summed over the
-// subjects' engine counters) so the shared-vs-private gain is visible
-// in the benchmark output.
-func benchmarkCorpus(b *testing.B, private bool) {
+// BenchmarkCorpusSharedCache runs the repeat-corpus and reports the
+// aggregate switched-run cache hit rate (hits/(hits+misses) summed over
+// the subjects' engine counters), the gain of one cache shared across
+// the corpus.
+func BenchmarkCorpusSharedCache(b *testing.B) {
 	m := repeatManifest(b, 6)
 	var agg obs.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), m, Options{
-			Shards: 2, VerifyWorkers: 1, NoSharedCache: private,
-		})
+		res, err := Run(context.Background(), m, Options{Shards: 2, VerifyWorkers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,6 +59,3 @@ func benchmarkCorpus(b *testing.B, private bool) {
 	b.ReportMetric(agg.CacheHitRate(), "cache-hit-rate")
 	b.ReportMetric(float64(agg.SwitchedRuns), "switched-runs")
 }
-
-func BenchmarkCorpusSharedCache(b *testing.B)  { benchmarkCorpus(b, false) }
-func BenchmarkCorpusPrivateCache(b *testing.B) { benchmarkCorpus(b, true) }

@@ -64,13 +64,6 @@ type Options struct {
 	// CacheSize bounds the shared switched-run cache (0 = default,
 	// negative = disable caching entirely).
 	CacheSize int
-	// NoSharedCache gives every subject a private cache instead of one
-	// shared across the corpus — for A/B-measuring the sharing gain.
-	NoSharedCache bool
-	// Features selects optional engine features for every subject, as
-	// explicit tri-states; per-subject manifest features (wire spelling)
-	// overlay it key by key. Results-neutral, like all features.
-	Features core.Features
 	// Backend names the execution backend for every subject ("" = the
 	// VM). Only the reference oracle sets it: eolbench's per-family
 	// oracle pass and the tree/VM A/B tests ("tree"). Backends are
@@ -82,10 +75,9 @@ type Options struct {
 	// compile cache and the switched-run cache — that outlives this Run
 	// call. Resident drivers (internal/serve) keep one Shared across
 	// requests so later runs of the same program family hit warm
-	// caches. When set, it overrides NoSharedCache and the
-	// cache-construction half of CacheSize (CacheSize still sizes
-	// per-subject private caches if Shared was built without a run
-	// cache). Per-subject results are identical warm or cold.
+	// caches. When set, its run cache (or its lack of one, see
+	// NewShared) replaces the cache CacheSize would size. Per-subject
+	// results are identical warm or cold.
 	Shared *Shared
 	// Observer, if non-nil, receives the corpus journal: one corpus
 	// span containing a subject span per subject (manifest order) with
@@ -230,7 +222,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 		// Run calls.
 		shared, cc = opts.Shared.runs, opts.Shared.compile
 	} else {
-		if !opts.NoSharedCache && opts.CacheSize >= 0 {
+		if opts.CacheSize >= 0 {
 			shared = verifyengine.NewRunCache(opts.CacheSize)
 		}
 		cc = &compileCache{m: map[string]*compileEntry{}}
@@ -317,13 +309,6 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		defer cancel()
 	}
 
-	// Per-key feature merge: the subject's manifest features (validated by
-	// Manifest.Validate, so the parse cannot fail here) overlay the
-	// corpus-wide Options.Features.
-	subjFeats, err := core.ParseFeatures(s.Features)
-	if err != nil {
-		return fail(err)
-	}
 	spec := &core.Spec{
 		Program:         faulty,
 		Backend:         bk,
@@ -333,9 +318,8 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		PathMode:        s.PathMode,
 		CrossFunctionPD: s.CrossFunctionPD,
 		VerifyWorkers:   opts.VerifyWorkers,
-		VerifyCacheSize: opts.CacheSize,
+		VerifyCacheSize: -1, // the shared cache, if any, is the only one
 		VerifyCache:     shared,
-		Features:        opts.Features.Overlay(subjFeats),
 	}
 
 	if s.CorrectSource != "" {

@@ -124,7 +124,8 @@ func TestShardCountInvariance(t *testing.T) {
 
 // TestSharedCacheAcrossSubjects runs the same subject several times in
 // one corpus: with a shared cache the later sessions reuse the first
-// session's switched runs; with private caches they cannot.
+// session's switched runs; with caching off (CacheSize < 0) no session
+// reuses anything, and results do not change.
 func TestSharedCacheAcrossSubjects(t *testing.T) {
 	cases := bench.Cases()
 	faulty, err := cases[0].FaultySrc()
@@ -153,17 +154,22 @@ func TestSharedCacheAcrossSubjects(t *testing.T) {
 		t.Errorf("identical subjects produced no shared-cache hits: %+v", shared.Cache)
 	}
 
-	private, err := Run(context.Background(), m, Options{Shards: 1, VerifyWorkers: 1, NoSharedCache: true})
+	uncached, err := Run(context.Background(), m, Options{Shards: 1, VerifyWorkers: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if private.SharedCache {
-		t.Errorf("private-cache run reported a shared cache")
+	if uncached.SharedCache {
+		t.Errorf("CacheSize -1 run reported a shared cache")
+	}
+	for _, sr := range uncached.Subjects {
+		if st := sr.Report.Stats; st.CacheHits != 0 {
+			t.Errorf("%s: %d cache hits with caching off", sr.Name, st.CacheHits)
+		}
 	}
 	// Sharing must not change results.
-	if !reflect.DeepEqual(viewOf(shared), viewOf(private)) {
-		t.Errorf("shared vs private cache changed results:\nshared:  %+v\nprivate: %+v",
-			viewOf(shared), viewOf(private))
+	if !reflect.DeepEqual(viewOf(shared), viewOf(uncached)) {
+		t.Errorf("shared vs no cache changed results:\nshared:   %+v\nuncached: %+v",
+			viewOf(shared), viewOf(uncached))
 	}
 }
 

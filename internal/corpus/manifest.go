@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
 	"eol/internal/backend"
-	"eol/internal/core"
 )
 
 // Duration is a time.Duration that unmarshals from either a JSON string
@@ -95,13 +95,9 @@ type Subject struct {
 	// every subject runs on Options.Backend, the VM unless a test or
 	// benchmark asks for the reference oracle.
 	Backend string `json:"backend,omitempty"`
-	// Features selects optional engine features by wire name
-	// (static_skip, incremental_reprune, checkpoints) with tri-state
-	// values ("on", "off", "default"); docs/CORPUS.md lists them.
-	// Per-key merge order: subject over Defaults.Features over
-	// Options.Features. Unknown names or values fail Validate. Every
-	// feature is results-neutral, so results and the journal do not
-	// depend on the choice.
+	// Features is accepted on schema_version 1 and validated (an
+	// unknown feature name or mode fails Validate), then ignored: every
+	// engine feature is always on.
 	Features map[string]string `json:"features,omitempty"`
 }
 
@@ -235,8 +231,35 @@ func (m *Manifest) Validate() error {
 		if _, err := backend.Lookup(s.Backend); err != nil {
 			return fmt.Errorf("subject %d (%s): %w", i, s.Name, err)
 		}
-		if _, err := core.ParseFeatures(s.Features); err != nil {
+		if err := validateFeatures(s.Features); err != nil {
 			return fmt.Errorf("subject %d (%s): %w", i, s.Name, err)
+		}
+	}
+	return nil
+}
+
+// featureNames are the engine feature names schema_version 1 accepts
+// in a "features" key, sorted.
+var featureNames = []string{"checkpoints", "incremental_reprune", "static_skip"}
+
+// validateFeatures checks a "features" key: each mode is "on", "off",
+// "default" or empty, and each name is in featureNames or names a
+// removed feature ("speculation", "static_reach"). The smallest
+// offending name is reported.
+func validateFeatures(m map[string]string) error {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		switch m[name] {
+		case "", "default", "on", "off":
+		default:
+			return fmt.Errorf("feature %s: unknown feature mode %q (want on, off or default)", name, m[name])
+		}
+		if !slices.Contains(featureNames, name) && name != "speculation" && name != "static_reach" {
+			return fmt.Errorf("unknown feature %q (want one of %v)", name, featureNames)
 		}
 	}
 	return nil

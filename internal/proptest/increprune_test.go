@@ -83,21 +83,21 @@ func TestIncrementalRepruneDifferential(t *testing.T) {
 			}
 		}
 
-		specOf := func(inc core.FeatureMode) *core.Spec {
+		specOf := func(full bool) *core.Spec {
 			return &core.Spec{
 				Program:   faulty,
 				Input:     in,
 				Expected:  cr.OutputValues(),
 				RootCause: []int{root},
 				Oracle:    &oracle.StateOracle{Correct: cr.Trace},
-				Features:  core.Features{IncrementalReprune: inc},
+				Disable:   core.Disable{IncrementalReprune: full},
 			}
 		}
-		want, err := core.Locate(specOf(core.FeatureOff))
+		want, err := core.Locate(specOf(true))
 		if err != nil {
 			t.Fatalf("Locate (full) crashed:\n%s\nerror: %v", faultySrc, err)
 		}
-		got, err := core.Locate(specOf(core.FeatureDefault))
+		got, err := core.Locate(specOf(false))
 		if err != nil {
 			t.Fatalf("Locate (incremental) crashed:\n%s\nerror: %v", faultySrc, err)
 		}

@@ -72,32 +72,45 @@ func TestServeMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRemovedFeatureIgnored: "speculation" and "static_reach" name
-// removed engine features that schema_version 1 still accepts as
-// no-ops, so a corpus request carrying one must get the same bytes as
-// the request without it (which TestServeMatchesBatch pins to the batch
-// output).
+// TestRemovedFeatureIgnored: schema_version 1 still accepts the
+// "features" key and ignores it. Every engine feature is always on, and
+// "speculation" and "static_reach" name removed ones, so a corpus
+// request turning any of them off must get the bytes of the request
+// without the key. staticreach.json makes the replay filter retire
+// candidates, so a static_skip that still switched the filter off
+// would change its replay_skips.
 func TestRemovedFeatureIgnored(t *testing.T) {
-	want := batchBytes(t, corpus.Options{})
 	_, ts := startServer(t, Config{})
-	for _, features := range []map[string]string{
-		{"speculation": "on"},
-		{"static_reach": "off"},
-	} {
-		m := loadManifest(t)
-		for i := range m.Subjects {
-			m.Subjects[i].Features = features
+	for _, path := range []string{smokeManifest, "../../testdata/corpus/staticreach.json"} {
+		request := func(features map[string]string) []byte {
+			m, err := corpus.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range m.Subjects {
+				m.Subjects[i].Features = features
+			}
+			var body bytes.Buffer
+			if err := api.Encode(&body, api.RequestFromManifest(m)); err != nil {
+				t.Fatal(err)
+			}
+			code, _, got := post(t, ts.URL+"/v1/corpus", "", body.Bytes())
+			if code != 200 {
+				t.Fatalf("%s %v: status %d: %s", path, features, code, got)
+			}
+			return got
 		}
-		var body bytes.Buffer
-		if err := api.Encode(&body, api.RequestFromManifest(m)); err != nil {
-			t.Fatal(err)
-		}
-		code, _, got := post(t, ts.URL+"/v1/corpus", "", body.Bytes())
-		if code != 200 {
-			t.Fatalf("%v: status %d: %s", features, code, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%v: response differs from the request without the feature:\ngot:\n%s\nwant:\n%s", features, got, want)
+		want := request(nil)
+		for _, features := range []map[string]string{
+			{"speculation": "on"},
+			{"static_reach": "off"},
+			{"checkpoints": "off"},
+			{"incremental_reprune": "off"},
+			{"static_skip": "off"},
+		} {
+			if got := request(features); !bytes.Equal(got, want) {
+				t.Errorf("%s %v: response differs from the request without the key:\ngot:\n%s\nwant:\n%s", path, features, got, want)
+			}
 		}
 	}
 }

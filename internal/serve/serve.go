@@ -60,9 +60,9 @@ const maxBodyBytes = 16 << 20
 // queue, default caches.
 type Config struct {
 	// Corpus shapes each request's run: Shards, VerifyWorkers,
-	// CacheSize, Features, Backend and the default per-subject
-	// Deadline all apply per request. Shared and Observer are owned by
-	// the server and ignored here.
+	// CacheSize, Backend and the default per-subject Deadline all apply
+	// per request. Shared and Observer are owned by the server and
+	// ignored here.
 	Corpus corpus.Options
 	// MaxDeadline caps every subject's deadline (and supplies it where
 	// none is set), so no tenant can pin a session slot forever

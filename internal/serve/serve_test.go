@@ -20,7 +20,7 @@ const smokeManifest = "../../testdata/corpus/smoke.json"
 
 // loadManifest loads the smoke manifest (2 locating fig1 subjects + one
 // 5ms-deadline subject — all three row sets are deterministic, pinned
-// by make corpus-smoke).
+// by the cmd test TestEolcorpusSmoke).
 func loadManifest(t testing.TB) *corpus.Manifest {
 	t.Helper()
 	m, err := corpus.Load(smokeManifest)
