@@ -15,9 +15,12 @@ test:
 
 # Race lane: the verification engine fans verifications out over
 # goroutines and shares cached switched traces between them — run the
-# suite under the race detector whenever that machinery changes.
+# suite under the race detector whenever that machinery changes. The
+# second line repeats the test of concurrent Locates sharing one
+# program's cached dataflow analysis.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestSharedProgramConcurrentLocate ./internal/core
 
 vet:
 	$(GO) vet ./...

@@ -69,7 +69,7 @@ func main() {
 		return
 	}
 	if *vetFlag {
-		diags := check.Vet(check.NewUnit(c, nil))
+		diags := check.Vet(check.NewUnit(c))
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -98,7 +98,7 @@ func (c *Case) Prepare() (*Prepared, error) {
 		which string
 		c     *interp.Compiled
 	}{{"correct", correct}, {"faulty", faulty}} {
-		if diags := check.Vet(check.NewUnit(v.c, nil)); check.HasErrors(diags) {
+		if diags := check.Vet(check.NewUnit(v.c)); check.HasErrors(diags) {
 			return nil, fmt.Errorf("%s: %s version fails static validation: %v", c.Name(), v.which, diags)
 		}
 	}

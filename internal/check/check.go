@@ -68,8 +68,8 @@ func (d Diagnostic) String() string {
 }
 
 // Unit is the shared compilation unit analyzers run over. Everything is
-// derived from one compiled program; Flow is computed on demand by Load
-// and shared across passes.
+// derived from one compiled program; Flow is the program's shared
+// dataflow analysis.
 type Unit struct {
 	C    *interp.Compiled
 	Flow *dataflow.Analysis
@@ -83,16 +83,13 @@ func Load(src string) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewUnit(c, nil), nil
+	return NewUnit(c), nil
 }
 
-// NewUnit wraps an already-compiled program; flow may be nil, in which
-// case the dataflow analysis is computed here.
-func NewUnit(c *interp.Compiled, flow *dataflow.Analysis) *Unit {
-	if flow == nil {
-		flow = dataflow.New(c.Info, c.CFG)
-	}
-	return &Unit{C: c, Flow: flow}
+// NewUnit wraps an already-compiled program and its shared dataflow
+// analysis (dataflow.Of).
+func NewUnit(c *interp.Compiled) *Unit {
+	return &Unit{C: c, Flow: dataflow.Of(c)}
 }
 
 // SPDG returns the unit's static program dependence graph

@@ -70,6 +70,16 @@ type SwitchFilter struct {
 	// one no verdict can strengthen to StrongID via the wrong output.
 	wrong int
 
+	// cursor is a replay of the trace range [0, cursorAt). A predicate
+	// at or after cursorAt steps it forward; one before it restarts it
+	// from 0. So the prefix is replayed once for queries in trace order.
+	cursor   *replay
+	cursorAt int
+	// frameStart maps each activation frame to its first trace index.
+	frameStart []int
+	// targetBuf backs replay.targets' result.
+	targetBuf []defTarget
+
 	preds map[int]*predFacts       // per pred trace index
 	scans map[scanKey]*branchScan  // per (pred stmt, opposite label)
 	stmts map[int]*stmtStaticFacts // per statement ID
@@ -78,12 +88,9 @@ type SwitchFilter struct {
 // NewSwitchFilter builds a filter over one failing execution. wrongEntry
 // is the trace index of the first wrong output (pass -1 only when the
 // verifier runs without an expected value).
-func NewSwitchFilter(c *interp.Compiled, flow *dataflow.Analysis, tr *trace.Trace, wrongEntry int) *SwitchFilter {
-	if flow == nil {
-		flow = dataflow.New(c.Info, c.CFG)
-	}
+func NewSwitchFilter(c *interp.Compiled, tr *trace.Trace, wrongEntry int) *SwitchFilter {
 	return &SwitchFilter{
-		c: c, flow: flow, tr: tr,
+		c: c, flow: dataflow.Of(c), tr: tr,
 		wrong: wrongEntry,
 		preds: map[int]*predFacts{},
 		scans: map[scanKey]*branchScan{},
@@ -214,16 +221,8 @@ func (f *SwitchFilter) analyze(predIdx int) *predFacts {
 
 	// Phase 1: replay E up to the predicate to reconstruct machine state,
 	// then through the dynamic region to diff the vanishing effects.
-	rp := newReplay(f)
-	for i := 0; i < predIdx; i++ {
-		rp.step(i)
-	}
-	rp.release(predIdx) // calls whose span ends at p commit before it
-	stateAtP := rp.snapshot()
-	framesAtP := map[int]bool{0: true}
-	for i := 0; i <= predIdx; i++ {
-		framesAtP[f.tr.At(i).Frame] = true
-	}
+	stateAtP := f.stateAt(predIdx)
+	rp := f.cursor.fork()
 
 	// The dynamic region: the contiguous run of control descendants.
 	regionEnd := rp.anc.End(predIdx)
@@ -244,7 +243,7 @@ func (f *SwitchFilter) analyze(predIdx int) *predFacts {
 			}
 			_ = n
 		case *ast.ReturnStmt:
-			if framesAtP[e.Frame] {
+			if f.liveAt(e.Frame, predIdx) {
 				return bail("region returns from a live frame")
 			}
 		}
@@ -296,6 +295,36 @@ func (f *SwitchFilter) analyze(predIdx int) *predFacts {
 		tainted: map[int]bool{}}
 	f.taintWalk(rp, pf, taintCells, regionEnd)
 	return pf
+}
+
+// stateAt steps the replay cursor to predIdx, restarting it from 0 when
+// predIdx lies behind it, and commits the calls whose span ends there.
+// The returned cells are E's machine state at the predicate; they belong
+// to the cursor, so callers read them and replay on a fork.
+func (f *SwitchFilter) stateAt(predIdx int) map[cellKey]cellVal {
+	if f.cursor == nil || predIdx < f.cursorAt {
+		f.cursor, f.cursorAt = newReplay(f), 0
+	}
+	for ; f.cursorAt < predIdx; f.cursorAt++ {
+		f.cursor.step(f.cursorAt)
+	}
+	f.cursor.release(predIdx) // calls whose span ends at p commit before it
+	return f.cursor.cells
+}
+
+// liveAt reports whether frame is live at trace index predIdx: it is the
+// globals' frame, or one of its entries lies at or before predIdx.
+func (f *SwitchFilter) liveAt(frame, predIdx int) bool {
+	if f.frameStart == nil {
+		for i := f.tr.Len() - 1; i >= 0; i-- {
+			fr := f.tr.At(i).Frame
+			for len(f.frameStart) <= fr {
+				f.frameStart = append(f.frameStart, f.tr.Len())
+			}
+			f.frameStart[fr] = i
+		}
+	}
+	return frame == 0 || f.frameStart[frame] <= predIdx
 }
 
 // loopInsideRegion reports whether the loop statement targeted by a

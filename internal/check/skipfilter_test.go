@@ -1,14 +1,20 @@
 package check_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"eol/internal/bench"
 	"eol/internal/cfg"
 	"eol/internal/check"
 	"eol/internal/implicit"
 	"eol/internal/interp"
+	"eol/internal/slicing"
 	"eol/internal/testsupport"
+	"eol/internal/trace"
 )
 
 // TestSwitchFilterSoundnessRandom cross-checks the static skip-filter
@@ -47,7 +53,7 @@ func TestSwitchFilterSoundnessRandom(t *testing.T) {
 			C: c, Orig: tr,
 			WrongOut: *o, Vexp: o.Value + 1, HasVexp: true,
 		}
-		flt := check.NewSwitchFilter(c, nil, tr, o.Entry)
+		flt := check.NewSwitchFilter(c, tr, o.Entry)
 
 		checked := 0
 		fired := false
@@ -180,7 +186,7 @@ func main() {
 				t.Fatalf("predicate %d, symbol c %d not found in the trace", pred, sym)
 			}
 
-			flt := check.NewSwitchFilter(c, nil, tr, o.Entry)
+			flt := check.NewSwitchFilter(c, tr, o.Entry)
 			if got := flt.ProvablyNotID(pred, o.Entry, sym); got != tc.provable {
 				t.Errorf("ProvablyNotID = %v, want %v (%s)", got, tc.provable, flt.Reason(pred))
 			}
@@ -193,5 +199,168 @@ func main() {
 				t.Errorf("switched run verdict = %v, want %v", res.Verdict, tc.want)
 			}
 		})
+	}
+}
+
+// filterQuery is one question to a SwitchFilter: Reason(pred) when use
+// is -1, else ProvablyNotID(pred, use, sym).
+type filterQuery struct{ pred, use, sym int }
+
+func (q filterQuery) ask(f *check.SwitchFilter) string {
+	if q.use < 0 {
+		return f.Reason(q.pred)
+	}
+	return fmt.Sprint(f.ProvablyNotID(q.pred, q.use, q.sym))
+}
+
+// filterQueries lists, for every predicate instance of tr, its Reason and
+// ProvablyNotID for every symbol every later entry uses.
+func filterQueries(tr *trace.Trace) []filterQuery {
+	var qs []filterQuery
+	for p := 0; p < tr.Len(); p++ {
+		if b := tr.At(p).Branch; b != cfg.True && b != cfg.False {
+			continue
+		}
+		qs = append(qs, filterQuery{p, -1, -1})
+		for u := p + 1; u < tr.Len(); u++ {
+			for _, rec := range tr.At(u).Uses {
+				if rec.Sym >= 0 {
+					qs = append(qs, filterQuery{p, u, rec.Sym})
+				}
+			}
+		}
+	}
+	return qs
+}
+
+// checkQueryOrder asks one shared filter every query in descending,
+// ascending and shuffled predicate order, and compares each answer with
+// a fresh filter's (one fresh filter per predicate instance: a filter
+// answers all queries about one instance from one analysis of it). It
+// returns the number of provable skips among the answers.
+func checkQueryOrder(t *testing.T, name string, c *interp.Compiled, tr *trace.Trace, wrong int, rnd *rand.Rand) int {
+	t.Helper()
+	qs := filterQueries(tr)
+	want := make([]string, len(qs))
+	fires := 0
+	var fresh *check.SwitchFilter
+	for i, q := range qs {
+		if q.use < 0 {
+			fresh = check.NewSwitchFilter(c, tr, wrong)
+		}
+		want[i] = q.ask(fresh)
+		if want[i] == "true" {
+			fires++
+		}
+	}
+	order := make([]int, len(qs))
+	for i := range order {
+		order[i] = i
+	}
+	descending := slices.Clone(order)
+	sort.SliceStable(descending, func(a, b int) bool { return qs[descending[a]].pred > qs[descending[b]].pred })
+	shuffled := slices.Clone(order)
+	rnd.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	for _, o := range []struct {
+		label string
+		order []int
+	}{{"descending", descending}, {"ascending", order}, {"shuffled", shuffled}} {
+		shared := check.NewSwitchFilter(c, tr, wrong)
+		for _, i := range o.order {
+			if got := qs[i].ask(shared); got != want[i] {
+				t.Fatalf("%s, %s order: query %+v answered %q, a fresh filter %q", name, o.label, qs[i], got, want[i])
+			}
+		}
+	}
+	return fires
+}
+
+// TestSwitchFilterQueryOrder pins that a filter's answers do not depend
+// on the order it is asked in. The filter keeps one replay cursor over
+// the failing trace and must restart it for a predicate behind it;
+// without the restart, such a predicate would be analyzed from the
+// machine state of a later point.
+func TestSwitchFilterQueryOrder(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+
+	p, err := bench.ByName("sedsim/V3-F3").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, _, ok := slicing.FirstWrongOutput(p.Run.OutputValues(), p.Expected)
+	if !ok {
+		t.Fatal("sedsim/V3-F3: no wrong output")
+	}
+	if fires := checkQueryOrder(t, "sedsim/V3-F3", p.Faulty, p.Run.Trace, p.Run.Trace.OutputAt(seq).Entry, rnd); fires == 0 {
+		t.Fatal("sedsim/V3-F3: the filter proves no skip, so the order check is vacuous")
+	}
+
+	programs := 40
+	if testing.Short() {
+		programs = 10
+	}
+	gen := rand.New(rand.NewSource(7)) // TestSwitchFilterSoundnessRandom's programs
+	fires := 0
+	for pi := 0; pi < programs; pi++ {
+		src := testsupport.RandomProgram(gen, testsupport.GenConfig{})
+		c, err := interp.Compile(src)
+		if err != nil {
+			t.Fatalf("program %d does not compile: %v\n%s", pi, err, src)
+		}
+		run := interp.Run(c, interp.Options{BuildTrace: true})
+		if run.Err != nil {
+			t.Fatalf("program %d aborted: %v\n%s", pi, run.Err, src)
+		}
+		outs := run.OutputValues()
+		if len(outs) == 0 {
+			continue
+		}
+		fires += checkQueryOrder(t, fmt.Sprintf("program %d", pi), c, run.Trace, run.Trace.OutputAt(len(outs)-1).Entry, rnd)
+	}
+	if fires == 0 {
+		t.Fatal("the filter proves no skip on any random program: the order check is vacuous")
+	}
+}
+
+// TestSwitchFilterReturnFromLiveFrame pins the filter's bail on a
+// switched region that returns from a frame already live at the
+// predicate, here the frame the predicate itself opens: the if is the
+// first entry of f's activation, so a frame counts as live at the
+// predicate's own index.
+func TestSwitchFilterReturnFromLiveFrame(t *testing.T) {
+	c, err := interp.Compile(`var g;
+
+func f(a) {
+	if (a > 0) {
+		g = 1;
+		return 2;
+	}
+}
+
+func main() {
+	var a = read();
+	var r = f(a);
+	print(r + g);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := interp.Run(c, interp.Options{Input: []int64{1}, BuildTrace: true})
+	if run.Err != nil {
+		t.Fatal(run.Err)
+	}
+	tr := run.Trace
+	pred := -1
+	for i := 0; i < tr.Len(); i++ {
+		if b := tr.At(i).Branch; b == cfg.True || b == cfg.False {
+			pred = i
+		}
+	}
+	if pred < 0 || pred == 0 || tr.At(pred).Frame == tr.At(pred-1).Frame {
+		t.Fatalf("want the predicate to open its frame; predicate at %d", pred)
+	}
+	flt := check.NewSwitchFilter(c, tr, tr.OutputAt(0).Entry)
+	if got, want := flt.Reason(pred), "region returns from a live frame"; got != want {
+		t.Errorf("Reason = %q, want %q", got, want)
 	}
 }

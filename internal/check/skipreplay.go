@@ -3,6 +3,7 @@
 package check
 
 import (
+	"slices"
 	"sort"
 
 	"eol/internal/cfg"
@@ -95,12 +96,7 @@ func (f *SwitchFilter) scanBranch(ps int, opp cfg.Label) *branchScan {
 	if _, isIf := f.c.Info.Stmt(ps).(*ast.IfStmt); !isIf {
 		return &branchScan{reason: "loop predicate"}
 	}
-	ctl := f.flow.ControlledBy(ps, opp)
-	ids := make([]int, 0, len(ctl))
-	for id := range ctl {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := f.flow.ControlledBy(ps, opp).IDs()
 	s := &branchScan{stmts: ids, defSyms: map[int]bool{}}
 	for _, id := range ids {
 		switch f.c.Info.Stmt(id).(type) {
@@ -158,9 +154,12 @@ type pendingDef struct {
 // is marked unknown, and use records (which carry observed values) heal
 // unknowns as execution proceeds.
 type replay struct {
-	f       *SwitchFilter
-	anc     *trace.Ancestry
+	f   *SwitchFilter
+	anc *trace.Ancestry
+	// cells holds the cells this replay wrote. A fork reads through to
+	// base, the state of the replay it was forked from, for the rest.
 	cells   map[cellKey]cellVal
+	base    map[cellKey]cellVal
 	pending []pendingDef
 }
 
@@ -172,17 +171,20 @@ func (rp *replay) lookup(key cellKey) cellVal {
 	if v, ok := rp.cells[key]; ok {
 		return v
 	}
-	return cellVal{0, true} // every cell starts zero-initialized
+	return snapVal(rp.base, key)
 }
 
-func (rp *replay) snapshot() map[cellKey]cellVal {
-	m := make(map[cellKey]cellVal, len(rp.cells))
-	for k, v := range rp.cells {
-		m[k] = v
-	}
-	return m
+// fork returns a replay that continues from rp's state and leaves rp
+// unchanged: its writes go to a map of its own, read over rp's cells.
+// rp must not be a fork, and must not step while the fork is in use.
+// pending is copied, because release filters it in place.
+func (rp *replay) fork() *replay {
+	return &replay{f: rp.f, anc: rp.anc, cells: map[cellKey]cellVal{}, base: rp.cells,
+		pending: slices.Clone(rp.pending)}
 }
 
+// snapVal reads key from a replayed state. Every cell starts
+// zero-initialized.
 func snapVal(state map[cellKey]cellVal, key cellKey) cellVal {
 	if v, ok := state[key]; ok {
 		return v
@@ -247,13 +249,14 @@ func (rp *replay) step(i int) {
 
 // targets resolves entry e's definition records to concrete cells.
 // Parameter bindings at call statements land in the callee's frame —
-// found via the entry's trace children — and are value-unknown.
+// found via the entry's trace children — and are value-unknown. The
+// result is reused by the next call.
 func (rp *replay) targets(e *trace.Entry) []defTarget {
 	info := rp.f.c.Info
 	node := info.Stmt(e.Inst.Stmt)
 	calls := info.StmtCalls[e.Inst.Stmt]
 	hasCall := rp.f.stmtFacts(e.Inst.Stmt).hasUserCall
-	var out []defTarget
+	out := rp.f.targetBuf[:0]
 	for _, rec := range e.Defs {
 		if rec.Sym < 0 {
 			continue
@@ -291,6 +294,7 @@ func (rp *replay) targets(e *trace.Entry) []defTarget {
 			out = append(out, defTarget{key: rp.f.cellOf(e, rec.Sym, rec.Elem)})
 		}
 	}
+	rp.f.targetBuf = out
 	return out
 }
 

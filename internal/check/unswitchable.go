@@ -81,7 +81,7 @@ func runUnswitchable(p *Pass) {
 	}
 	controlsRelevant := func(pred int) bool {
 		for _, label := range []cfg.Label{cfg.True, cfg.False} {
-			for id := range flow.ControlledBy(pred, label) {
+			for _, id := range flow.ControlledBy(pred, label).IDs() {
 				if relevant[id] {
 					return true
 				}

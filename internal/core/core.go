@@ -345,11 +345,10 @@ func LocateContext(ctx context.Context, spec *Spec) (*Report, error) {
 	// Static skip-filter: answers provably-NOT_ID verifications without a
 	// switched run. Unsound under PathMode (taint through allowed suffix
 	// writes can create an explicit p'-u' path), so only installed for
-	// the default edge-mode verifier. It reuses the slicing context's
-	// reaching definitions: the engine consults it from its planning
-	// loop on this goroutine, never concurrently.
+	// the default edge-mode verifier. The engine consults it from its
+	// planning loop on this goroutine, never concurrently.
 	if !spec.Disable.StaticSkip && !spec.PathMode {
-		flt := check.NewSwitchFilter(spec.Program, cx.Flow, tr, wrong.Entry)
+		flt := check.NewSwitchFilter(spec.Program, tr, wrong.Entry)
 		engCfg.Filter = func(req implicit.Request) bool {
 			return flt.ProvablyNotID(req.Pred, req.Use, req.UseSym)
 		}

@@ -12,12 +12,17 @@
 // The package answers the one static question relevant slicing needs:
 // could a different definition of location v reach use site u if
 // predicate p had taken its other branch?
+//
+// An Analysis depends only on the program, is read-only once built, and
+// is shared: Of caches one per compiled program.
 package dataflow
 
 import (
 	"fmt"
+	"math/bits"
 
 	"eol/internal/cfg"
+	"eol/internal/interp"
 	"eol/internal/lang/ast"
 	"eol/internal/lang/sem"
 )
@@ -33,6 +38,8 @@ type DefSite struct {
 }
 
 // Analysis holds the static dataflow results for one compiled program.
+// Every result is computed by New and never changes afterwards, so one
+// Analysis is safe for concurrent readers.
 type Analysis struct {
 	info *sem.Info
 	cfgs *cfg.Program
@@ -43,11 +50,9 @@ type Analysis struct {
 
 	fns map[string]*fnFlow
 
-	// transCD caches transitive control-dependence closures.
-	transCD map[cdKey]map[int]bool
-
-	// potCache memoizes PotentialBranch answers.
-	potCache map[potKey]bool
+	// controlled holds the transitive control-dependence closure of every
+	// (predicate, branch) pair that has control-dependent statements.
+	controlled map[cdKey]StmtSet
 }
 
 type cdKey struct {
@@ -55,18 +60,8 @@ type cdKey struct {
 	label cfg.Label
 }
 
-type potKey struct {
-	pred    int
-	taken   cfg.Label
-	useStmt int
-	sym     int
-}
-
 type fnFlow struct {
-	graph *cfg.Graph
 	sites []DefSite
-	// siteOf indexes sites by (stmt, sym).
-	siteOf map[[2]int][]int
 	// reachIn[stmtID] = bitset over site indices reaching the statement.
 	reachIn map[int]bitset
 }
@@ -74,18 +69,28 @@ type fnFlow struct {
 // New computes the static analyses for a checked program.
 func New(info *sem.Info, cfgs *cfg.Program) *Analysis {
 	a := &Analysis{
-		info:     info,
-		cfgs:     cfgs,
-		mayDef:   map[string]map[int]bool{},
-		fns:      map[string]*fnFlow{},
-		transCD:  map[cdKey]map[int]bool{},
-		potCache: map[potKey]bool{},
+		info:       info,
+		cfgs:       cfgs,
+		mayDef:     map[string]map[int]bool{},
+		fns:        map[string]*fnFlow{},
+		controlled: map[cdKey]StmtSet{},
 	}
 	a.computeMayDef()
 	for name := range info.Funcs {
 		a.fns[name] = a.computeReaching(name)
 	}
+	a.computeControlled()
 	return a
+}
+
+// analysisKey is the Artifact cache key for a program's Analysis.
+var analysisKey int
+
+// Of returns the analysis of c, building it on first use and caching it
+// on c (like the VM's bytecode), so every trace, check and filter of one
+// compiled program shares one Analysis.
+func Of(c *interp.Compiled) *Analysis {
+	return c.Artifact(&analysisKey, func() any { return New(c.Info, c.CFG) }).(*Analysis)
 }
 
 // MayDefineGlobals returns the set of global symbol IDs that calling fn
@@ -147,7 +152,8 @@ func (a *Analysis) defSitesAt(id int) []DefSite {
 // computeReaching runs iterative reaching definitions over the CFG of fn.
 func (a *Analysis) computeReaching(fn string) *fnFlow {
 	g := a.cfgs.Funcs[fn]
-	f := &fnFlow{graph: g, siteOf: map[[2]int][]int{}, reachIn: map[int]bitset{}}
+	f := &fnFlow{reachIn: map[int]bitset{}}
+	siteOf := map[[2]int][]int{} // site indices by (stmt, sym)
 
 	// Virtual entry definitions: one per global and per symbol local to
 	// fn (params and locals), so that kills behave and "no definition
@@ -156,7 +162,7 @@ func (a *Analysis) computeReaching(fn string) *fnFlow {
 	addSite := func(s DefSite) int {
 		idx := len(f.sites)
 		f.sites = append(f.sites, s)
-		f.siteOf[[2]int{s.Stmt, s.Sym}] = append(f.siteOf[[2]int{s.Stmt, s.Sym}], idx)
+		siteOf[[2]int{s.Stmt, s.Sym}] = append(siteOf[[2]int{s.Stmt, s.Sym}], idx)
 		return idx
 	}
 	entryBits := newBitset(0)
@@ -182,7 +188,7 @@ func (a *Analysis) computeReaching(fn string) *fnFlow {
 	for _, id := range fi.StmtIDs {
 		gb := newBitset(n)
 		kb := newBitset(n)
-		for _, idx := range a.siteIdxsAt(f, id) {
+		for _, idx := range a.siteIdxsAt(siteOf, id) {
 			gb.set(idx)
 			site := f.sites[idx]
 			if site.Strong {
@@ -241,11 +247,11 @@ func (a *Analysis) computeReaching(fn string) *fnFlow {
 }
 
 // siteIdxsAt returns the site indices contributed by statement id.
-func (a *Analysis) siteIdxsAt(f *fnFlow, id int) []int {
+func (a *Analysis) siteIdxsAt(siteOf map[[2]int][]int, id int) []int {
 	var res []int
 	seen := map[int]bool{}
 	for _, s := range a.defSitesAt(id) {
-		for _, idx := range f.siteOf[[2]int{id, s.Sym}] {
+		for _, idx := range siteOf[[2]int{id, s.Sym}] {
 			if !seen[idx] {
 				seen[idx] = true
 				res = append(res, idx)
@@ -255,42 +261,45 @@ func (a *Analysis) siteIdxsAt(f *fnFlow, id int) []int {
 	return res
 }
 
+// computeControlled computes every transitive control-dependence closure
+// ControlledBy can be asked for.
+func (a *Analysis) computeControlled() {
+	seen := newBitset(a.info.NumStmts() + 1)
+	var work []int
+	for _, g := range a.cfgs.Funcs {
+		for pred, kids := range g.CDKids {
+			for label, direct := range kids {
+				clear(seen)
+				add := func(ids []int) {
+					for _, id := range ids {
+						if !seen.get(id) && id != pred {
+							seen.set(id)
+							work = append(work, id)
+						}
+					}
+				}
+				add(direct)
+				for len(work) > 0 {
+					q := work[len(work)-1]
+					work = work[:len(work)-1]
+					if qk, ok := g.CDKids[q]; ok {
+						add(qk[cfg.True])
+						add(qk[cfg.False])
+						add(qk[cfg.None])
+					}
+				}
+				a.controlled[cdKey{pred, label}] = newStmtSet(seen)
+			}
+		}
+	}
+}
+
 // ControlledBy returns the transitive closure of statements whose
 // execution is governed by predicate pred taking branch label: the
 // statements directly control dependent on (pred, label), plus everything
 // control dependent on those, through nested predicates.
-func (a *Analysis) ControlledBy(pred int, label cfg.Label) map[int]bool {
-	key := cdKey{pred: pred, label: label}
-	if c, ok := a.transCD[key]; ok {
-		return c
-	}
-	g := a.cfgs.GraphOf(pred)
-	res := map[int]bool{}
-	if g == nil {
-		a.transCD[key] = res
-		return res
-	}
-	var work []int
-	add := func(ids []int) {
-		for _, id := range ids {
-			if !res[id] && id != pred {
-				res[id] = true
-				work = append(work, id)
-			}
-		}
-	}
-	add(g.CDKids[pred][label])
-	for len(work) > 0 {
-		q := work[len(work)-1]
-		work = work[:len(work)-1]
-		if kids, ok := g.CDKids[q]; ok {
-			add(kids[cfg.True])
-			add(kids[cfg.False])
-			add(kids[cfg.None])
-		}
-	}
-	a.transCD[key] = res
-	return res
+func (a *Analysis) ControlledBy(pred int, label cfg.Label) StmtSet {
+	return a.controlled[cdKey{pred, label}]
 }
 
 // DefsReaching returns the statement IDs of real definition sites of sym
@@ -349,31 +358,11 @@ func (a *Analysis) EntryReaches(useStmt, sym int) bool {
 // statements must be in the same function (the analysis is
 // intraprocedural; calls are summarized as may-defs of globals).
 func (a *Analysis) PotentialBranch(pred int, taken cfg.Label, useStmt, sym int) bool {
-	key := potKey{pred: pred, taken: taken, useStmt: useStmt, sym: sym}
-	if v, ok := a.potCache[key]; ok {
-		return v
-	}
-	res := a.potentialBranch(pred, taken, useStmt, sym)
-	a.potCache[key] = res
-	return res
-}
-
-func (a *Analysis) potentialBranch(pred int, taken cfg.Label, useStmt, sym int) bool {
 	pf, uf := a.info.StmtFunc[pred], a.info.StmtFunc[useStmt]
 	if pf == nil || uf == nil || pf != uf {
 		return false
 	}
-	opposite := taken.Negate()
-	controlled := a.ControlledBy(pred, opposite)
-	if len(controlled) == 0 {
-		return false
-	}
-	for _, d := range a.DefsReaching(useStmt, sym) {
-		if controlled[d] {
-			return true
-		}
-	}
-	return false
+	return a.ControlledBy(pred, taken.Negate()).HasAny(a.DefsReaching(useStmt, sym))
 }
 
 // PotentialBranchGlobal is the conservative cross-function variant of
@@ -383,8 +372,7 @@ func (a *Analysis) potentialBranch(pred int, taken cfg.Label, useStmt, sym int) 
 // No reaches-the-use check is attempted across function boundaries; the
 // demand-driven verification filters the resulting extra candidates.
 func (a *Analysis) PotentialBranchGlobal(pred int, taken cfg.Label, sym int) bool {
-	opposite := taken.Negate()
-	for d := range a.ControlledBy(pred, opposite) {
+	for _, d := range a.ControlledBy(pred, taken.Negate()).IDs() {
 		for _, site := range a.defSitesAt(d) {
 			if site.Sym == sym {
 				return true
@@ -392,6 +380,65 @@ func (a *Analysis) PotentialBranchGlobal(pred int, taken cfg.Label, sym int) boo
 		}
 	}
 	return false
+}
+
+// ---------------------------------------------------------------------------
+// StmtSet
+
+// StmtSet is a read-only set of statement IDs: a bitset spanning only the
+// words between its smallest and its largest member. The zero value is
+// the empty set.
+type StmtSet struct {
+	lo   int // the ID of bit 0, a multiple of 64
+	bits bitset
+}
+
+// newStmtSet copies the members of b, a bitset indexed by statement ID.
+func newStmtSet(b bitset) StmtSet {
+	first, last := 0, len(b)
+	for first < last && b[first] == 0 {
+		first++
+	}
+	for last > first && b[last-1] == 0 {
+		last--
+	}
+	if first == last {
+		return StmtSet{}
+	}
+	return StmtSet{lo: first * 64, bits: b[first:last].clone()}
+}
+
+// Has reports whether id is in the set.
+func (s StmtSet) Has(id int) bool { return id >= s.lo && s.bits.get(id-s.lo) }
+
+// HasAny reports whether any of ids is in the set.
+func (s StmtSet) HasAny(ids []int) bool {
+	for _, id := range ids {
+		if s.Has(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// Len returns the number of members.
+func (s StmtSet) Len() int {
+	n := 0
+	for _, w := range s.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// IDs returns the members in ascending order.
+func (s StmtSet) IDs() []int {
+	ids := make([]int, 0, s.Len())
+	for i, w := range s.bits {
+		for ; w != 0; w &= w - 1 {
+			ids = append(ids, s.lo+i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return ids
 }
 
 // ---------------------------------------------------------------------------

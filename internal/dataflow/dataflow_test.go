@@ -130,22 +130,49 @@ func main() {
 	pr := stmtID(t, info, "print(x)")
 
 	inP := a.ControlledBy(ifP, cfg.True)
-	if !inP[ifQ] || !inP[x1] || !inP[x10] {
-		t.Errorf("ControlledBy(ifP, T) = %v, want {ifQ, x=1, x+10}", inP)
+	if !inP.Has(ifQ) || !inP.Has(x1) || !inP.Has(x10) {
+		t.Errorf("ControlledBy(ifP, T) = %v, want {ifQ, x=1, x+10}", inP.IDs())
 	}
-	if inP[pr] || inP[ifP] {
-		t.Errorf("ControlledBy must exclude the join point and the predicate itself: %v", inP)
+	if inP.Has(pr) || inP.Has(ifP) {
+		t.Errorf("ControlledBy must exclude the join point and the predicate itself: %v", inP.IDs())
+	}
+	if want := []int{ifQ, x1, x10}; !reflect.DeepEqual(inP.IDs(), want) || inP.Len() != len(want) {
+		t.Errorf("ControlledBy(ifP, T).IDs() = %v (Len %d), want %v", inP.IDs(), inP.Len(), want)
 	}
 	inQ := a.ControlledBy(ifQ, cfg.True)
-	if !inQ[x1] || inQ[x10] {
-		t.Errorf("ControlledBy(ifQ, T) = %v, want exactly {x=1}", inQ)
+	if !inQ.Has(x1) || inQ.Has(x10) || inQ.Len() != 1 {
+		t.Errorf("ControlledBy(ifQ, T) = %v, want exactly {x=1}", inQ.IDs())
 	}
-	if got := a.ControlledBy(ifP, cfg.False); len(got) != 0 {
-		t.Errorf("no else branch: ControlledBy(ifP, F) = %v", got)
+	if got := a.ControlledBy(ifP, cfg.False); got.Len() != 0 {
+		t.Errorf("no else branch: ControlledBy(ifP, F) = %v", got.IDs())
 	}
-	// Memoized second call returns the same set.
-	if again := a.ControlledBy(ifP, cfg.True); !reflect.DeepEqual(again, inP) {
-		t.Error("memoization changed the result")
+	if got := a.ControlledBy(pr, cfg.True); got.Len() != 0 || got.Has(x1) {
+		t.Errorf("a statement that is no predicate controls %v", got.IDs())
+	}
+}
+
+// TestStmtSetSpan checks membership at the edges of a set's span, which
+// starts at the word of its smallest member.
+func TestStmtSetSpan(t *testing.T) {
+	b := newBitset(300)
+	for _, id := range []int{130, 191, 192, 257} {
+		b.set(id)
+	}
+	s := newStmtSet(b)
+	if want := []int{130, 191, 192, 257}; !reflect.DeepEqual(s.IDs(), want) {
+		t.Errorf("IDs() = %v, want %v", s.IDs(), want)
+	}
+	for id, want := range map[int]bool{0: false, 63: false, 128: false, 129: false, 130: true,
+		192: true, 193: false, 256: false, 257: true, 258: false, 320: false, 1000: false} {
+		if s.Has(id) != want {
+			t.Errorf("Has(%d) = %v, want %v", id, !want, want)
+		}
+	}
+	if s.HasAny([]int{1, 129, 256}) || !s.HasAny([]int{1, 192}) {
+		t.Error("HasAny disagrees with Has")
+	}
+	if e := newStmtSet(newBitset(300)); e.Len() != 0 || e.Has(0) || len(e.IDs()) != 0 {
+		t.Errorf("empty set: Len %d, IDs %v", e.Len(), e.IDs())
 	}
 }
 

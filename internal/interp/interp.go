@@ -53,17 +53,18 @@ type Compiled struct {
 	Info *sem.Info
 	CFG  *cfg.Program
 
-	// artifacts caches per-backend compilation products (the VM's
-	// bytecode) keyed by an opaque backend key, so a program compiled
-	// once is lowered once no matter how many runs or goroutines share
-	// the *Compiled. See Artifact.
+	// artifacts caches products derived from the program alone (the
+	// VM's bytecode, the dataflow analysis) keyed by an opaque key, so a
+	// program compiled once is lowered and analyzed once no matter how
+	// many runs or goroutines share the *Compiled. See Artifact.
 	artifacts sync.Map
 }
 
-// Artifact returns the backend compilation artifact cached under key,
-// building it with build on first use. Concurrent first calls may each
-// run build, but all callers observe the same stored value (builds must
-// be deterministic and side-effect free, which bytecode lowering is).
+// Artifact returns the artifact cached under key, building it with build
+// on first use. Concurrent first calls may each run build, but all
+// callers observe the same stored value (builds must be deterministic
+// and side-effect free, which bytecode lowering and dataflow analysis
+// are, and the value must be read-only once built).
 func (c *Compiled) Artifact(key any, build func() any) any {
 	if v, ok := c.artifacts.Load(key); ok {
 		return v

@@ -63,9 +63,10 @@ func (cx *Context) predicateStmts() []int {
 	return cx.allPreds
 }
 
-// NewContext builds the static analyses for c and wraps trace t.
+// NewContext wraps trace t of program c, with c's shared static
+// analysis (dataflow.Of).
 func NewContext(c *interp.Compiled, t *trace.Trace) *Context {
-	return &Context{C: c, Flow: dataflow.New(c.Info, c.CFG), T: t}
+	return &Context{C: c, Flow: dataflow.Of(c), T: t}
 }
 
 // Dynamic computes the classic dynamic slice: the backward closure of the
@@ -97,6 +98,12 @@ type PDep struct {
 //	      the predicate's *other* branch and may reach u's statement
 //	      (dataflow.PotentialBranch).
 //
+// (i) and (iii) bound the candidates of each use to the instance window
+// strictly between its reaching definition and u, which is found by
+// binary search. (iv) depends only on the predicate statement, the
+// branch it took, u's statement and the symbol, so it is decided once
+// per predicate statement and branch, not per instance.
+//
 // The static side is intraprocedural: predicate and use must be in the
 // same function (calls are summarized as global may-defs). For local
 // locations the instances must additionally share an activation.
@@ -116,34 +123,36 @@ func (cx *Context) PotentialDeps(u int) []PDep {
 		if use.Sym < 0 {
 			continue // return-value plumbing
 		}
+		// (i) and (iii): the window (use.Def, u). NoDef means the value
+		// predates everything.
+		lo := max(use.Def+1, 0)
+		if lo >= u {
+			continue
+		}
 		sym := cx.C.Info.Symbols[use.Sym]
 		// Candidate predicate statements: the same function's predicates,
 		// or (CrossFunction, globals only) every predicate in the program.
 		candidates := uf.StmtIDs
-		crossOK := cx.CrossFunction && sym.Kind == sem.Global
-		if crossOK {
+		if cx.CrossFunction && sym.Kind == sem.Global {
 			candidates = cx.predicateStmts()
 		}
+		var defs []int // static definitions of sym reaching useStmt
+		defsDone := false
 		for _, ps := range candidates {
-			st := cx.C.Info.Stmt(ps)
-			if !ast.IsPredicate(st) {
+			if !ast.IsPredicate(cx.C.Info.Stmt(ps)) {
 				continue
 			}
+			insts := t.InstancesOf(ps) // in execution order
+			i := sort.SearchInts(insts, lo)
 			sameFn := cx.C.Info.StmtFunc[ps] == uf
-			for _, p := range t.InstancesOf(ps) {
-				if p >= u {
-					break // instances are in execution order
-				}
-				pe := t.At(p)
-				// (iii) reaching definition before p. NoDef means the
-				// value predates everything.
-				if use.Def != trace.NoDef && use.Def >= p {
-					continue
-				}
+			var iv [3]int8 // (iv) per branch label: 0 undecided, 1 holds, -1 not
+			for ; i < len(insts) && insts[i] < u; i++ {
+				p := insts[i]
 				// (ii) no dynamic control dependence.
 				if anc.IsAncestor(p, u) {
 					continue
 				}
+				pe := t.At(p)
 				// Locals require a shared activation.
 				if sym.Kind != sem.Global && pe.Frame != ue.Frame {
 					continue
@@ -153,19 +162,26 @@ func (cx *Context) PotentialDeps(u int) []PDep {
 				// within a function, conservative across functions for
 				// globals), or exercised evidence from the union graph
 				// when one is supplied.
-				switch {
-				case cx.Union != nil:
-					if !cx.Union.PotentialBranch(ps, pe.Branch, useStmt, use.Sym) {
-						continue
+				if iv[pe.Branch] == 0 {
+					var holds bool
+					switch {
+					case cx.Union != nil:
+						holds = cx.Union.PotentialBranch(ps, pe.Branch, useStmt, use.Sym)
+					case sameFn:
+						if !defsDone {
+							defs, defsDone = cx.Flow.DefsReaching(useStmt, use.Sym), true
+						}
+						holds = cx.Flow.ControlledBy(ps, pe.Branch.Negate()).HasAny(defs)
+					default:
+						holds = cx.Flow.PotentialBranchGlobal(ps, pe.Branch, use.Sym)
 					}
-				case sameFn:
-					if !cx.Flow.PotentialBranch(ps, pe.Branch, useStmt, use.Sym) {
-						continue
+					iv[pe.Branch] = -1
+					if holds {
+						iv[pe.Branch] = 1
 					}
-				default:
-					if !cx.Flow.PotentialBranchGlobal(ps, pe.Branch, use.Sym) {
-						continue
-					}
+				}
+				if iv[pe.Branch] < 0 {
+					continue
 				}
 				d := PDep{Pred: p, UseSym: use.Sym, UseElem: use.Elem}
 				if !seen[d] {

@@ -98,12 +98,11 @@ type gsite struct {
 	Strong bool
 }
 
-// New builds the SPDG for c. flow may be nil, in which case the
-// intraprocedural dataflow analysis is computed here; passing an
-// existing one (check.Unit) avoids recomputing it.
+// New builds the SPDG for c. flow may be nil, in which case c's shared
+// intraprocedural dataflow analysis (dataflow.Of) is used.
 func New(c *interp.Compiled, flow *dataflow.Analysis) *Graph {
 	if flow == nil {
-		flow = dataflow.New(c.Info, c.CFG)
+		flow = dataflow.Of(c)
 	}
 	info := c.Info
 	g := &Graph{

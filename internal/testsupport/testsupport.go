@@ -48,7 +48,7 @@ func Run(t TB, c *interp.Compiled, input []int64) *interp.Result {
 // suspicious.
 func Validate(c *interp.Compiled) error {
 	var bad []string
-	for _, d := range check.Vet(check.NewUnit(c, nil)) {
+	for _, d := range check.Vet(check.NewUnit(c)) {
 		if d.Severity == check.Error {
 			bad = append(bad, d.String())
 		}

@@ -54,15 +54,17 @@ func grepLongSpec(tb testing.TB) func() *core.Spec {
 //
 // Readings on linux/amd64, Go 1.24: re-sorting the candidates after
 // every answer, a Locate allocated 37.56 MB in 68,400 allocations; with
-// the candidate heap, 21.76 MB in 57,100. Each ceiling sits below the
-// former and 10.3% above the latter.
+// the candidate heap, 21.76 MB in 57,100. With one replay of the failing
+// trace's prefix per Locate in the replay filter, instead of one per
+// predicate instance it analyzes, and PD(u) walked over its instance
+// window, 17.51 MB in 28,180. Each ceiling sits 10% above that reading.
 func TestGrepLongLocateAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxBytes  = 24_000_000
-		maxAllocs = 63_000
+		maxBytes  = 19_250_000
+		maxAllocs = 31_000
 	)
 	spec := grepLongSpec(t)
 	var rep *core.Report
@@ -91,5 +93,92 @@ func TestGrepLongLocateAllocCeiling(t *testing.T) {
 	}
 	if allocs > maxAllocs {
 		t.Errorf("a Locate made %.0f allocations; ceiling %d", allocs, maxAllocs)
+	}
+}
+
+// paper9Specs returns a function that makes fresh Specs for the nine
+// paper cases, each with the correct version's run as the benign-state
+// oracle, and one verification worker.
+func paper9Specs(tb testing.TB) func() []*core.Spec {
+	tb.Helper()
+	type job struct {
+		p   *bench.Prepared
+		cor *interp.Result
+	}
+	var jobs []job
+	for _, name := range allCaseNames() {
+		p := prep(tb, name)
+		jobs = append(jobs, job{p, p.CorrectTrace()})
+	}
+	return func() []*core.Spec {
+		specs := make([]*core.Spec, len(jobs))
+		for i, j := range jobs {
+			specs[i] = &core.Spec{
+				Program:       j.p.Faulty,
+				Input:         j.p.Case.FailingInput,
+				Expected:      j.p.Expected,
+				RootCause:     []int{j.p.RootStmt},
+				Oracle:        &oracle.StateOracle{Correct: j.cor.Trace},
+				Profile:       j.p.Profile,
+				VerifyWorkers: 1,
+			}
+		}
+		return specs
+	}
+}
+
+// TestPaper9LocateAllocCeiling bounds what one round of Locates over the
+// nine paper cases allocates. Their traces are short, so fixed
+// per-Locate costs show: this catches a Locate that rebuilds the
+// program's dataflow analysis instead of reading the one cached on the
+// compiled program (dataflow.Of), which the grep-long ceiling cannot.
+//
+// Readings on linux/amd64, Go 1.24: rebuilding the analysis in every
+// Locate's slicing context, a round allocated 4.75 MB in 24,160
+// allocations; with the cached analysis, 4.34 MB in 14,930. Each ceiling
+// sits 10% above the latter.
+func TestPaper9LocateAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		maxBytes  = 4_770_000
+		maxAllocs = 16_400
+	)
+	specs := paper9Specs(t)
+	var reps []*core.Report
+	round := func() {
+		reps = reps[:0]
+		for _, s := range specs() {
+			rep, err := core.Locate(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+	}
+	allocs := testing.AllocsPerRun(2, round)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+
+	entries, verifications, switched := 0, 0, int64(0)
+	for _, rep := range reps {
+		if !rep.Located {
+			t.Fatal("a paper case was not located")
+		}
+		entries += rep.Trace.Len()
+		verifications += rep.Stats.Verifications
+		switched += rep.Stats.SwitchedRuns
+	}
+	t.Logf("per round of %d Locates: %d bytes in %.0f allocations; %d trace entries, %d verifications, %d switched runs",
+		len(reps), bytes, allocs, entries, verifications, switched)
+	if bytes > maxBytes {
+		t.Errorf("a round allocated %d bytes; ceiling %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("a round made %.0f allocations; ceiling %d", allocs, maxAllocs)
 	}
 }
