@@ -49,18 +49,18 @@ bench-module:
 	cd cmd/eolbench && $(GO) vet ./... && $(GO) test ./...
 
 # Tree-vs-VM backend benchmark trajectory point (docs/VM.md): run the
-# backend comparison suite and record per-workload ns/op plus tree/vm
-# speedups in BENCH_VM.json via cmd/benchvm. Two -bench invocations
-# because the benchmark name regex is matched per slash-separated
-# element, so the Locate sub-case filter cannot be combined with the
-# top-level family alternation.
+# backend comparison suite and record per-workload ns/op, B/op and
+# allocs/op plus tree/vm speedups in BENCH_VM.json via cmd/benchvm. Two
+# -bench invocations because the benchmark name regex is matched per
+# slash-separated element, so the Locate sub-case filter cannot be
+# combined with the top-level family alternation.
 bench-vm:
 	( $(GO) test -run=NONE \
 		-bench='BenchmarkBackend(Interp|VerifyEngine)' \
-		-benchtime=3x . && \
+		-benchtime=3x -benchmem . && \
 	  $(GO) test -run=NONE \
 		-bench='BenchmarkBackendLocate/grepsim/V4-F2' \
-		-benchtime=3x . ) | $(GO) run ./cmd/benchvm -o BENCH_VM.json
+		-benchtime=3x -benchmem . ) | $(GO) run ./cmd/benchvm -o BENCH_VM.json
 
 # Sequential vs parallel vs cached verification scheduling table.
 verify-table:

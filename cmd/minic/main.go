@@ -129,7 +129,7 @@ func main() {
 		for i := 0; i < r.Trace.Len(); i++ {
 			e := r.Trace.At(i)
 			var deps []string
-			for _, u := range e.Uses {
+			for _, u := range r.Trace.Uses(i) {
 				if u.Def != trace.NoDef {
 					deps = append(deps, fmt.Sprintf("dd:%d", u.Def))
 				}

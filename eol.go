@@ -434,8 +434,8 @@ func (s *Session) VerifyImplicitDependence(pred, use Instance, variable string) 
 	}
 	// Find the element actually read for that symbol.
 	elem := trace.ScalarElem
-	for _, u := range s.run.Trace.At(uIdx).Uses {
-		if u.Sym == sym {
+	for _, u := range s.run.Trace.Uses(uIdx) {
+		if int(u.Sym) == sym {
 			elem = u.Elem
 			break
 		}

@@ -277,7 +277,7 @@ func TestRegionGrammar(t *testing.T) {
 			if !reg.Contains(sub.Head) {
 				t.Fatalf("subregion head %d not contained in parent %v", sub.Head, reg)
 			}
-			if !reg.IsRoot() && tr.At(sub.Head).Parent != reg.Head {
+			if !reg.IsRoot() && int(tr.At(sub.Head).Parent) != reg.Head {
 				t.Fatalf("subregion head %d has parent %d, want %d", sub.Head, tr.At(sub.Head).Parent, reg.Head)
 			}
 			checkRegion(sub)
@@ -318,7 +318,7 @@ func TestMatchEdgeCases(t *testing.T) {
 	}
 	// An ancestor of p matches itself (prefix identity).
 	var anc int = -1
-	if par := e.At(pIdx).Parent; par >= 0 {
+	if par := int(e.At(pIdx).Parent); par >= 0 {
 		anc = par
 	}
 	if anc >= 0 {

@@ -25,7 +25,7 @@ import (
 )
 
 // Label classifies CFG edges.
-type Label int
+type Label int8
 
 // Edge labels. Unlabeled edges are fall-through; True/False label the two
 // out-edges of predicate nodes.

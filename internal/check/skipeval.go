@@ -228,7 +228,7 @@ func pureBinop(op token.Kind, a, b int64) int64 {
 // cells with their abstract values. Store indexes must be exactly known
 // so the written cell set is precise.
 func (f *SwitchFilter) evalNewBranch(scan *branchScan, pe *trace.Entry, state map[cellKey]cellVal) (map[cellKey]ev, bool, string) {
-	n := &nbEval{f: f, state: state, defSyms: scan.defSyms, frame: pe.Frame}
+	n := &nbEval{f: f, state: state, defSyms: scan.defSyms, frame: int(pe.Frame)}
 	info := f.c.Info
 	writes := map[cellKey]ev{}
 	put := func(key cellKey, v ev) {
@@ -360,10 +360,11 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 			arrTaint[[2]int{key.sym, key.frame}] += d
 		}
 	}
-	usesTainted := func(e *trace.Entry) bool {
-		for _, rec := range e.Uses {
+	usesTainted := func(i int) bool {
+		e := f.tr.At(i)
+		for _, rec := range f.tr.Uses(i) {
 			if rec.Sym == trace.RetvalSym {
-				if rec.Def >= 0 && pf.tainted[rec.Def] {
+				if rec.Def >= 0 && pf.tainted[int(rec.Def)] {
 					return true
 				}
 				continue
@@ -371,7 +372,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 			if rec.Sym < 0 {
 				continue
 			}
-			if taint[f.cellOf(e, rec.Sym, rec.Elem)] {
+			if taint[f.cellOf(e, int(rec.Sym), rec.Elem)] {
 				return true
 			}
 		}
@@ -394,7 +395,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 			if s.IsArray {
 				return false // only valid as a len() argument
 			}
-			fr := e.Frame
+			fr := int(e.Frame)
 			if s.Kind == sem.Global {
 				fr = 0
 			}
@@ -404,7 +405,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 			if s == nil || exprMayDiffer(t.Index, e) {
 				return true
 			}
-			fr := e.Frame
+			fr := int(e.Frame)
 			if s.Kind == sem.Global {
 				fr = 0
 			}
@@ -475,7 +476,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 		}
 		calls = kept
 		for _, p := range due {
-			if p.snap || usesTainted(f.tr.At(p.entry)) {
+			if p.snap || usesTainted(p.entry) {
 				return "taint reaches a call"
 			}
 			for _, d := range p.defs {
@@ -493,12 +494,12 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 		}
 		e := f.tr.At(i)
 		if f.stmtFacts(e.Inst.Stmt).hasUserCall {
-			if usesTainted(e) {
+			if usesTainted(i) {
 				pf.fatalAt, pf.fatalWhy = i, "taint reaches a call"
 				return
 			}
 			var deferred []defTarget
-			for _, d := range rp.targets(e) {
+			for _, d := range rp.targets(i) {
 				if d.deferred {
 					deferred = append(deferred, d)
 				} else {
@@ -508,7 +509,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 			calls = append(calls, pendingCall{entry: i, release: rp.anc.End(i), defs: deferred})
 			continue
 		}
-		t := usesTainted(e)
+		t := usesTainted(i)
 		if t {
 			if why := judge(e, i); why != "" {
 				pf.fatalAt, pf.fatalWhy = i, why
@@ -516,7 +517,7 @@ func (f *SwitchFilter) taintWalk(rp *replay, pf *predFacts, taint map[cellKey]bo
 			}
 			pf.tainted[i] = true
 		}
-		for _, d := range rp.targets(e) {
+		for _, d := range rp.targets(i) {
 			setCell(d.key, t)
 		}
 	}

@@ -73,8 +73,10 @@ type SwitchFilter struct {
 	// cursor is a replay of the trace range [0, cursorAt). A predicate
 	// at or after cursorAt steps it forward; one before it restarts it
 	// from 0. So the prefix is replayed once for queries in trace order.
-	cursor   *replay
-	cursorAt int
+	// cursorSteps counts the entries it has stepped, for tests.
+	cursor      *replay
+	cursorAt    int
+	cursorSteps int
 	// frameStart maps each activation frame to its first trace index.
 	frameStart []int
 	// targetBuf backs replay.targets' result.
@@ -137,11 +139,11 @@ func (f *SwitchFilter) ProvablyNotID(predIdx, useIdx, sym int) bool {
 	// the verdict becomes ID. (Only uses matching the request symbol
 	// participate in the verdict.)
 	ue := f.tr.At(useIdx)
-	for _, rec := range ue.Uses {
-		if rec.Sym != sym {
+	for _, rec := range f.tr.Uses(useIdx) {
+		if int(rec.Sym) != sym {
 			continue
 		}
-		if pf.newWrites[f.cellOf(ue, rec.Sym, rec.Elem)] {
+		if pf.newWrites[f.cellOf(ue, sym, rec.Elem)] {
 			return false
 		}
 	}
@@ -169,7 +171,7 @@ func (f *SwitchFilter) cellOf(e *trace.Entry, sym int, elem int64) cellKey {
 	if f.c.Info.Symbols[sym].Kind == sem.Global {
 		return cellKey{sym, elem, 0}
 	}
-	return cellKey{sym, elem, e.Frame}
+	return cellKey{sym, elem, int(e.Frame)}
 }
 
 // ---------------------------------------------------------------------------
@@ -243,11 +245,11 @@ func (f *SwitchFilter) analyze(predIdx int) *predFacts {
 			}
 			_ = n
 		case *ast.ReturnStmt:
-			if f.liveAt(e.Frame, predIdx) {
+			if f.liveAt(int(e.Frame), predIdx) {
 				return bail("region returns from a live frame")
 			}
 		}
-		for _, t := range rp.targets(e) {
+		for _, t := range rp.targets(i) {
 			if _, seen := touched[t.key]; !seen {
 				touched[t.key] = rp.lookup(t.key)
 			}
@@ -307,6 +309,7 @@ func (f *SwitchFilter) stateAt(predIdx int) map[cellKey]cellVal {
 	}
 	for ; f.cursorAt < predIdx; f.cursorAt++ {
 		f.cursor.step(f.cursorAt)
+		f.cursorSteps++
 	}
 	f.cursor.release(predIdx) // calls whose span ends at p commit before it
 	return f.cursor.cells
@@ -317,7 +320,7 @@ func (f *SwitchFilter) stateAt(predIdx int) map[cellKey]cellVal {
 func (f *SwitchFilter) liveAt(frame, predIdx int) bool {
 	if f.frameStart == nil {
 		for i := f.tr.Len() - 1; i >= 0; i-- {
-			fr := f.tr.At(i).Frame
+			fr := int(f.tr.At(i).Frame)
 			for len(f.frameStart) <= fr {
 				f.frameStart = append(f.frameStart, f.tr.Len())
 			}
@@ -331,7 +334,7 @@ func (f *SwitchFilter) liveAt(frame, predIdx int) bool {
 // break/continue entry is itself executing inside the switched region:
 // some ancestor of entryIdx at or below predIdx is an instance of loopID.
 func (f *SwitchFilter) loopInsideRegion(predIdx, entryIdx, loopID int) bool {
-	for i := f.tr.At(entryIdx).Parent; i > predIdx; i = f.tr.At(i).Parent {
+	for i := int(f.tr.At(entryIdx).Parent); i > predIdx; i = int(f.tr.At(i).Parent) {
 		if f.tr.At(i).Inst.Stmt == loopID {
 			return true
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"eol/internal/backend"
 	"eol/internal/bench"
 	"eol/internal/cfg"
 	"eol/internal/check"
@@ -64,21 +65,22 @@ func TestSwitchFilterSoundnessRandom(t *testing.T) {
 			}
 			for u := p + 1; u < tr.Len() && checked < maxChecked; u++ {
 				seen := map[int]bool{}
-				for _, rec := range tr.At(u).Uses {
-					if rec.Sym < 0 || seen[rec.Sym] {
+				for _, rec := range tr.Uses(u) {
+					sym := int(rec.Sym)
+					if sym < 0 || seen[sym] {
 						continue
 					}
-					seen[rec.Sym] = true
-					if !flt.ProvablyNotID(p, u, rec.Sym) {
+					seen[sym] = true
+					if !flt.ProvablyNotID(p, u, sym) {
 						continue
 					}
 					fires++
 					checked++
 					fired = true
-					req := implicit.Request{Pred: p, Use: u, UseSym: rec.Sym, UseElem: rec.Elem}
+					req := implicit.Request{Pred: p, Use: u, UseSym: sym, UseElem: rec.Elem}
 					if res := ver.VerifyDetailed(req); res.Verdict != implicit.NotID {
 						t.Fatalf("program %d: unsound fire pred=%v use=%v sym=%d: verdict %v\n%s",
-							pi, pe.Inst, tr.At(u).Inst, rec.Sym, res.Verdict, src)
+							pi, pe.Inst, tr.At(u).Inst, sym, res.Verdict, src)
 					}
 				}
 			}
@@ -177,9 +179,9 @@ func main() {
 					pred = i
 				}
 			}
-			for _, rec := range tr.At(o.Entry).Uses {
+			for _, rec := range tr.Uses(o.Entry) {
 				if rec.Sym >= 0 && c.Info.Symbols[rec.Sym].Name == "c" {
-					sym = rec.Sym
+					sym = int(rec.Sym)
 				}
 			}
 			if pred < 0 || sym < 0 {
@@ -223,9 +225,9 @@ func filterQueries(tr *trace.Trace) []filterQuery {
 		}
 		qs = append(qs, filterQuery{p, -1, -1})
 		for u := p + 1; u < tr.Len(); u++ {
-			for _, rec := range tr.At(u).Uses {
+			for _, rec := range tr.Uses(u) {
 				if rec.Sym >= 0 {
-					qs = append(qs, filterQuery{p, u, rec.Sym})
+					qs = append(qs, filterQuery{p, u, int(rec.Sym)})
 				}
 			}
 		}
@@ -319,6 +321,61 @@ func TestSwitchFilterQueryOrder(t *testing.T) {
 	}
 	if fires == 0 {
 		t.Fatal("the filter proves no skip on any random program: the order check is vacuous")
+	}
+}
+
+// TestSwitchFilterReplaysPrefixOnce pins the cost of the replay cursor:
+// asked about every predicate instance of a failing trace in ascending
+// order, as the locator asks, a filter replays the trace once, so its
+// cursor steps at most as many entries as the trace holds. Replaying
+// the prefix afresh for each predicate gives the same answers at a cost
+// quadratic in the trace, which neither answers nor allocation counts
+// show.
+func TestSwitchFilterReplaysPrefixOnce(t *testing.T) {
+	grep, err := bench.ByName("grepsim/V4-F2").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sed, err := bench.ByName("sedsim/V3-F3").Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The 30-line grep subject of TestGrepLongLocateAllocCeiling.
+	in := bench.ScaledGrepInput(30)
+	grepRun := backend.Default().Run(grep.Faulty, interp.Options{Input: in, BuildTrace: true})
+	grepCor := backend.Default().Run(grep.Correct, interp.Options{Input: in, BuildTrace: true})
+	if grepRun.Err != nil || grepCor.Err != nil {
+		t.Fatalf("grep runs: %v, %v", grepRun.Err, grepCor.Err)
+	}
+	for _, s := range []struct {
+		name     string
+		c        *interp.Compiled
+		run      *interp.Result
+		expected []int64
+	}{
+		{"grepsim/V4-F2 on 30 lines", grep.Faulty, grepRun, grepCor.OutputValues()},
+		{"sedsim/V3-F3", sed.Faulty, sed.Run, sed.Expected},
+	} {
+		tr := s.run.Trace
+		seq, _, ok := slicing.FirstWrongOutput(s.run.OutputValues(), s.expected)
+		if !ok {
+			t.Fatalf("%s: no wrong output", s.name)
+		}
+		flt := check.NewSwitchFilter(s.c, tr, tr.OutputAt(seq).Entry)
+		for i := 0; i < tr.Len(); i++ {
+			if b := tr.At(i).Branch; b == cfg.True || b == cfg.False {
+				flt.Reason(i)
+			}
+		}
+		steps := check.CursorSteps(flt)
+		t.Logf("%s: %d entries, cursor stepped %d", s.name, tr.Len(), steps)
+		if steps == 0 {
+			t.Errorf("%s: the cursor never stepped, so the check is vacuous", s.name)
+		}
+		if steps > tr.Len() {
+			t.Errorf("%s: the cursor stepped %d entries over a %d-entry trace; ascending queries must replay it once",
+				s.name, steps, tr.Len())
+		}
 	}
 }
 

@@ -227,15 +227,15 @@ func (rp *replay) step(i int) {
 	if !rp.f.stmtFacts(e.Inst.Stmt).hasUserCall {
 		// Use records carry observed values: heal unknowns. (Skipped for
 		// call statements, whose uses interleave with callee effects.)
-		for _, rec := range e.Uses {
+		for _, rec := range rp.f.tr.Uses(i) {
 			if rec.Sym < 0 {
 				continue
 			}
-			rp.cells[rp.f.cellOf(e, rec.Sym, rec.Elem)] = cellVal{rec.Val, true}
+			rp.cells[rp.f.cellOf(e, int(rec.Sym), rec.Elem)] = cellVal{rec.Val, true}
 		}
 	}
 	var deferred []defTarget
-	for _, t := range rp.targets(e) {
+	for _, t := range rp.targets(i) {
 		if t.deferred {
 			deferred = append(deferred, t)
 		} else {
@@ -247,17 +247,18 @@ func (rp *replay) step(i int) {
 	}
 }
 
-// targets resolves entry e's definition records to concrete cells.
-// Parameter bindings at call statements land in the callee's frame —
-// found via the entry's trace children — and are value-unknown. The
-// result is reused by the next call.
-func (rp *replay) targets(e *trace.Entry) []defTarget {
+// targets resolves trace entry i's definition records to concrete
+// cells. Parameter bindings at call statements land in the callee's
+// frame — found via the entry's trace children — and are value-unknown.
+// The result is reused by the next call.
+func (rp *replay) targets(i int) []defTarget {
+	e := rp.f.tr.At(i)
 	info := rp.f.c.Info
 	node := info.Stmt(e.Inst.Stmt)
 	calls := info.StmtCalls[e.Inst.Stmt]
 	hasCall := rp.f.stmtFacts(e.Inst.Stmt).hasUserCall
 	out := rp.f.targetBuf[:0]
-	for _, rec := range e.Defs {
+	for _, rec := range rp.f.tr.Defs(i) {
 		if rec.Sym < 0 {
 			continue
 		}
@@ -272,10 +273,10 @@ func (rp *replay) targets(e *trace.Entry) []defTarget {
 			}
 		}
 		if binding {
-			for _, ch := range rp.f.tr.Children(e.Idx) {
+			for _, ch := range rp.f.tr.Children(i) {
 				che := rp.f.tr.At(ch)
 				if info.StmtFunc[che.Inst.Stmt] == sym.Func {
-					out = append(out, defTarget{key: cellKey{rec.Sym, rec.Elem, che.Frame}})
+					out = append(out, defTarget{key: cellKey{rec.Sym, rec.Elem, int(che.Frame)}})
 				}
 			}
 			if primaryDef(info, node, rec.Sym) {

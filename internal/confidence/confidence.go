@@ -78,10 +78,10 @@ func NewProfile() *Profile { return &Profile{values: map[int]map[int64]bool{}} }
 // AddTrace records the produced value of every defining instance.
 func (p *Profile) AddTrace(t *trace.Trace) {
 	for i := 0; i < t.Len(); i++ {
-		e := t.At(i)
-		if len(e.Defs) == 0 {
+		if len(t.Defs(i)) == 0 {
 			continue
 		}
+		e := t.At(i)
 		m := p.values[e.Inst.Stmt]
 		if m == nil {
 			m = map[int64]bool{}
@@ -302,11 +302,10 @@ func (a *Analyzer) buildConsumers() {
 	n := t.Len()
 	a.consumers = make([][]consumer, n)
 	for i := 0; i < n; i++ {
-		e := t.At(i)
-		for _, u := range e.Uses {
+		for _, u := range t.Uses(i) {
 			if u.Def >= 0 {
 				a.consumers[u.Def] = append(a.consumers[u.Def],
-					consumer{entry: i, kind: depgraph.Data, sym: u.Sym})
+					consumer{entry: i, kind: depgraph.Data, sym: int(u.Sym)})
 			}
 		}
 		from := i
@@ -382,8 +381,8 @@ func (a *Analyzer) computePinned() []bool {
 		// print arguments may be arbitrary expressions; only pin defs
 		// when the argument is a direct variable read, i.e. the def's
 		// produced value equals the printed value.
-		for _, u := range t.At(o.Entry).Uses {
-			if u.Def >= 0 && t.At(u.Def).Value == o.Value {
+		for _, u := range t.Uses(o.Entry) {
+			if u.Def >= 0 && t.At(int(u.Def)).Value == o.Value {
 				pinned[u.Def] = true
 			}
 		}
@@ -418,15 +417,12 @@ func (a *Analyzer) computePinned() []bool {
 // pinned, has its definition pinned. onPin is invoked for each newly
 // pinned definition.
 func (a *Analyzer) tryPinUses(i int, pinned []bool, onPin func(def int)) {
-	e := a.G.T.At(i)
-	if len(e.Defs) == 0 && len(e.Uses) == 0 {
-		return
-	}
-	for _, u := range e.Uses {
+	uses := a.G.T.Uses(i)
+	for _, u := range uses {
 		if u.Def < 0 || pinned[u.Def] {
 			continue
 		}
-		cls := classifyUse(a.C, e.Inst.Stmt, u.Sym)
+		cls := classifyUse(a.C, a.G.T.At(i).Inst.Stmt, int(u.Sym))
 		if a.Naive && cls.kind == classCompare {
 			// A "confirmed" predicate outcome is naively taken to
 			// confirm its operand.
@@ -436,7 +432,7 @@ func (a *Analyzer) tryPinUses(i int, pinned []bool, onPin func(def int)) {
 			continue
 		}
 		othersPinned := true
-		for _, v := range e.Uses {
+		for _, v := range uses {
 			if v.Sym != u.Sym && v.Def >= 0 && !pinned[v.Def] {
 				othersPinned = false
 				break
@@ -444,7 +440,7 @@ func (a *Analyzer) tryPinUses(i int, pinned []bool, onPin func(def int)) {
 		}
 		if othersPinned {
 			pinned[u.Def] = true
-			onPin(u.Def)
+			onPin(int(u.Def))
 		}
 	}
 }
@@ -545,9 +541,9 @@ func (a *Analyzer) computeDelta() {
 			if c, ok := a.candidate(i); ok && !a.rankStale && a.slice.Has(i) {
 				a.rank.push(c)
 			}
-			for _, u := range t.At(i).Uses {
+			for _, u := range t.Uses(i) {
 				if u.Def >= 0 {
-					push(u.Def)
+					push(int(u.Def))
 				}
 			}
 			a.G.EachDep(i, extraKinds, func(ed depgraph.Edge) { push(ed.To) })

@@ -30,20 +30,20 @@ func (l *locator) perturbFallback() bool {
 		u := cand.Entry
 		added := false
 		for _, pd := range l.pd(u) {
-			pe := l.cx.T.At(pd.Pred)
 			// Perturb the definitions feeding the predicate's condition.
-			for _, use := range pe.Uses {
+			for _, use := range l.cx.T.Uses(pd.Pred) {
 				if use.Def < 0 {
 					continue
 				}
-				defStmt := l.cx.T.At(use.Def).Inst.Stmt
+				def := int(use.Def)
+				defStmt := l.cx.T.At(def).Inst.Stmt
 				vals := append([]int64{}, l.profileValues(defStmt)...)
 				vals = append(vals, probes...)
 				res := l.ver.PerturbVerify(implicit.PerturbRequest{
-					Def: use.Def, Use: u, Candidates: vals,
+					Def: def, Use: u, Candidates: vals,
 				})
 				if res.Dependent {
-					l.an.AddEdges(confidence.Arc{From: u, To: use.Def, Kind: depgraph.Implicit})
+					l.an.AddEdges(confidence.Arc{From: u, To: def, Kind: depgraph.Implicit})
 					l.rep.Stats.ExpandedEdges++
 					added = true
 				}

@@ -12,14 +12,10 @@ import (
 func chainTrace() *trace.Trace {
 	t := trace.New()
 	t.Append(trace.Entry{Inst: trace.Instance{Stmt: 1, Occ: 1}, Parent: -1})
-	t.Append(trace.Entry{
-		Inst: trace.Instance{Stmt: 2, Occ: 1}, Parent: -1,
-		Uses: []trace.UseRec{{Sym: 0, Elem: trace.ScalarElem, Def: 0}},
-	})
-	t.Append(trace.Entry{
-		Inst: trace.Instance{Stmt: 3, Occ: 1}, Parent: 1,
-		Uses: []trace.UseRec{{Sym: 1, Elem: trace.ScalarElem, Def: 1}},
-	})
+	e1 := t.Append(trace.Entry{Inst: trace.Instance{Stmt: 2, Occ: 1}, Parent: -1})
+	t.AddUse(e1, trace.UseRec{Sym: 0, Elem: trace.ScalarElem, Def: 0})
+	e2 := t.Append(trace.Entry{Inst: trace.Instance{Stmt: 3, Occ: 1}, Parent: 1})
+	t.AddUse(e2, trace.UseRec{Sym: 1, Elem: trace.ScalarElem, Def: 1})
 	return t
 }
 

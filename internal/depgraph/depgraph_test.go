@@ -46,12 +46,12 @@ func randomDAGTrace(rng *rand.Rand, n int) *trace.Trace {
 	for i := 0; i < n; i++ {
 		e := trace.Entry{Inst: trace.Instance{Stmt: 1 + rng.Intn(8), Occ: i}, Parent: -1}
 		if i > 0 && rng.Intn(3) > 0 {
-			e.Parent = rng.Intn(i)
-		}
-		for k := rng.Intn(3); k > 0 && i > 0; k-- {
-			e.Uses = append(e.Uses, trace.UseRec{Sym: k, Elem: trace.ScalarElem, Def: rng.Intn(i)})
+			e.Parent = int32(rng.Intn(i))
 		}
 		tr.Append(e)
+		for k := rng.Intn(3); k > 0 && i > 0; k-- {
+			tr.AddUse(i, trace.UseRec{Sym: int32(k), Elem: trace.ScalarElem, Def: int32(rng.Intn(i))})
+		}
 	}
 	return tr
 }

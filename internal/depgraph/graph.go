@@ -103,27 +103,25 @@ func New(t *trace.Trace) *Graph {
 	g := &Graph{T: t, rowStart: make([]int32, n+1)}
 	total := 0
 	for i := 0; i < n; i++ {
-		e := t.At(i)
-		for _, u := range e.Uses {
+		for _, u := range t.Uses(i) {
 			if u.Def >= 0 {
 				total++
 			}
 		}
-		if e.Parent >= 0 {
+		if t.At(i).Parent >= 0 {
 			total++
 		}
 		g.rowStart[i+1] = int32(total)
 	}
 	g.base = make([]Edge, 0, total)
 	for i := 0; i < n; i++ {
-		e := t.At(i)
-		for _, u := range e.Uses {
+		for _, u := range t.Uses(i) {
 			if u.Def >= 0 {
-				g.base = append(g.base, Edge{To: u.Def, Kind: Data})
+				g.base = append(g.base, Edge{To: int(u.Def), Kind: Data})
 			}
 		}
-		if e.Parent >= 0 {
-			g.base = append(g.base, Edge{To: e.Parent, Kind: Control})
+		if p := t.At(i).Parent; p >= 0 {
+			g.base = append(g.base, Edge{To: int(p), Kind: Control})
 		}
 	}
 	return g
@@ -349,16 +347,15 @@ func TraceBackward(t *trace.Trace, kinds Kind, seeds ...int) *Set {
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		e := t.At(n)
 		if kinds&Data != 0 {
-			for _, u := range e.Uses {
-				if u.Def >= 0 && s.Add(u.Def) {
-					work = append(work, u.Def)
+			for _, u := range t.Uses(n) {
+				if u.Def >= 0 && s.Add(int(u.Def)) {
+					work = append(work, int(u.Def))
 				}
 			}
 		}
-		if kinds&Control != 0 && e.Parent >= 0 && s.Add(e.Parent) {
-			work = append(work, e.Parent)
+		if p := int(t.At(n).Parent); kinds&Control != 0 && p >= 0 && s.Add(p) {
+			work = append(work, p)
 		}
 	}
 	return s

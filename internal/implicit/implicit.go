@@ -380,14 +380,14 @@ func (v *Verifier) VerifyDetailed(req Request) *Result {
 	// Algorithm 2 lines 31-35: the reaching definition d' of the use in
 	// E' must lie inside Region(p').
 	pRegion := region.Region{T: ep, Head: pPrimeIdx}
-	for _, use := range ep.At(u).Uses {
-		if use.Sym != req.UseSym {
+	for _, use := range ep.Uses(u) {
+		if int(use.Sym) != req.UseSym {
 			continue
 		}
 		if use.Def == trace.NoDef {
 			continue
 		}
-		if pRegion.Contains(use.Def) {
+		if pRegion.Contains(int(use.Def)) {
 			res.Verdict = ID
 			return res
 		}

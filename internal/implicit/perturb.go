@@ -49,7 +49,7 @@ func (v *Verifier) PerturbVerify(req PerturbRequest) *PerturbResult {
 	// The values the use read in the original run, per location, for the
 	// affected-value check.
 	origVals := map[[2]int64]int64{}
-	for _, u := range ue.Uses {
+	for _, u := range v.Orig.Uses(req.Use) {
 		origVals[[2]int64{int64(u.Sym), u.Elem}] = u.Val
 	}
 
@@ -87,7 +87,7 @@ func (v *Verifier) PerturbVerify(req PerturbRequest) *PerturbResult {
 			res.Witness = cand
 			break
 		}
-		for _, use := range run.Trace.At(u).Uses {
+		for _, use := range run.Trace.Uses(u) {
 			if orig, seen := origVals[[2]int64{int64(use.Sym), use.Elem}]; seen && orig != use.Val {
 				res.Dependent = true
 				res.Witness = cand

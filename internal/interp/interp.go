@@ -445,8 +445,8 @@ func (ip *interp) beginStmt(s ast.Numbered) int {
 	}
 	idx := ip.tr.Append(trace.Entry{
 		Inst:   trace.Instance{Stmt: id, Occ: ip.occ[id]},
-		Frame:  fr.id,
-		Parent: parent,
+		Frame:  int32(fr.id),
+		Parent: int32(parent),
 	})
 	ip.curEntry = idx
 	return idx
@@ -460,9 +460,8 @@ func (ip *interp) recordDef(idx int, sym *sem.Symbol, elem int64, val int64) {
 	if idx < 0 {
 		return
 	}
-	e := ip.entry(idx)
-	e.Defs = append(e.Defs, trace.DefRec{Sym: sym.ID, Elem: elem})
-	e.Value = val
+	ip.tr.AddDef(idx, trace.DefRec{Sym: sym.ID, Elem: elem})
+	ip.entry(idx).Value = val
 }
 
 // pushCtrl opens the region of a predicate instance.
@@ -742,8 +741,7 @@ func (ip *interp) recordUse(idx int, sym *sem.Symbol, elem int64, def int, val i
 	if idx < 0 {
 		return
 	}
-	e := ip.entry(idx)
-	e.Uses = append(e.Uses, trace.UseRec{Sym: sym.ID, Elem: elem, Def: def, Val: val})
+	ip.tr.AddUse(idx, trace.UseRec{Sym: int32(sym.ID), Def: int32(def), Elem: elem, Val: val})
 }
 
 // ---------------------------------------------------------------------------
@@ -893,8 +891,7 @@ func (ip *interp) callFunction(fi *sem.FuncInfo, args []int64, pos token.Pos) (i
 	for i, p := range fi.Params {
 		fr.scalars[p.Slot] = cell{val: args[i], def: idxOrNoDef(callSite)}
 		if callSite >= 0 {
-			ip.entry(callSite).Defs = append(ip.entry(callSite).Defs,
-				trace.DefRec{Sym: p.ID, Elem: trace.ScalarElem})
+			ip.tr.AddDef(callSite, trace.DefRec{Sym: p.ID, Elem: trace.ScalarElem})
 		}
 	}
 	ip.frames = append(ip.frames, fr)

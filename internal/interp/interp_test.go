@@ -273,16 +273,16 @@ func TestDynamicControlParents(t *testing.T) {
 	w2 := find(5, 2)
 	printIdx := find(7, 1)
 
-	if tr.At(thenIdx).Parent != ifIdx {
+	if int(tr.At(thenIdx).Parent) != ifIdx {
 		t.Errorf("then-branch parent = %d, want if at %d", tr.At(thenIdx).Parent, ifIdx)
 	}
-	if tr.At(body1).Parent != w1 {
+	if int(tr.At(body1).Parent) != w1 {
 		t.Errorf("loop body parent = %d, want while#1 at %d", tr.At(body1).Parent, w1)
 	}
-	if tr.At(w2).Parent != w1 {
+	if int(tr.At(w2).Parent) != w1 {
 		t.Errorf("while#2 parent = %d, want while#1 at %d (loop self-nesting)", tr.At(w2).Parent, w1)
 	}
-	if p := tr.At(printIdx).Parent; p != tr.At(ifIdx).Parent {
+	if p := int(tr.At(printIdx).Parent); p != int(tr.At(ifIdx).Parent) {
 		t.Errorf("print parent = %d, want top level like the if (%d)", p, tr.At(ifIdx).Parent)
 	}
 	if tr.At(ifIdx).Branch != cfg.True {
@@ -308,7 +308,7 @@ func main() {
 	if callIdx < 0 || bodyIdx < 0 {
 		t.Fatalf("instances not found (call=%d body=%d)", callIdx, bodyIdx)
 	}
-	if tr.At(bodyIdx).Parent != callIdx {
+	if int(tr.At(bodyIdx).Parent) != callIdx {
 		t.Errorf("callee top-level parent = %d, want call site %d", tr.At(bodyIdx).Parent, callIdx)
 	}
 }
@@ -330,12 +330,12 @@ func main() {
 
 	wantDep := func(from, to int) {
 		t.Helper()
-		for _, u := range tr.At(from).Uses {
-			if u.Def == to {
+		for _, u := range tr.Uses(from) {
+			if int(u.Def) == to {
 				return
 			}
 		}
-		t.Errorf("entry %d should data-depend on %d; uses = %v", from, to, tr.At(from).Uses)
+		t.Errorf("entry %d should data-depend on %d; uses = %v", from, to, tr.Uses(from))
 	}
 	wantDep(bIdx, aIdx)
 	wantDep(cIdx, bIdx)
@@ -356,13 +356,13 @@ func main() {
 	retIdx := tr.FindInstance(trace.Instance{Stmt: 1, Occ: 1}) // return 2
 	xIdx := tr.FindInstance(trace.Instance{Stmt: 2, Occ: 1})   // var x = two()
 	found := false
-	for _, u := range tr.At(xIdx).Uses {
-		if u.Sym == trace.RetvalSym && u.Def == retIdx {
+	for _, u := range tr.Uses(xIdx) {
+		if u.Sym == trace.RetvalSym && int(u.Def) == retIdx {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("var x should depend on the return entry %d; uses = %v", retIdx, tr.At(xIdx).Uses)
+		t.Errorf("var x should depend on the return entry %d; uses = %v", retIdx, tr.Uses(xIdx))
 	}
 }
 
@@ -503,7 +503,7 @@ func main() {
 	r := run(t, src, []int64{4, 7, 2})
 	tr := r.Trace
 	for i := 0; i < tr.Len(); i++ {
-		p := tr.At(i).Parent
+		p := int(tr.At(i).Parent)
 		if p >= i {
 			t.Fatalf("entry %d has parent %d (must precede it)", i, p)
 		}

@@ -78,11 +78,12 @@ func (p *Pairing) Benign(e int) bool {
 	if fe.Value != ce.Value || fe.Branch != ce.Branch {
 		return false
 	}
-	if len(fe.Uses) != len(ce.Uses) {
+	fus, cus := p.faulty.Uses(e), p.correct.Uses(m)
+	if len(fus) != len(cus) {
 		return false
 	}
-	for i := range fe.Uses {
-		fu, cu := fe.Uses[i], ce.Uses[i]
+	for i, fu := range fus {
+		cu := cus[i]
 		if fu.Sym != cu.Sym || fu.Elem != cu.Elem || fu.Val != cu.Val {
 			return false
 		}

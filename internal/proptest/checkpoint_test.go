@@ -7,6 +7,7 @@ import (
 
 	"eol/internal/cfg"
 	"eol/internal/interp"
+	"eol/internal/testsupport"
 	"eol/internal/trace"
 	"eol/internal/vm"
 )
@@ -92,8 +93,8 @@ func assertTraceDeepEqual(t *testing.T, label string, want, got *trace.Trace) {
 		t.Fatalf("%s: trace len %d, want %d", label, got.Len(), want.Len())
 	}
 	for i := 0; i < want.Len(); i++ {
-		if !reflect.DeepEqual(*got.At(i), *want.At(i)) {
-			t.Fatalf("%s: entry %d = %+v, want %+v", label, i, *got.At(i), *want.At(i))
+		if d := testsupport.EntryDiff(want, got, i); d != "" {
+			t.Fatalf("%s: %s", label, d)
 		}
 		if !reflect.DeepEqual(got.Children(i), want.Children(i)) {
 			t.Fatalf("%s: children(%d) = %v, want %v", label, i, got.Children(i), want.Children(i))

@@ -116,7 +116,7 @@ func TestDeterminismProperty(t *testing.T) {
 // isAncestorWalk is the reference ancestor test the Ancestry index must
 // agree with: walk y's parent chain looking for x (reflexive).
 func isAncestorWalk(tr *trace.Trace, x, y int) bool {
-	for n := y; n >= 0; n = tr.At(n).Parent {
+	for n := y; n >= 0; n = int(tr.At(n).Parent) {
 		if n == x {
 			return true
 		}
@@ -138,7 +138,7 @@ func TestRegionTreeInvariants(t *testing.T) {
 		var roots []int
 		var open []int // the previous entry's ancestor chain, root first
 		for i := 0; i < tr.Len(); i++ {
-			p := tr.At(i).Parent
+			p := int(tr.At(i).Parent)
 			if p >= i {
 				t.Fatalf("%s: entry %d has parent %d", label, i, p)
 			}
@@ -365,7 +365,7 @@ func TestDynamicCDAgreesWithStaticCD(t *testing.T) {
 	eachRandomRun(t, func(t *testing.T, c *interp.Compiled, in []int64, r *interp.Result) {
 		tr := r.Trace
 		for i := 0; i < tr.Len(); i++ {
-			p := tr.At(i).Parent
+			p := int(tr.At(i).Parent)
 			if p < 0 {
 				continue
 			}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"eol/internal/interp"
+	"eol/internal/testsupport"
 	"eol/internal/vm"
 )
 
@@ -56,8 +57,8 @@ func assertSameResult(t *testing.T, label string, tree, got *interp.Result) {
 		t.Fatalf("%s: trace length tree %d, vm %d", label, tree.Trace.Len(), got.Trace.Len())
 	}
 	for i := 0; i < tree.Trace.Len(); i++ {
-		if !reflect.DeepEqual(*tree.Trace.At(i), *got.Trace.At(i)) {
-			t.Fatalf("%s: trace entry %d:\ntree %+v\nvm   %+v", label, i, *tree.Trace.At(i), *got.Trace.At(i))
+		if d := testsupport.EntryDiff(tree.Trace, got.Trace, i); d != "" {
+			t.Fatalf("%s: vm trace against tree: %s", label, d)
 		}
 	}
 	if !reflect.DeepEqual(tree.Trace.Outputs, got.Trace.Outputs) {

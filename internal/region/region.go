@@ -47,7 +47,7 @@ func Whole(t *trace.Trace) Region { return Region{T: t, Head: Root} }
 // Of returns the immediate surrounding region of entry: the region headed
 // by its dynamic control parent (the paper's Region(s)).
 func Of(t *trace.Trace, entry int) Region {
-	return Region{T: t, Head: t.At(entry).Parent}
+	return Region{T: t, Head: int(t.At(entry).Parent)}
 }
 
 // Parent returns the immediate surrounding region of r (the paper's
@@ -56,7 +56,7 @@ func (r Region) Parent() Region {
 	if r.Head == Root {
 		return r
 	}
-	return Region{T: r.T, Head: r.T.At(r.Head).Parent}
+	return Region{T: r.T, Head: int(r.T.At(r.Head).Parent)}
 }
 
 // IsRoot reports whether r is the virtual whole-execution region.

@@ -119,17 +119,18 @@ func (cx *Context) PotentialDeps(u int) []PDep {
 
 	var res []PDep
 	seen := map[PDep]bool{}
-	for _, use := range ue.Uses {
+	for _, use := range t.Uses(u) {
 		if use.Sym < 0 {
 			continue // return-value plumbing
 		}
 		// (i) and (iii): the window (use.Def, u). NoDef means the value
 		// predates everything.
-		lo := max(use.Def+1, 0)
+		lo := max(int(use.Def)+1, 0)
 		if lo >= u {
 			continue
 		}
-		sym := cx.C.Info.Symbols[use.Sym]
+		symID := int(use.Sym)
+		sym := cx.C.Info.Symbols[symID]
 		// Candidate predicate statements: the same function's predicates,
 		// or (CrossFunction, globals only) every predicate in the program.
 		candidates := uf.StmtIDs
@@ -166,14 +167,14 @@ func (cx *Context) PotentialDeps(u int) []PDep {
 					var holds bool
 					switch {
 					case cx.Union != nil:
-						holds = cx.Union.PotentialBranch(ps, pe.Branch, useStmt, use.Sym)
+						holds = cx.Union.PotentialBranch(ps, pe.Branch, useStmt, symID)
 					case sameFn:
 						if !defsDone {
-							defs, defsDone = cx.Flow.DefsReaching(useStmt, use.Sym), true
+							defs, defsDone = cx.Flow.DefsReaching(useStmt, symID), true
 						}
 						holds = cx.Flow.ControlledBy(ps, pe.Branch.Negate()).HasAny(defs)
 					default:
-						holds = cx.Flow.PotentialBranchGlobal(ps, pe.Branch, use.Sym)
+						holds = cx.Flow.PotentialBranchGlobal(ps, pe.Branch, symID)
 					}
 					iv[pe.Branch] = -1
 					if holds {
@@ -183,7 +184,7 @@ func (cx *Context) PotentialDeps(u int) []PDep {
 				if iv[pe.Branch] < 0 {
 					continue
 				}
-				d := PDep{Pred: p, UseSym: use.Sym, UseElem: use.Elem}
+				d := PDep{Pred: p, UseSym: symID, UseElem: use.Elem}
 				if !seen[d] {
 					seen[d] = true
 					res = append(res, d)

@@ -61,7 +61,7 @@ func (u *UnionGraph) AddTrace(t *trace.Trace) {
 	for i := 0; i < t.Len(); i++ {
 		e := t.At(i)
 		if e.Parent >= 0 {
-			pe := t.At(e.Parent)
+			pe := t.At(int(e.Parent))
 			govOf[i] = append(append([]stackItem{}, govOf[e.Parent]...),
 				stackItem{pred: pe.Inst.Stmt, label: pe.Branch})
 		}
@@ -74,20 +74,20 @@ func (u *UnionGraph) AddTrace(t *trace.Trace) {
 		for _, g := range govOf[i] {
 			gm[govKey{pred: g.pred, label: g.label}] = true
 		}
-		for _, use := range e.Uses {
+		for _, use := range t.Uses(i) {
 			if use.Def < 0 || use.Sym < 0 {
 				continue
 			}
-			defStmt := t.At(use.Def).Inst.Stmt
+			defStmt := t.At(int(use.Def)).Inst.Stmt
 			rm := u.reached[stmt]
 			if rm == nil {
 				rm = map[int]map[int]bool{}
 				u.reached[stmt] = rm
 			}
-			sm := rm[use.Sym]
+			sm := rm[int(use.Sym)]
 			if sm == nil {
 				sm = map[int]bool{}
-				rm[use.Sym] = sm
+				rm[int(use.Sym)] = sm
 			}
 			sm[defStmt] = true
 		}

@@ -40,11 +40,12 @@ func fullScanPotentialDeps(cx *slicing.Context, u int) []slicing.PDep {
 
 	var res []slicing.PDep
 	seen := map[slicing.PDep]bool{}
-	for _, use := range ue.Uses {
+	for _, use := range t.Uses(u) {
 		if use.Sym < 0 {
 			continue
 		}
-		sym := info.Symbols[use.Sym]
+		symID := int(use.Sym)
+		sym := info.Symbols[symID]
 		candidates := uf.StmtIDs
 		if cx.CrossFunction && sym.Kind == sem.Global {
 			candidates = allPreds
@@ -59,7 +60,7 @@ func fullScanPotentialDeps(cx *slicing.Context, u int) []slicing.PDep {
 					break
 				}
 				pe := t.At(p)
-				if use.Def != trace.NoDef && use.Def >= p {
+				if use.Def != trace.NoDef && int(use.Def) >= p {
 					continue
 				}
 				if anc.IsAncestor(p, u) {
@@ -70,19 +71,19 @@ func fullScanPotentialDeps(cx *slicing.Context, u int) []slicing.PDep {
 				}
 				switch {
 				case cx.Union != nil:
-					if !cx.Union.PotentialBranch(ps, pe.Branch, useStmt, use.Sym) {
+					if !cx.Union.PotentialBranch(ps, pe.Branch, useStmt, symID) {
 						continue
 					}
 				case sameFn:
-					if !cx.Flow.PotentialBranch(ps, pe.Branch, useStmt, use.Sym) {
+					if !cx.Flow.PotentialBranch(ps, pe.Branch, useStmt, symID) {
 						continue
 					}
 				default:
-					if !cx.Flow.PotentialBranchGlobal(ps, pe.Branch, use.Sym) {
+					if !cx.Flow.PotentialBranchGlobal(ps, pe.Branch, symID) {
 						continue
 					}
 				}
-				d := slicing.PDep{Pred: p, UseSym: use.Sym, UseElem: use.Elem}
+				d := slicing.PDep{Pred: p, UseSym: symID, UseElem: use.Elem}
 				if !seen[d] {
 					seen[d] = true
 					res = append(res, d)

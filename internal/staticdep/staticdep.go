@@ -78,7 +78,6 @@ type Graph struct {
 
 	calls  map[string][]int        // callee -> call-site statement IDs
 	mayRef map[string]map[int]bool // fn -> globals read, transitively
-	mayDef map[string]map[int]bool // fn -> globals written, transitively
 
 	// Interprocedural global reaching definitions.
 	gsites  []gsite        // direct global definition sites (index 0.. )
@@ -113,11 +112,6 @@ func New(c *interp.Compiled, flow *dataflow.Analysis) *Graph {
 		reachIn: map[int]bitset{},
 		cones:   map[int]*cone{},
 	}
-	g.mayDef = map[string]map[int]bool{}
-	for name := range info.Funcs {
-		g.mayDef[name] = flow.MayDefineGlobals(name)
-	}
-
 	g.classify()
 	g.buildCallGraph()
 	g.computeMayRef()

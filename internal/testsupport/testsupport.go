@@ -5,11 +5,14 @@ package testsupport
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"eol/internal/check"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
+	"eol/internal/trace"
 )
 
 // TB is the subset of testing.TB used here, so this package does not
@@ -27,6 +30,28 @@ func Compile(t TB, src string) *interp.Compiled {
 		t.Fatalf("compile: %v", err)
 	}
 	return c
+}
+
+// EntryDiff compares entry i of two traces by content: every exported
+// Entry field, then the entry's use and definition records. It returns
+// "" when they agree, else what differs. Record arena offsets are not
+// compared: they differ between traces that record the same entries (a
+// fork's suffix records start at offset 0).
+func EntryDiff(want, got *trace.Trace, i int) string {
+	w, g := reflect.ValueOf(*want.At(i)), reflect.ValueOf(*got.At(i))
+	for k := 0; k < w.NumField(); k++ {
+		f := w.Type().Field(k)
+		if f.IsExported() && !reflect.DeepEqual(w.Field(k).Interface(), g.Field(k).Interface()) {
+			return fmt.Sprintf("entry %d: %s = %v, want %v", i, f.Name, g.Field(k), w.Field(k))
+		}
+	}
+	if wu, gu := want.Uses(i), got.Uses(i); !slices.Equal(wu, gu) {
+		return fmt.Sprintf("entry %d: uses = %v, want %v", i, gu, wu)
+	}
+	if wd, gd := want.Defs(i), got.Defs(i); !slices.Equal(wd, gd) {
+		return fmt.Sprintf("entry %d: defs = %v, want %v", i, gd, wd)
+	}
+	return ""
 }
 
 // Run executes a compiled program with tracing and fails the test on a

@@ -12,7 +12,7 @@ package trace
 // this on tree-walker, VM and forked traces). The index is just the
 // interval ends.
 type Ancestry struct {
-	out []int // out[i] is one past the last descendant of i
+	out []int32 // out[i] is one past the last descendant of i
 }
 
 // Ancestry builds (or returns the cached) ancestor index. The trace must
@@ -23,7 +23,7 @@ func (t *Trace) Ancestry() *Ancestry {
 	if t.anc != nil && len(t.anc.out) == n {
 		return t.anc
 	}
-	out := make([]int, n)
+	out := make([]int32, n)
 
 	// Forks of a base whose ancestry is already built seed from it: a
 	// prefix interval wholly inside the cut keeps its end; one still
@@ -34,7 +34,7 @@ func (t *Trace) Ancestry() *Ancestry {
 	if t.baseAnc != nil {
 		nb = len(t.base)
 		for i, v := range t.baseAnc.out[:nb] {
-			out[i] = min(v, nb)
+			out[i] = min(v, int32(nb))
 		}
 	}
 
@@ -43,12 +43,10 @@ func (t *Trace) Ancestry() *Ancestry {
 	// the max over its subtree).
 	var ext []int
 	for i := n - 1; i >= nb; i-- {
-		if out[i] < i+1 {
-			out[i] = i + 1
-		}
+		out[i] = max(out[i], int32(i+1))
 		if p := t.At(i).Parent; p >= 0 && out[p] < out[i] {
-			if p < nb {
-				ext = append(ext, p)
+			if int(p) < nb {
+				ext = append(ext, int(p))
 			}
 			out[p] = out[i]
 		}
@@ -56,7 +54,7 @@ func (t *Trace) Ancestry() *Ancestry {
 	// Propagate the extensions up the (prefix) parent chains of the
 	// open-at-cut ancestors.
 	for _, p := range ext {
-		for q := t.At(p).Parent; q >= 0 && out[q] < out[p]; q = t.At(q).Parent {
+		for q := int(t.At(p).Parent); q >= 0 && out[q] < out[p]; q = int(t.At(q).Parent) {
 			out[q] = out[p]
 			p = q
 		}
@@ -68,9 +66,9 @@ func (t *Trace) Ancestry() *Ancestry {
 // IsAncestor reports whether x is an ancestor of y in the region forest
 // (reflexive).
 func (a *Ancestry) IsAncestor(x, y int) bool {
-	return x <= y && y < a.out[x]
+	return x <= y && y < int(a.out[x])
 }
 
 // End returns one past the last descendant of entry i: i's region
 // subtree is exactly the trace indices [i, End(i)).
-func (a *Ancestry) End(i int) int { return a.out[i] }
+func (a *Ancestry) End(i int) int { return int(a.out[i]) }

@@ -2,29 +2,33 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
 // Prefix is a handle on the first n entries of a trace, from which
-// suffix-extending forks can be created in O(prefix) once and O(1)
-// allocations per fork thereafter. It is the trace-side half of
-// checkpointed re-execution (docs/CHECKPOINT.md): the interpreter
-// captures a Prefix at each checkpoint of the failing run, and every
-// switched run forked from that checkpoint starts from Fork() instead of
-// re-appending the whole unswitched prefix.
+// suffix-extending forks can be created with O(1) allocations per fork.
+// It is the trace-side half of checkpointed re-execution
+// (docs/CHECKPOINT.md): the interpreter captures a Prefix at each
+// checkpoint of the failing run, and every switched run forked from
+// that checkpoint starts from Fork() instead of re-appending the whole
+// unswitched prefix.
 //
 // The handle may be taken while the base trace is still being appended
-// to; the skeleton (per-entry child counts, root and output counts) is
-// computed lazily on first Fork, by which time the base run has
-// completed. Fork is safe for concurrent use.
+// to; the cut points and the suffix sizes are computed lazily on first
+// Fork, by which time the base run has completed. Fork is safe for
+// concurrent use.
 type Prefix struct {
 	t *Trace
 	n int
 
 	once   sync.Once
-	proto  [][]int // per prefix entry, its children < n, capacity-clipped
-	nRoots int     // rootsList entries < n
-	nOuts  int     // outputs produced by entries < n
+	nRoots int // rootsList entries < n
+	nOuts  int // outputs produced by entries < n
+	// The base suffix's entry count and the arena lengths its records
+	// occupy: the capacity a fork reserves, since a switched suffix
+	// usually runs to a length comparable to the original one.
+	sufEntries, sufUses, sufDefs int
 }
 
 // PrefixAt returns a fork handle on the first n entries of t. The trace
@@ -43,40 +47,32 @@ func (t *Trace) PrefixAt(n int) *Prefix {
 // Len returns the prefix length in entries.
 func (p *Prefix) Len() int { return p.n }
 
-// BaseLen returns the full length of the base trace the prefix was taken
-// from — a sizing hint for forked suffix runs.
-func (p *Prefix) BaseLen() int { return p.t.Len() }
-
-// build computes the fork skeleton: one counting pass over the prefix,
-// then the shared children prototype — per prefix entry, the
-// capacity-clipped row of its children inside the cut, shared read-only
-// by every fork. Entries, children rows, rootsList and Outputs of the
-// base trace are final for indices < n once its run has finished, so
-// this is safe to run lazily, on the first Fork.
+// build finds the cut in the base's roots list and outputs (both are in
+// entry order) and sizes the base suffix. Entries, records, rootsList
+// and Outputs of the base trace are final for indices < n once its run
+// has finished, so this is safe to run lazily, on the first Fork.
 func (p *Prefix) build() {
-	// The base must have been finished by its run before any fork (Fork
-	// reads its children rows and roots list); fail loudly if not.
-	p.t.ensureFinished()
-	childCut := make([]int32, p.n)
-	for i := 0; i < p.n; i++ {
-		if par := p.t.entries[i].Parent; par >= 0 {
-			childCut[par]++
-		} else {
-			p.nRoots++
+	// The base must have been finished by its run before any fork (a
+	// fork reads its roots list, children rows and instance rows); fail
+	// loudly if not.
+	t := p.t
+	t.ensureFinished()
+	p.nRoots = sort.SearchInts(t.rootsList, p.n)
+	p.nOuts = sort.Search(len(t.Outputs), func(k int) bool { return t.Outputs[k].Entry >= p.n })
+	// The suffix's records start at the lowest offset any of its
+	// entries holds; the arena past that point includes the copies left
+	// behind when a call statement's records moved, which a fork's run
+	// leaves behind as well.
+	useCut, defCut := len(t.uses), len(t.defs)
+	for _, e := range t.entries[p.n:] {
+		if e.uses.n > 0 {
+			useCut = min(useCut, int(e.uses.off))
+		}
+		if e.defs.n > 0 {
+			defCut = min(defCut, int(e.defs.off))
 		}
 	}
-	p.proto = make([][]int, p.n)
-	for i, cut := range childCut {
-		if cut > 0 {
-			p.proto[i] = p.t.children[i][:cut:cut]
-		}
-	}
-	for _, o := range p.t.Outputs {
-		if o.Entry >= p.n {
-			break // outputs are appended in entry order
-		}
-		p.nOuts++
-	}
+	p.sufEntries, p.sufUses, p.sufDefs = len(t.entries)-p.n, len(t.uses)-useCut, len(t.defs)-defCut
 }
 
 // Fork returns a new Trace whose first n entries are shared with the
@@ -84,20 +80,24 @@ func (p *Prefix) build() {
 // independently. Shared state is handed out through capacity-clipped
 // slice views, so the first append to any shared slice reallocates
 // instead of scribbling on the base trace; the prefix entries themselves
-// must be treated as read-only through the fork (Trace.At documents
-// this). The suffix run appends to the fork and calls Finish; prefix
-// instances resolve through the base trace's complete row table, and
-// prefix children rows through the shared prototype, so the fork itself
-// allocates no O(prefix) state.
+// are read-only through the fork (Trace.At documents this, and AddUse
+// and AddDef panic on them). The suffix run appends to the fork and
+// calls Finish; prefix records, children rows and instances resolve
+// through the base trace, so the fork itself allocates no O(prefix)
+// state. Its entries and record arenas start with the base suffix's
+// sizes reserved.
 func (p *Prefix) Fork() *Trace {
 	p.once.Do(p.build)
 	t := p.t
+	const slack = 64
 	return &Trace{
-		base:         t.entries[:p.n:p.n],
-		Outputs:      t.Outputs[:p.nOuts:p.nOuts],
-		rootsList:    t.rootsList[:p.nRoots:p.nRoots],
-		baseRows:     t.own,
-		baseChildren: p.proto,
-		baseAnc:      t.anc,
+		base:      t.entries[:p.n:p.n],
+		src:       t,
+		entries:   make([]Entry, 0, p.sufEntries+slack),
+		uses:      make([]UseRec, 0, p.sufUses+slack),
+		defs:      make([]DefRec, 0, p.sufDefs+slack),
+		Outputs:   t.Outputs[:p.nOuts:p.nOuts],
+		rootsList: t.rootsList[:p.nRoots:p.nRoots],
+		baseAnc:   t.anc,
 	}
 }

@@ -9,9 +9,8 @@ import "sort"
 // Finish, called once when the run completes, materializes every
 // derived index in flat exact-sized passes:
 //
-//   - children rows and the roots list are carved out of one shared
-//     arena sized by a counting pass (no amortized-growth appends, no
-//     per-parent small allocations),
+//   - the children rows are one CSR (row starts over one index array)
+//     sized by a counting pass, with no per-parent allocations,
 //   - the instance index is a per-statement row table (rows[s][k] is
 //     the trace index of S<s>#<start[s]+k>) instead of a hash map keyed
 //     by Instance.
@@ -36,41 +35,6 @@ type instRows struct {
 	start []int32
 }
 
-// Reserve pre-allocates capacity for at least n further Append calls.
-// The VM backend calls it on forked suffix traces, where the original
-// run's length is a good estimate of the switched suffix; it is a pure
-// capacity hint and never changes observable state.
-func (t *Trace) Reserve(n int) {
-	if free := cap(t.entries) - len(t.entries); n <= 0 || free >= n {
-		return
-	}
-	grown := make([]Entry, len(t.entries), len(t.entries)+n)
-	copy(grown, t.entries)
-	t.entries = grown
-}
-
-// AppendSlot extends the trace by one zero entry and returns it for
-// in-place initialization, together with its index. This is the VM
-// backend's emission path: filling a handful of integer fields in the
-// slot skips the 100-byte entry copy (and its pointer write barriers)
-// that Append pays. Slots inside reserved capacity are already zero —
-// make and slice growth both hand out zeroed memory, and entries are
-// never truncated — so extending the length is all it takes.
-func (t *Trace) AppendSlot() (*Entry, int) {
-	if t.own != nil {
-		panic("trace: Append to a finished trace")
-	}
-	idx := t.Len()
-	if len(t.entries) < cap(t.entries) {
-		t.entries = t.entries[:len(t.entries)+1]
-	} else {
-		t.entries = append(t.entries, Entry{})
-	}
-	e := &t.entries[len(t.entries)-1]
-	e.Idx = idx
-	return e, idx
-}
-
 // Finish materializes the derived indices of the trace. It must be
 // called exactly once, on the goroutine that appended, after the last
 // Append.
@@ -81,65 +45,59 @@ func (t *Trace) Finish() {
 	nb := len(t.base)
 	n := len(t.entries)
 
-	// Children and roots. Rows of owned parents are carved from one
-	// arena sized by a counting pass; on unforked traces that is every
-	// row. On forked traces the prefix rows stay in the Prefix's shared
-	// read-only prototype, with the handful of prefix parents that gained
-	// suffix children (the control chain open at the checkpoint cut)
-	// overridden in a sparse map — no O(prefix) copy per fork.
-	counts := make([]int32, n)
+	// Children and roots. Owned parents' rows form one CSR, sized by a
+	// counting pass into kidStart; on unforked traces that is every row.
+	// On forked traces the prefix rows stay in src, clipped at the cut
+	// on read, with the handful of prefix parents that gained suffix
+	// children (the control chain open at the checkpoint cut) overridden
+	// in a sparse map — no O(prefix) copy per fork.
+	start := make([]int32, n+1)
 	roots, maxStmt := 0, 0
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.Parent < 0 {
+		if p := int(e.Parent); p < 0 {
 			roots++
-		} else if e.Parent >= nb {
-			counts[e.Parent-nb]++
+		} else if p >= nb {
+			start[p-nb+1]++
 		}
-		if e.Inst.Stmt > maxStmt {
-			maxStmt = e.Inst.Stmt
-		}
+		maxStmt = max(maxStmt, e.Inst.Stmt)
 	}
-	total := 0
-	for _, c := range counts {
-		total += int(c)
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
 	}
-	arena := make([]int, total)
-	kids := make([][]int, n)
-	cur := 0
-	for p, c := range counts {
-		if c > 0 {
-			kids[p] = arena[cur : cur : cur+int(c)]
-			cur += int(c)
-		}
-	}
+	kids := make([]int, start[n])
 	if roots > 0 {
 		grown := make([]int, len(t.rootsList), len(t.rootsList)+roots)
 		copy(grown, t.rootsList)
 		t.rootsList = grown
 	}
+	// Fill each row through start[p] as its cursor, which leaves start[p]
+	// at the row's end; shifting start one place right restores it.
 	for i := range t.entries {
 		idx := nb + i
-		switch p := t.entries[i].Parent; {
+		switch p := int(t.entries[i].Parent); {
 		case p < 0:
 			t.rootsList = append(t.rootsList, idx)
 		case p >= nb:
-			kids[p-nb] = append(kids[p-nb], idx)
+			kids[start[p-nb]] = idx
+			start[p-nb]++
 		default:
-			// Suffix child of a prefix parent: start from the prototype
-			// row (capacity-clipped, so this append reallocates a fresh
-			// copy) and record the override.
+			// Suffix child of a prefix parent: start from the clipped
+			// base row (so this append reallocates a fresh copy) and
+			// record the override.
 			if t.childOver == nil {
 				t.childOver = map[int][]int{}
 			}
 			row, ok := t.childOver[p]
 			if !ok {
-				row = t.baseChildren[p]
+				row = t.prefixRow(p)
 			}
 			t.childOver[p] = append(row, idx)
 		}
 	}
-	t.children = kids
+	copy(start[1:], start[:n])
+	start[0] = 0
+	t.kidStart, t.kids = start, kids
 
 	// Instance rows, same counting-pass-then-carve shape.
 	r := &instRows{
@@ -150,12 +108,8 @@ func (t *Trace) Finish() {
 	for i := range t.entries {
 		scounts[t.entries[i].Inst.Stmt]++
 	}
-	total = 0
-	for _, c := range scounts {
-		total += int(c)
-	}
-	sarena := make([]int, total)
-	cur = 0
+	sarena := make([]int, n)
+	cur := 0
 	for s, c := range scounts {
 		if c > 0 {
 			r.rows[s] = sarena[cur : cur : cur+int(c)]
@@ -171,6 +125,14 @@ func (t *Trace) Finish() {
 		r.rows[s] = append(r.rows[s], nb+i)
 	}
 	t.own = r
+}
+
+// prefixRow returns the children of prefix entry p that lie inside the
+// cut: src's row, clipped by binary search.
+func (t *Trace) prefixRow(p int) []int {
+	row := t.src.Children(p)
+	cut := sort.SearchInts(row, len(t.base))
+	return row[:cut:cut]
 }
 
 // ensureFinished guards every index query.
@@ -196,8 +158,8 @@ func (t *Trace) FindInstance(inst Instance) int {
 			return -1
 		}
 	}
-	if br := t.baseRows; br != nil && s >= 0 && s < len(br.rows) {
-		row := br.rows[s]
+	if t.src != nil && s >= 0 && s < len(t.src.own.rows) {
+		row := t.src.own.rows[s]
 		if j := inst.Occ - 1; j >= 0 && j < len(row) && row[j] < len(t.base) {
 			return row[j]
 		}
@@ -213,9 +175,9 @@ func (t *Trace) Occurrences(stmt int) int {
 		// suffix row's start pins the prefix count.
 		return int(r.start[stmt]) - 1 + len(r.rows[stmt])
 	}
-	if br := t.baseRows; br != nil && stmt >= 0 && stmt < len(br.rows) {
+	if t.src != nil && stmt >= 0 && stmt < len(t.src.own.rows) {
 		// Prefix-only statement: count the base instances inside the cut.
-		return sort.SearchInts(br.rows[stmt], len(t.base))
+		return sort.SearchInts(t.src.own.rows[stmt], len(t.base))
 	}
 	return 0
 }
@@ -233,8 +195,8 @@ func (t *Trace) InstancesOf(stmt int) []int {
 		return nil
 	}
 	var res []int
-	if br := t.baseRows; br != nil && stmt >= 0 && stmt < len(br.rows) {
-		row := br.rows[stmt]
+	if stmt >= 0 && stmt < len(t.src.own.rows) {
+		row := t.src.own.rows[stmt]
 		cut := sort.SearchInts(row, len(t.base))
 		res = row[:cut:cut]
 	}

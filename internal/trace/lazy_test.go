@@ -86,7 +86,7 @@ func TestLazyForkPrefixQueries(t *testing.T) {
 	f.Append(Entry{Inst: Instance{Stmt: 3, Occ: 2}, Parent: -1})
 	f.Finish()
 
-	// Prefix row served from the prototype; parent 5 gained a suffix
+	// Prefix row clipped from the base row; parent 5 gained a suffix
 	// child through the override map.
 	if got := f.Children(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("children(0) = %v", got)

@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // buildTree constructs a small region forest:
@@ -26,7 +30,7 @@ func buildTree() *Trace {
 // isAncestorWalk is the reference ancestor test the Ancestry index must
 // agree with: walk y's parent chain looking for x (reflexive).
 func isAncestorWalk(t *Trace, x, y int) bool {
-	for n := y; n >= 0; n = t.At(n).Parent {
+	for n := y; n >= 0; n = int(t.At(n).Parent) {
 		if n == x {
 			return true
 		}
@@ -139,7 +143,7 @@ func TestAncestryAgreesWithWalk(t *testing.T) {
 			if len(open) > 0 {
 				parent = open[len(open)-1]
 			}
-			tr.Append(Entry{Inst: Instance{Stmt: 1, Occ: i + 1}, Parent: parent})
+			tr.Append(Entry{Inst: Instance{Stmt: 1, Occ: i + 1}, Parent: int32(parent)})
 			open = append(open, i)
 		}
 		tr.Finish()
@@ -170,5 +174,125 @@ func TestString(t *testing.T) {
 	tr := buildTree()
 	if tr.String() != "trace{5 entries, 0 outputs}" {
 		t.Errorf("String = %q", tr.String())
+	}
+}
+
+// TestEntryLayout pins the compact trace layout: entries and records are
+// small and hold no pointers, so a trace's entry and record arrays are
+// flat memory the garbage collector never scans.
+func TestEntryLayout(t *testing.T) {
+	for _, c := range []struct {
+		typ       reflect.Type
+		size, max uintptr
+	}{
+		{reflect.TypeOf(Entry{}), unsafe.Sizeof(Entry{}), 56},
+		{reflect.TypeOf(UseRec{}), unsafe.Sizeof(UseRec{}), 24},
+		{reflect.TypeOf(DefRec{}), unsafe.Sizeof(DefRec{}), 16},
+	} {
+		if c.size > c.max {
+			t.Errorf("%v is %d bytes; at most %d", c.typ, c.size, c.max)
+		}
+		if path := pointerField(c.typ); path != "" {
+			t.Errorf("%v holds a pointer: field %s", c.typ, path)
+		}
+	}
+}
+
+// pointerField returns the path of the first field of typ that holds a
+// pointer (a pointer, slice, map, string, interface, func or channel),
+// or "" if there is none.
+func pointerField(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type); p != "" {
+				return strings.TrimSuffix(f.Name+"."+p, ".")
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(typ.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return "(" + typ.Kind().String() + ")"
+}
+
+// TestRecordsStayContiguous interleaves records the way a call
+// statement does — its callee's entries record between the call site's
+// own records — and checks each entry reads back its records in
+// recording order.
+func TestRecordsStayContiguous(t *testing.T) {
+	tr := New()
+	call := tr.Append(Entry{Inst: Instance{Stmt: 1, Occ: 1}, Parent: -1})
+	tr.AddUse(call, UseRec{Sym: 1, Def: NoDef, Elem: ScalarElem, Val: 10})
+	tr.AddDef(call, DefRec{Sym: 5, Elem: ScalarElem})
+	body := tr.Append(Entry{Inst: Instance{Stmt: 2, Occ: 1}, Parent: int32(call)})
+	tr.AddUse(body, UseRec{Sym: 5, Def: int32(call), Elem: ScalarElem, Val: 10})
+	tr.AddDef(body, DefRec{Sym: 6, Elem: ScalarElem})
+	// Back at the call site: the return value, another operand, and
+	// the assignment.
+	tr.AddUse(call, UseRec{Sym: RetvalSym, Def: int32(body), Elem: ScalarElem, Val: 11})
+	tr.AddUse(call, UseRec{Sym: 2, Def: NoDef, Elem: 3, Val: 12})
+	tr.AddDef(call, DefRec{Sym: 1, Elem: ScalarElem})
+	tr.Finish()
+
+	if got, want := tr.Uses(call), []UseRec{
+		{Sym: 1, Def: NoDef, Elem: ScalarElem, Val: 10},
+		{Sym: RetvalSym, Def: int32(body), Elem: ScalarElem, Val: 11},
+		{Sym: 2, Def: NoDef, Elem: 3, Val: 12},
+	}; !slices.Equal(got, want) {
+		t.Errorf("call uses = %v, want %v", got, want)
+	}
+	if got, want := tr.Defs(call), []DefRec{{Sym: 5, Elem: ScalarElem}, {Sym: 1, Elem: ScalarElem}}; !slices.Equal(got, want) {
+		t.Errorf("call defs = %v, want %v", got, want)
+	}
+	if got, want := tr.Uses(body), []UseRec{{Sym: 5, Def: int32(call), Elem: ScalarElem, Val: 10}}; !slices.Equal(got, want) {
+		t.Errorf("body uses = %v, want %v", got, want)
+	}
+	if got, want := tr.Defs(body), []DefRec{{Sym: 6, Elem: ScalarElem}}; !slices.Equal(got, want) {
+		t.Errorf("body defs = %v, want %v", got, want)
+	}
+}
+
+// TestRecordOnSharedPrefixPanics: a fork's prefix entries belong to the
+// base trace, so recording on them through the fork must fail loudly
+// instead of writing into the fork's own arenas or the base's.
+func TestRecordOnSharedPrefixPanics(t *testing.T) {
+	base := New()
+	base.Append(Entry{Inst: Instance{Stmt: 1, Occ: 1}, Parent: -1})
+	base.AddUse(0, UseRec{Sym: 1, Def: NoDef, Elem: ScalarElem})
+	base.Append(Entry{Inst: Instance{Stmt: 2, Occ: 1}, Parent: -1})
+	base.Finish()
+	f := base.PrefixAt(1).Fork()
+	for name, record := range map[string]func(){
+		"AddUse": func() { f.AddUse(0, UseRec{Sym: 2, Def: NoDef, Elem: ScalarElem}) },
+		"AddDef": func() { f.AddDef(0, DefRec{Sym: 2, Elem: ScalarElem}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a shared prefix entry did not panic", name)
+				}
+			}()
+			record()
+		}()
+	}
+	// The suffix records into the fork's own arena; the prefix entry
+	// still reads its base record.
+	i := f.Append(Entry{Inst: Instance{Stmt: 2, Occ: 1}, Parent: -1})
+	f.AddUse(i, UseRec{Sym: 3, Def: 0, Elem: ScalarElem, Val: 7})
+	f.Finish()
+	if got := f.Uses(0); len(got) != 1 || got[0].Sym != 1 {
+		t.Errorf("prefix uses = %v", got)
+	}
+	if got := f.Uses(1); len(got) != 1 || got[0].Sym != 3 || got[0].Val != 7 {
+		t.Errorf("suffix uses = %v", got)
+	}
+	if got := base.Uses(1); len(got) != 0 {
+		t.Errorf("the fork wrote into the base: base uses(1) = %v", got)
 	}
 }

@@ -143,11 +143,10 @@ func (cp *compiler) meta(s ast.Numbered) int32 {
 	}
 	node := cp.c.CFG.NodeOf(id)
 	m := stmtMeta{
-		id:    int32(id),
-		nuses: int32(countStmtUses(s)),
-		pos:   s.Pos(),
-		node:  node,
-		stmt:  s,
+		id:   int32(id),
+		pos:  s.Pos(),
+		node: node,
+		stmt: s,
 	}
 	if node != nil {
 		m.ipdom = node.IPDom
@@ -464,74 +463,4 @@ func binOpcode(op token.Kind) opcode {
 		return opGeq
 	}
 	panic(fmt.Sprintf("vm: unexpected binary op %v", op))
-}
-
-// countStmtUses bounds the number of use records one instance of s can
-// append to its trace entry, to presize Entry.Uses. Over-counting is
-// harmless (short-circuit sides count even though at most one runs);
-// under-counting never happens because every recordUse site below maps
-// to a counted construct.
-func countStmtUses(s ast.Numbered) int {
-	switch n := s.(type) {
-	case *ast.VarDeclStmt:
-		return countExprUses(n.Init)
-	case *ast.AssignStmt:
-		c := countExprUses(n.RHS)
-		if lhs, ok := n.LHS.(*ast.IndexExpr); ok {
-			c += countExprUses(lhs.Index)
-		}
-		if n.Op.AssignOp() != token.ILLEGAL {
-			c++ // compound assignment reads the old value
-		}
-		return c
-	case *ast.IfStmt:
-		return countExprUses(n.Cond)
-	case *ast.WhileStmt:
-		return countExprUses(n.Cond)
-	case *ast.ForStmt:
-		return countExprUses(n.Cond)
-	case *ast.ReturnStmt:
-		return countExprUses(n.Value)
-	case *ast.ExprStmt:
-		return countExprUses(n.X)
-	case *ast.PrintStmt:
-		c := 0
-		for _, a := range n.Args {
-			c += countExprUses(a)
-		}
-		return c
-	}
-	return 0
-}
-
-func countExprUses(e ast.Expr) int {
-	switch x := e.(type) {
-	case nil, *ast.IntLit, *ast.StringLit:
-		return 0
-	case *ast.Ident:
-		return 1
-	case *ast.IndexExpr:
-		return countExprUses(x.Index) + 1
-	case *ast.UnaryExpr:
-		return countExprUses(x.X)
-	case *ast.BinaryExpr:
-		return countExprUses(x.X) + countExprUses(x.Y)
-	case *ast.CallExpr:
-		if _, ok := sem.Builtins[x.Fun.Name]; ok {
-			if x.Fun.Name == "len" {
-				return 0 // compile-time constant, argument never evaluated
-			}
-			c := 0
-			for _, a := range x.Args {
-				c += countExprUses(a)
-			}
-			return c
-		}
-		c := 1 // the return-value use recorded at the call site
-		for _, a := range x.Args {
-			c += countExprUses(a)
-		}
-		return c
-	}
-	return 0
 }

@@ -47,57 +47,6 @@ type machine struct {
 
 	cks     *Store // capture store; nil on plain and forked runs
 	scratch [24]byte
-
-	// Use/def records are carved from shared pointer-free arena chunks
-	// instead of one tiny heap object per entry: entries' Uses/Defs
-	// slices become capacity-clipped windows into a chunk, so the GC
-	// traces a handful of large noscan objects rather than thousands of
-	// small ones. An entry that outgrows its window falls back to a
-	// plain append reallocation, which is rare and harmless.
-	useArena []trace.UseRec
-	defArena []trace.DefRec
-}
-
-// Arena chunks double from arenaChunkMin up to arenaChunkMax records, so
-// short runs (the verify engine forks many brief switched suffixes) waste
-// at most ~2x their actual usage while long runs settle into large chunks.
-const (
-	arenaChunkMin = 256
-	arenaChunkMax = 16384
-)
-
-func nextChunk(cur, n int) int {
-	c := cur * 2
-	if c < arenaChunkMin {
-		c = arenaChunkMin
-	}
-	if c > arenaChunkMax {
-		c = arenaChunkMax
-	}
-	if c < n {
-		c = n
-	}
-	return c
-}
-
-// carveUses reserves an n-record window for the current entry.
-func (m *machine) carveUses(n int) []trace.UseRec {
-	if len(m.useArena)+n > cap(m.useArena) {
-		m.useArena = make([]trace.UseRec, 0, nextChunk(cap(m.useArena), n))
-	}
-	s := len(m.useArena)
-	m.useArena = m.useArena[:s+n]
-	return m.useArena[s : s : s+n]
-}
-
-// carveDefs reserves an n-record window for the current entry.
-func (m *machine) carveDefs(n int) []trace.DefRec {
-	if len(m.defArena)+n > cap(m.defArena) {
-		m.defArena = make([]trace.DefRec, 0, nextChunk(cap(m.defArena), n))
-	}
-	s := len(m.defArena)
-	m.defArena = m.defArena[:s+n]
-	return m.defArena[s : s : s+n]
 }
 
 // callRec is the VM's call-stack record: where to return, and the
@@ -234,10 +183,6 @@ func runFrom(c *interp.Compiled, ck *checkpoint, opts interp.Options) *interp.Re
 	m.stack = append([]int64(nil), ck.stack...)
 	m.sp = len(m.stack)
 	m.tr = ck.prefix.Fork()
-	// A switched suffix usually runs to a length comparable to the
-	// original one; reserving it up front removes the amortized-growth
-	// copies that otherwise dominate forked-run trace construction.
-	m.tr.Reserve(ck.prefix.BaseLen() - ck.prefix.Len() + 64)
 	m.res.Trace = m.tr
 	m.res.Outputs = m.tr.Outputs // both clipped: first append reallocates
 	m.out.WriteString(ck.rendered)
@@ -296,12 +241,13 @@ func (m *machine) exec(pc int32) {
 			if len(fr.ctrl) > 0 {
 				parent = fr.ctrl[len(fr.ctrl)-1].entryIdx
 			}
-			e, idx := m.tr.AppendSlot()
-			e.Inst = trace.Instance{Stmt: int(id), Occ: m.occ[id]}
-			e.Frame = fr.id
-			e.Parent = parent
+			idx := m.tr.Append(trace.Entry{
+				Inst:   trace.Instance{Stmt: int(id), Occ: m.occ[id]},
+				Frame:  int32(fr.id),
+				Parent: int32(parent),
+			})
 			m.curEntry = idx
-			m.curE = e
+			m.curE = m.tr.At(idx)
 
 		case opCheck:
 			if st := m.cks; st != nil && m.res.Steps >= st.next && m.frames[len(m.frames)-1].id == 1 {
@@ -466,12 +412,8 @@ func (m *machine) exec(pc int32) {
 				fr.scalars[p.Slot] = cell{val: m.stack[base+i], def: d}
 			}
 			if callSite >= 0 {
-				e := m.tr.At(callSite)
-				if e.Defs == nil && len(fn.params) > 0 {
-					e.Defs = m.carveDefs(len(fn.params))
-				}
 				for _, p := range fn.params {
-					e.Defs = append(e.Defs, trace.DefRec{Sym: p.ID, Elem: trace.ScalarElem})
+					m.tr.AddDef(callSite, trace.DefRec{Sym: p.ID, Elem: trace.ScalarElem})
 				}
 			}
 			m.sp = base
@@ -659,30 +601,18 @@ func (m *machine) doReturn(v int64, retEntry int) int32 {
 }
 
 func (m *machine) recordUse(sym int, elem int64, def int, val int64) {
-	e := m.curE
-	if e == nil {
+	if m.curE == nil {
 		return
 	}
-	if e.Uses == nil {
-		n := int(m.curMeta.nuses)
-		if n < 1 {
-			n = 1
-		}
-		e.Uses = m.carveUses(n)
-	}
-	e.Uses = append(e.Uses, trace.UseRec{Sym: sym, Elem: elem, Def: def, Val: val})
+	m.tr.AddUse(m.curEntry, trace.UseRec{Sym: int32(sym), Def: int32(def), Elem: elem, Val: val})
 }
 
 func (m *machine) recordDef(sym int, elem int64, val int64) {
-	e := m.curE
-	if e == nil {
+	if m.curE == nil {
 		return
 	}
-	if e.Defs == nil {
-		e.Defs = m.carveDefs(1)
-	}
-	e.Defs = append(e.Defs, trace.DefRec{Sym: sym, Elem: elem})
-	e.Value = val
+	m.tr.AddDef(m.curEntry, trace.DefRec{Sym: sym, Elem: elem})
+	m.curE.Value = val
 }
 
 // maybePerturb applies the PerturbPlan if it targets the current

@@ -240,8 +240,8 @@ func compareTraces(t *testing.T, want, got *trace.Trace) {
 		t.Fatalf("Trace length: tree %d, vm %d", want.Len(), got.Len())
 	}
 	for i := 0; i < want.Len(); i++ {
-		if !reflect.DeepEqual(*want.At(i), *got.At(i)) {
-			t.Fatalf("entry %d:\ntree %+v\nvm   %+v", i, *want.At(i), *got.At(i))
+		if d := testsupport.EntryDiff(want, got, i); d != "" {
+			t.Fatalf("vm trace against tree: %s", d)
 		}
 	}
 	if !sameOutputs(want.Outputs, got.Outputs) {
@@ -315,10 +315,10 @@ func TestDifferentialPerturb(t *testing.T) {
 	orig := interp.Tree.Run(c, interp.Options{Input: input, BuildTrace: true})
 	n := 0
 	for i := 0; i < orig.Trace.Len() && n < 10; i++ {
-		e := orig.Trace.At(i)
-		if len(e.Defs) == 0 {
+		if len(orig.Trace.Defs(i)) == 0 {
 			continue
 		}
+		e := orig.Trace.At(i)
 		n++
 		plan := &interp.PerturbPlan{Stmt: e.Inst.Stmt, Occ: e.Inst.Occ, Value: 77}
 		opts := interp.Options{Input: input, BuildTrace: true, Perturb: plan}

@@ -57,14 +57,17 @@ func grepLongSpec(tb testing.TB) func() *core.Spec {
 // the candidate heap, 21.76 MB in 57,100. With one replay of the failing
 // trace's prefix per Locate in the replay filter, instead of one per
 // predicate instance it analyzes, and PD(u) walked over its instance
-// window, 17.51 MB in 28,180. Each ceiling sits 10% above that reading.
+// window, 17.51 MB in 28,180. With 56-byte pointer-free trace entries
+// whose records live in per-trace arenas, and forks that reserve their
+// entries and arenas at the sizes the failing run's suffix took,
+// 10.88 MB in 28,000. Each ceiling sits 10% above that reading.
 func TestGrepLongLocateAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxBytes  = 19_250_000
-		maxAllocs = 31_000
+		maxBytes  = 11_970_000
+		maxAllocs = 30_800
 	)
 	spec := grepLongSpec(t)
 	var rep *core.Report
@@ -135,14 +138,15 @@ func paper9Specs(tb testing.TB) func() []*core.Spec {
 //
 // Readings on linux/amd64, Go 1.24: rebuilding the analysis in every
 // Locate's slicing context, a round allocated 4.75 MB in 24,160
-// allocations; with the cached analysis, 4.34 MB in 14,930. Each ceiling
-// sits 10% above the latter.
+// allocations; with the cached analysis, 4.34 MB in 14,930; with compact
+// trace entries and record arenas, 3.19 MB in 14,909. Each ceiling sits
+// 10% above the latest reading.
 func TestPaper9LocateAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxBytes  = 4_770_000
+		maxBytes  = 3_510_000
 		maxAllocs = 16_400
 	)
 	specs := paper9Specs(t)
