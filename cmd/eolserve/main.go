@@ -48,6 +48,17 @@ import (
 	"eol/internal/serve"
 )
 
+// Connection timeouts: a client must finish its request headers within
+// readHeaderTimeout of sending their first byte, and a keep-alive
+// connection closes after idleTimeout without a request, so a stalled
+// client cannot hold a connection forever. Bodies and responses are not
+// timed, so NDJSON event streams and long localizations run for as long
+// as their own deadlines allow.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addrFlag := flag.String("addr", "127.0.0.1:8080", "listen `address` (use :0 for an ephemeral port)")
 	addrFileFlag := flag.String("addr-file", "", "write the bound listen address to this `file`")
@@ -94,7 +105,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -2,6 +2,8 @@ package cmd_test
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,35 +26,39 @@ func buildServeTools(t *testing.T) {
 	}
 }
 
+// startServe boots eolserve on an ephemeral port and returns its
+// address, the running process and its captured stderr. The caller kills
+// the process.
+func startServe(t *testing.T) (addr string, srv *exec.Cmd, serverLog *bytes.Buffer) {
+	t.Helper()
+	buildServeTools(t)
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	serverLog = &bytes.Buffer{}
+	srv = exec.Command(filepath.Join(binDir, "eolserve"), "-addr", "127.0.0.1:0", "-addr-file", addrFile)
+	srv.Dir = repoRoot
+	srv.Stderr = serverLog
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
+			return strings.TrimSpace(string(b)), srv, serverLog
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	srv.Process.Kill()
+	t.Fatalf("server never published its address:\n%s", serverLog.String())
+	return "", nil, nil
+}
+
 // TestServeRoundTrip boots eolserve on an ephemeral port and drives it
 // with eoloadgen: health probe, corpus request byte-identical to
 // eolcorpus batch output, async job with a validated event stream, and
 // a clean SIGINT shutdown.
 func TestServeRoundTrip(t *testing.T) {
-	buildServeTools(t)
-	dir := t.TempDir()
-	addrFile := filepath.Join(dir, "addr")
-
-	var serverLog bytes.Buffer
-	srv := exec.Command(filepath.Join(binDir, "eolserve"), "-addr", "127.0.0.1:0", "-addr-file", addrFile)
-	srv.Dir = repoRoot
-	srv.Stderr = &serverLog
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
+	addr, srv, serverLog := startServe(t)
 	defer srv.Process.Kill()
-
-	var addr string
-	for i := 0; i < 200 && addr == ""; i++ {
-		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			addr = strings.TrimSpace(string(b))
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatalf("server never published its address:\n%s", serverLog.String())
-	}
+	dir := t.TempDir()
 	base := "http://" + addr
 
 	if out, err := runTool(t, "eoloadgen", "-base", base, "-healthz"); err != nil {
@@ -107,5 +113,29 @@ func TestServeRoundTrip(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("shutdown timed out")
+	}
+}
+
+// TestServeClosesStalledRequest: a client that sends part of a request
+// line and then stalls is disconnected once the server's header timeout
+// expires, instead of holding the connection for as long as it likes.
+func TestServeClosesStalledRequest(t *testing.T) {
+	addr, srv, _ := startServe(t)
+	defer srv.Process.Kill()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/loc")); err != nil {
+		t.Fatal(err)
+	}
+	// The header timeout is seconds; wait far longer for the close.
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("the server still held a stalled connection after %v", time.Since(start).Round(time.Second))
+		}
 	}
 }

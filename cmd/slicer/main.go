@@ -185,7 +185,8 @@ func mustCompile(path string) *interp.Compiled {
 }
 
 // printEngine reports the depgraph engine's shape for the slice just
-// printed: immutable CSR base vs analysis-added overlay (broken out by
+// printed: the explicit edges the trace records (under their historical
+// label, "CSR base edges") vs the analysis-added overlay (broken out by
 // edge kind), and the last re-prune pass's dirty fraction when a
 // confidence analyzer ran. A single slicer invocation computes each
 // slice in one pass, so the fraction is n/a unless something (an

@@ -38,10 +38,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"time"
-
-	"io"
 
 	"eol/internal/align"
 	"eol/internal/backend"
@@ -326,7 +326,7 @@ type Slice struct {
 	// Static is the number of unique statements; Dynamic the number of
 	// statement instances.
 	Static, Dynamic int
-	// Statements lists the unique statement IDs.
+	// Statements lists the unique statement IDs in ascending order.
 	Statements []int
 	// Instances lists the statement instances, in execution order.
 	Instances []Instance
@@ -342,35 +342,31 @@ func (sl Slice) ContainsStmt(id int) bool {
 	return false
 }
 
-func (s *Session) newSlice(g *depgraph.Graph, set *depgraph.Set) Slice {
+func (s *Session) newSlice(set *depgraph.Set) Slice {
 	sl := Slice{}
-	stmts := map[int]bool{}
 	for _, i := range set.Ordered() {
 		e := s.run.Trace.At(i)
 		sl.Instances = append(sl.Instances, e.Inst)
-		stmts[e.Inst.Stmt] = true
+		sl.Statements = append(sl.Statements, e.Inst.Stmt)
 	}
-	for id := range stmts {
-		sl.Statements = append(sl.Statements, id)
-	}
-	sl.Static = len(stmts)
+	slices.Sort(sl.Statements)
+	sl.Statements = slices.Compact(sl.Statements)
+	sl.Static = len(sl.Statements)
 	sl.Dynamic = len(sl.Instances)
 	return sl
 }
 
 // DynamicSlice computes the classic dynamic slice of the wrong output.
 func (s *Session) DynamicSlice() Slice {
-	g := depgraph.New(s.run.Trace)
-	set := slicing.Dynamic(g, slicing.FailureSeeds(s.run.Trace, s.seq))
-	return s.newSlice(g, set)
+	set := slicing.Dynamic(depgraph.New(s.run.Trace), slicing.FailureSeeds(s.run.Trace, s.seq))
+	return s.newSlice(set)
 }
 
 // RelevantSlice computes the relevant slice (dynamic + potential
 // dependences, Definition 1) of the wrong output.
 func (s *Session) RelevantSlice() Slice {
-	g := depgraph.New(s.run.Trace)
-	set := s.cx.Relevant(g, slicing.FailureSeeds(s.run.Trace, s.seq))
-	return s.newSlice(g, set)
+	set := s.cx.Relevant(depgraph.New(s.run.Trace), slicing.FailureSeeds(s.run.Trace, s.seq))
+	return s.newSlice(set)
 }
 
 // PotentialDependences returns the predicate instances that the given

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"eol/internal/bench"
 	"eol/internal/interp"
 	"eol/internal/obs"
 	"eol/internal/testsupport"
@@ -95,6 +97,40 @@ func TestSessionSlices(t *testing.T) {
 	}
 	if len(ds.Instances) != ds.Dynamic || len(ds.Statements) != ds.Static {
 		t.Error("inconsistent slice counts")
+	}
+}
+
+// TestSliceStatementsAscending: a slice lists its statement IDs in
+// ascending order, each once, and the same list on every call.
+func TestSliceStatementsAscending(t *testing.T) {
+	c := bench.ByName("grepsim/V4-F2")
+	src, err := c.FaultySrc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := MustCompile(c.CorrectSrc).Run(c.FailingInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(MustCompile(src), c.FailingInput, exp.Outputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, slice := range map[string]func() Slice{"dynamic": s.DynamicSlice, "relevant": s.RelevantSlice} {
+		first := slice()
+		if len(first.Statements) != first.Static || first.Static < 10 {
+			t.Fatalf("%s slice: %d statements, Static %d", name, len(first.Statements), first.Static)
+		}
+		for i := 1; i < len(first.Statements); i++ {
+			if first.Statements[i] <= first.Statements[i-1] {
+				t.Fatalf("%s slice statements not ascending: %v", name, first.Statements)
+			}
+		}
+		for k := 0; k < 5; k++ {
+			if got := slice().Statements; !slices.Equal(got, first.Statements) {
+				t.Fatalf("%s slice statements changed between calls: %v, then %v", name, first.Statements, got)
+			}
+		}
 	}
 }
 

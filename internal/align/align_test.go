@@ -272,7 +272,7 @@ func TestRegionGrammar(t *testing.T) {
 	var checkRegion func(reg region.Region)
 	seen := 0
 	checkRegion = func(reg region.Region) {
-		for _, sub := range reg.SubRegions() {
+		for sub, ok := reg.FirstSub(); ok; sub, ok = sub.Sibling() {
 			seen++
 			if !reg.Contains(sub.Head) {
 				t.Fatalf("subregion head %d not contained in parent %v", sub.Head, reg)

@@ -421,3 +421,64 @@ func main() {
 		t.Errorf("Reason = %q, want %q", got, want)
 	}
 }
+
+// TestSwitchFilterBindingFrames pins where the replay lands a call's
+// parameter bindings: in the frame of the activation the call enters,
+// found among the call entry's region children. A recursive callee's
+// deeper activations are descendants of the call entry too, but each
+// takes its binding from its own call entry. (Binding them early would
+// change no verdict, since no entry reads a frame before the call that
+// creates it, so the targets themselves are checked.)
+func TestSwitchFilterBindingFrames(t *testing.T) {
+	src := `
+func f(n) {
+    if (n > 0) {
+        return f(n - 1) + n;
+    }
+    return 0;
+}
+func main() {
+    var r = f(3);
+    print(r);
+}`
+	c := testsupport.Compile(t, src)
+	tr := testsupport.Run(t, c, nil).Trace
+	flt := check.NewSwitchFilter(c, tr, -1)
+	n := -1
+	for _, sym := range c.Info.Symbols {
+		if sym.Name == "n" {
+			n = sym.ID
+		}
+	}
+	calls := map[int]bool{
+		testsupport.StmtID(t, c, "var r = f(3)"):        true,
+		testsupport.StmtID(t, c, "return f(n - 1) + n"): true,
+	}
+	checked := 0
+	for i := 0; i < tr.Len(); i++ {
+		if !calls[tr.At(i).Inst.Stmt] {
+			continue
+		}
+		// The entered activation's frame, from a scan of the parents.
+		want := -1
+		for j := i + 1; j < tr.Len(); j++ {
+			if int(tr.At(j).Parent) == i {
+				want = int(tr.At(j).Frame)
+				break
+			}
+		}
+		var got []int
+		for _, tf := range check.TargetFrames(flt, i) {
+			if tf[0] == n {
+				got = append(got, tf[1])
+			}
+		}
+		if !slices.Equal(got, []int{want}) {
+			t.Errorf("call %v binds n in frames %v, want [%d]", tr.At(i).Inst, got, want)
+		}
+		checked++
+	}
+	if checked != 4 {
+		t.Fatalf("checked %d calls, want 4 (main's and three recursive ones)", checked)
+	}
+}

@@ -249,7 +249,8 @@ func (rp *replay) step(i int) {
 
 // targets resolves trace entry i's definition records to concrete
 // cells. Parameter bindings at call statements land in the callee's
-// frame — found via the entry's trace children — and are value-unknown.
+// frame — found via the entry's region children, which start at i+1 and
+// step by interval end — and are value-unknown.
 // The result is reused by the next call.
 func (rp *replay) targets(i int) []defTarget {
 	e := rp.f.tr.At(i)
@@ -273,7 +274,7 @@ func (rp *replay) targets(i int) []defTarget {
 			}
 		}
 		if binding {
-			for _, ch := range rp.f.tr.Children(i) {
+			for ch := i + 1; ch < rp.anc.End(i); ch = rp.anc.End(ch) {
 				che := rp.f.tr.At(ch)
 				if info.StmtFunc[che.Inst.Stmt] == sym.Func {
 					out = append(out, defTarget{key: cellKey{rec.Sym, rec.Elem, int(che.Frame)}})

@@ -116,14 +116,6 @@ func (p *Profile) Range(stmt int) int {
 	return n
 }
 
-// consumer is one reader of an entry's value: a data use or the source of
-// an analysis-added edge pointing at the entry.
-type consumer struct {
-	entry int
-	kind  depgraph.Kind
-	sym   int
-}
-
 // Arc is one analysis-added dependence edge routed through the analyzer,
 // so an incremental Compute can re-propagate only its cone.
 type Arc struct {
@@ -169,8 +161,6 @@ type Analyzer struct {
 	pinned []bool
 	dist   []int32
 	cc     *depgraph.Set // union closure of the correct outputs
-
-	consumers [][]consumer
 
 	computed   bool
 	compKinds  depgraph.Kind // Kinds value the cached state was computed under
@@ -277,7 +267,6 @@ func (a *Analyzer) computeFull() {
 
 	// Fractional pass, in reverse execution order so consumers are done
 	// before their producers.
-	a.buildConsumers()
 	a.conf = make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		a.conf[i] = a.confOf(i)
@@ -295,30 +284,12 @@ func (a *Analyzer) computeFull() {
 	a.rankStale = true
 }
 
-// buildConsumers assembles the forward consumer lists: data uses from the
-// trace plus analysis-added edges of the non-explicit kinds in Kinds.
-func (a *Analyzer) buildConsumers() {
-	t := a.G.T
-	n := t.Len()
-	a.consumers = make([][]consumer, n)
-	for i := 0; i < n; i++ {
-		for _, u := range t.Uses(i) {
-			if u.Def >= 0 {
-				a.consumers[u.Def] = append(a.consumers[u.Def],
-					consumer{entry: i, kind: depgraph.Data, sym: int(u.Sym)})
-			}
-		}
-		from := i
-		a.G.EachDep(i, a.Kinds&^depgraph.Explicit, func(ed depgraph.Edge) {
-			a.consumers[ed.To] = append(a.consumers[ed.To], consumer{entry: from, kind: ed.Kind})
-		})
-	}
-}
-
 // confOf evaluates the confidence formula for entry i from the current
-// pinned/closure/consumer state. Consumers at or below i are skipped —
-// the reverse-order full pass never saw them (their confidence was not
-// yet computed), and the delta pass must reproduce the full pass exactly.
+// pinned/closure state and i's consumers: its data uses, and the sources
+// of analysis-added edges of the non-explicit kinds in Kinds. Consumers
+// at or below i are skipped — the reverse-order full pass never saw them
+// (their confidence was not yet computed), and the delta pass must
+// reproduce the full pass exactly.
 func (a *Analyzer) confOf(i int) float64 {
 	if a.pinned[i] {
 		return 1
@@ -329,24 +300,23 @@ func (a *Analyzer) confOf(i int) float64 {
 	t := a.G.T
 	best := 0.0
 	r := a.Profile.Range(t.At(i).Inst.Stmt)
-	for _, c := range a.consumers[i] {
-		if c.entry <= i {
-			continue
+	a.G.EachConsumer(i, depgraph.Data|a.Kinds&^depgraph.Explicit, func(c depgraph.Consumer) {
+		if c.Entry <= i {
+			return
 		}
-		cc := a.conf[c.entry]
 		var phi float64
-		if c.kind == depgraph.Data {
-			cls := classifyUse(a.C, t.At(c.entry).Inst.Stmt, c.sym)
+		if c.Kind == depgraph.Data {
+			cls := classifyUse(a.C, t.At(c.Entry).Inst.Stmt, c.Sym)
 			phi = cls.factor(r)
 		} else {
 			// verified implicit edge: the consumer's branch outcome
 			// constrains the producer like a comparison would
 			phi = useClass{kind: classCompare}.factor(r)
 		}
-		if v := cc * phi; v > best {
+		if v := a.conf[c.Entry] * phi; v > best {
 			best = v
 		}
-	}
+	})
 	if best > 1 {
 		best = 1
 	}
@@ -473,14 +443,13 @@ func (a *Analyzer) computeDelta() {
 		}
 	}
 
-	// Structure deltas: new consumers, slice/closure growth, distance
-	// relaxation. The closure growth loops to a fixpoint because one
-	// arc's extension can pull another arc's source into the set; the
-	// traversal itself already runs over the fully-updated graph.
+	// Structure deltas: new consumers (the graph's forward index already
+	// holds them), slice/closure growth, distance relaxation. The closure
+	// growth loops to a fixpoint because one arc's extension can pull
+	// another arc's source into the set; the traversal itself already
+	// runs over the fully-updated graph.
 	for _, arc := range a.pendingArcs {
 		if arc.Kind&extraKinds != 0 {
-			a.consumers[arc.To] = append(a.consumers[arc.To],
-				consumer{entry: arc.From, kind: arc.Kind})
 			push(arc.To)
 		}
 	}
@@ -522,11 +491,11 @@ func (a *Analyzer) computeDelta() {
 		d := pinWork[len(pinWork)-1]
 		pinWork = pinWork[:len(pinWork)-1]
 		a.tryPinUses(d, a.pinned, onPin)
-		for _, c := range a.consumers[d] {
-			if c.kind == depgraph.Data && a.pinned[c.entry] {
-				a.tryPinUses(c.entry, a.pinned, onPin)
+		a.G.EachConsumer(d, depgraph.Data, func(c depgraph.Consumer) {
+			if a.pinned[c.Entry] {
+				a.tryPinUses(c.Entry, a.pinned, onPin)
 			}
-		}
+		})
 	}
 
 	// Confidence re-propagation in decreasing entry order: a changed

@@ -119,24 +119,6 @@ func TestVersionCounter(t *testing.T) {
 	}
 }
 
-func TestForwardReach(t *testing.T) {
-	g := New(chainTrace())
-	r := g.ForwardReach(Explicit, 0)
-	if !equalInts(r.Ordered(), []int{0, 1, 2}) {
-		t.Errorf("forward reach from 0 = %v", r.Ordered())
-	}
-	r = g.ForwardReach(Explicit, 2)
-	if !equalInts(r.Ordered(), []int{2}) {
-		t.Errorf("forward reach from sink = %v", r.Ordered())
-	}
-	// Overlay edges take part too.
-	g.AddEdge(2, 0, Implicit)
-	r = g.ForwardReach(Implicit, 0)
-	if !r.Has(2) {
-		t.Errorf("forward reach missing overlay consumer: %v", r.Ordered())
-	}
-}
-
 func TestDistances(t *testing.T) {
 	g := New(chainTrace())
 	d := g.Distances(Explicit, 2)

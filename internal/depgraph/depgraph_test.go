@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eol/internal/trace"
@@ -102,20 +103,39 @@ func TestExtendMatchesFromScratch(t *testing.T) {
 	}
 }
 
-func TestTraceBackwardMatchesGraph(t *testing.T) {
+// TestEachConsumerReversesDeps: the forward index lists exactly the
+// reversed data and overlay dependences of the selected kinds — data
+// uses in entry order with the symbol read, then overlay edges in
+// insertion order — including edges added after the index was built.
+func TestEachConsumerReversesDeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	const n, kinds = 40, Data | Implicit
 	for round := 0; round < 10; round++ {
-		tr := randomDAGTrace(rng, 40)
+		tr := randomDAGTrace(rng, n)
 		g := New(tr)
-		for seed := 0; seed < tr.Len(); seed += 7 {
-			a := TraceBackward(tr, Explicit, seed).Ordered()
-			b := g.BackwardSlice(Explicit, seed).Ordered()
-			if len(a) != len(b) {
-				t.Fatalf("TraceBackward differs from graph slice at seed %d", seed)
+		overlay := make([][]Consumer, n) // the Implicit arcs into each entry, in insertion order
+		for pass := 0; pass < 2; pass++ {
+			// The second pass adds edges after the index exists.
+			for k := 0; k < 8; k++ {
+				from := 1 + rng.Intn(n-1)
+				to, kind := rng.Intn(from), []Kind{Implicit, Potential}[rng.Intn(2)]
+				if g.AddEdge(from, to, kind) && kind == Implicit {
+					overlay[to] = append(overlay[to], Consumer{Entry: from, Kind: Implicit, Sym: -1})
+				}
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("TraceBackward differs from graph slice at seed %d", seed)
+			want := make([][]Consumer, n)
+			for i := 0; i < n; i++ {
+				for _, u := range tr.Uses(i) {
+					if u.Def >= 0 {
+						want[u.Def] = append(want[u.Def], Consumer{Entry: i, Kind: Data, Sym: int(u.Sym)})
+					}
+				}
+			}
+			for d := 0; d < n; d++ {
+				var got []Consumer
+				g.EachConsumer(d, kinds, func(c Consumer) { got = append(got, c) })
+				if w := append(want[d], overlay[d]...); !slices.Equal(got, w) {
+					t.Fatalf("round %d pass %d: consumers of %d = %v, want %v", round, pass, d, got, w)
 				}
 			}
 		}

@@ -1,17 +1,21 @@
-// Package depgraph is the unified dependence-graph engine: one compact
-// representation of the dynamic dependence graph that classic dynamic
-// slicing, relevant slicing, confidence analysis and the demand-driven
-// locator (Algorithm 2) all parameterize by an edge-kind mask.
+// Package depgraph is the unified dependence-graph engine: one view of
+// the dynamic dependence graph that classic dynamic slicing, relevant
+// slicing, confidence analysis and the demand-driven locator (Algorithm
+// 2) all parameterize by an edge-kind mask.
 //
-// The representation has two halves:
+// The graph has two halves:
 //
-//   - an immutable CSR (compressed-sparse-row) base holding the explicit
-//     dependences observed during execution — per node, its data edges in
-//     use-record order followed by its control edge — built once from the
-//     trace;
+//   - the trace itself, which already records every explicit dependence
+//     observed during execution — per entry, its data edges are its use
+//     records with a defining entry, in recording order, and its control
+//     edge is its Parent — and is read in place, never copied;
 //   - a small mutable overlay holding the analysis-added edges (Potential
 //     from relevant slicing, Implicit/StrongImplicit from predicate-
 //     switching verification), appended during expansion.
+//
+// The one forward index (each entry's consumers) is built lazily, for
+// confidence analysis: a CSR of the data uses of each entry's value, and
+// the overlay edges into each entry as AddEdge appends them.
 //
 // Every edge points from a later entry to an earlier one (from > to), so
 // the graph is a DAG ordered by entry index. That invariant is what makes
@@ -71,24 +75,22 @@ type Edge struct {
 	Kind Kind
 }
 
-// Graph is a dynamic dependence graph over one trace: CSR base plus
-// overlay. The zero value is not usable; construct with New.
+// Graph is a dynamic dependence graph over one trace: the trace's own
+// explicit dependences plus an overlay. The zero value is not usable;
+// construct with New.
 type Graph struct {
 	T *trace.Trace
-
-	// CSR base: edges of node i are base[rowStart[i]:rowStart[i+1]],
-	// data edges in use-record order, then the control edge.
-	rowStart []int32
-	base     []Edge
 
 	// Overlay: analysis-added edges out of each node, in insertion order.
 	overlay    [][]Edge
 	overlayLen int
 
-	// Forward adjacency (consumer lists), built lazily for the immutable
-	// base, maintained incrementally for the overlay. Edge.To holds the
-	// *consumer* index here.
-	fwdBase    [][]Edge
+	// Forward index (consumers). The data consumers of entry d are
+	// fwd[fwdStart[d]:fwdStart[d+1]], built on first use; fwdOverlay[d]
+	// holds the overlay edges into d in insertion order, with Edge.To
+	// holding the edge's *source*.
+	fwdStart   []int32
+	fwd        []dataUse
 	fwdOverlay [][]Edge
 
 	// version counts overlay mutations; analyses snapshot it to detect
@@ -96,36 +98,13 @@ type Graph struct {
 	version uint64
 }
 
-// New builds the CSR base from a trace. Data and control dependences come
-// from the trace itself; the overlay starts empty.
-func New(t *trace.Trace) *Graph {
-	n := t.Len()
-	g := &Graph{T: t, rowStart: make([]int32, n+1)}
-	total := 0
-	for i := 0; i < n; i++ {
-		for _, u := range t.Uses(i) {
-			if u.Def >= 0 {
-				total++
-			}
-		}
-		if t.At(i).Parent >= 0 {
-			total++
-		}
-		g.rowStart[i+1] = int32(total)
-	}
-	g.base = make([]Edge, 0, total)
-	for i := 0; i < n; i++ {
-		for _, u := range t.Uses(i) {
-			if u.Def >= 0 {
-				g.base = append(g.base, Edge{To: int(u.Def), Kind: Data})
-			}
-		}
-		if p := t.At(i).Parent; p >= 0 {
-			g.base = append(g.base, Edge{To: int(p), Kind: Control})
-		}
-	}
-	return g
-}
+// dataUse is one data consumer in the forward index: the entry that read
+// the value and the symbol it read it through.
+type dataUse struct{ entry, sym int32 }
+
+// New returns the graph over a trace. Data and control dependences are
+// read from the trace itself; the overlay starts empty.
+func New(t *trace.Trace) *Graph { return &Graph{T: t} }
 
 // Version returns the overlay mutation counter.
 func (g *Graph) Version() uint64 { return g.version }
@@ -175,18 +154,21 @@ func (g *Graph) NumExtraEdges(kinds Kind) int {
 }
 
 // EachDep calls f for every dependence of entry i restricted to kinds:
-// base data edges in use-record order, the control edge, then overlay
-// edges in insertion order. This replaces the old Deps(i, kinds, buf)
-// API, whose caller-supplied buffer invited aliasing bugs (a retained
-// result was silently clobbered by the next call); a callback has no
-// buffer to misuse and avoids the allocation outright.
+// data edges in use-record order, the control edge, then overlay edges
+// in insertion order. This replaces the old Deps(i, kinds, buf) API,
+// whose caller-supplied buffer invited aliasing bugs (a retained result
+// was silently clobbered by the next call); a callback has no buffer to
+// misuse and avoids the allocation outright.
 func (g *Graph) EachDep(i int, kinds Kind, f func(Edge)) {
-	if kinds&Explicit != 0 {
-		for _, e := range g.base[g.rowStart[i]:g.rowStart[i+1]] {
-			if e.Kind&kinds != 0 {
-				f(e)
+	if kinds&Data != 0 {
+		for _, u := range g.T.Uses(i) {
+			if u.Def >= 0 {
+				f(Edge{To: int(u.Def), Kind: Data})
 			}
 		}
+	}
+	if p := g.T.At(i).Parent; kinds&Control != 0 && p >= 0 {
+		f(Edge{To: int(p), Kind: Control})
 	}
 	if g.overlay != nil {
 		for _, e := range g.overlay[i] {
@@ -195,6 +177,69 @@ func (g *Graph) EachDep(i int, kinds Kind, f func(Edge)) {
 			}
 		}
 	}
+}
+
+// Consumer is one reader of an entry's value: an entry that used it
+// (Kind Data, with the symbol it was read through) or the source of an
+// analysis-added edge into it (Sym is -1).
+type Consumer struct {
+	Entry int
+	Kind  Kind
+	Sym   int
+}
+
+// EachConsumer calls f for every consumer of entry i restricted to
+// kinds: data uses in entry order, then overlay edges in insertion
+// order. Control consumers are not indexed; a Control bit in kinds
+// selects nothing.
+func (g *Graph) EachConsumer(i int, kinds Kind, f func(Consumer)) {
+	if kinds&Data != 0 {
+		g.buildForward()
+		for _, u := range g.fwd[g.fwdStart[i]:g.fwdStart[i+1]] {
+			f(Consumer{Entry: int(u.entry), Kind: Data, Sym: int(u.sym)})
+		}
+	}
+	if g.fwdOverlay != nil {
+		for _, e := range g.fwdOverlay[i] {
+			if e.Kind&kinds != 0 {
+				f(Consumer{Entry: e.To, Kind: e.Kind, Sym: -1})
+			}
+		}
+	}
+}
+
+// buildForward builds the data-consumer CSR once: a counting pass sizes
+// each entry's row, and a fill pass writes the rows through start[d] as
+// a cursor, which leaves start[d] at the row's end; shifting start one
+// place right restores it.
+func (g *Graph) buildForward() {
+	if g.fwdStart != nil {
+		return
+	}
+	t, n := g.T, g.T.Len()
+	start := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for _, u := range t.Uses(i) {
+			if u.Def >= 0 {
+				start[u.Def+1]++
+			}
+		}
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	fwd := make([]dataUse, start[n])
+	for i := 0; i < n; i++ {
+		for _, u := range t.Uses(i) {
+			if u.Def >= 0 {
+				fwd[start[u.Def]] = dataUse{entry: int32(i), sym: u.Sym}
+				start[u.Def]++
+			}
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	g.fwdStart, g.fwd = start, fwd
 }
 
 // BackwardSlice computes the transitive closure of the seed entries over
@@ -230,50 +275,6 @@ func (g *Graph) Extend(s *Set, kinds Kind, seeds ...int) []int {
 		})
 	}
 	return added
-}
-
-// ensureForward builds the base consumer lists (reverse adjacency) once.
-func (g *Graph) ensureForward() {
-	if g.fwdBase != nil {
-		return
-	}
-	g.fwdBase = make([][]Edge, g.T.Len())
-	for i := 0; i < g.T.Len(); i++ {
-		for _, e := range g.base[g.rowStart[i]:g.rowStart[i+1]] {
-			g.fwdBase[e.To] = append(g.fwdBase[e.To], Edge{To: i, Kind: e.Kind})
-		}
-	}
-}
-
-// ForwardReach computes the set of entries reachable forward from the
-// seeds, i.e. entries whose backward closure would include a seed.
-func (g *Graph) ForwardReach(kinds Kind, seeds ...int) *Set {
-	g.ensureForward()
-	reach := NewSet(g.T.Len())
-	var work []int
-	for _, s := range seeds {
-		if reach.Add(s) {
-			work = append(work, s)
-		}
-	}
-	visit := func(e Edge, work *[]int) {
-		if e.Kind&kinds != 0 && reach.Add(e.To) {
-			*work = append(*work, e.To)
-		}
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, e := range g.fwdBase[n] {
-			visit(e, &work)
-		}
-		if g.fwdOverlay != nil {
-			for _, e := range g.fwdOverlay[n] {
-				visit(e, &work)
-			}
-		}
-	}
-	return reach
 }
 
 // Distances computes, for every entry in the backward closure of seed,
@@ -331,36 +332,6 @@ func (g *Graph) Relax(dist []int32, kinds Kind, from, to int) {
 	}
 }
 
-// TraceBackward computes a backward closure over a trace's explicit
-// dependences without building a Graph: the one-shot path used in
-// verification inner loops (one closure per switched trace), where CSR
-// construction would cost more than the walk itself. Only Data and
-// Control bits of kinds are honored — a bare trace has no overlay.
-func TraceBackward(t *trace.Trace, kinds Kind, seeds ...int) *Set {
-	s := NewSet(t.Len())
-	var work []int
-	for _, seed := range seeds {
-		if s.Add(seed) {
-			work = append(work, seed)
-		}
-	}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		if kinds&Data != 0 {
-			for _, u := range t.Uses(n) {
-				if u.Def >= 0 && s.Add(int(u.Def)) {
-					work = append(work, int(u.Def))
-				}
-			}
-		}
-		if p := int(t.At(n).Parent); kinds&Control != 0 && p >= 0 && s.Add(p) {
-			work = append(work, p)
-		}
-	}
-	return s
-}
-
 // SliceStats summarizes a slice in the paper's "static/dynamic" terms:
 // the number of unique source statements and the number of statement
 // instances.
@@ -396,7 +367,12 @@ type EngineStats struct {
 	OverlayEdges int
 }
 
-// EngineStats reports node and edge counts of both halves.
+// EngineStats reports node and edge counts of both halves; BaseEdges
+// counts the explicit dependences the trace records.
 func (g *Graph) EngineStats() EngineStats {
-	return EngineStats{Nodes: g.T.Len(), BaseEdges: len(g.base), OverlayEdges: g.overlayLen}
+	st := EngineStats{Nodes: g.T.Len(), OverlayEdges: g.overlayLen}
+	for i := 0; i < st.Nodes; i++ {
+		g.EachDep(i, Explicit, func(Edge) { st.BaseEdges++ })
+	}
+	return st
 }

@@ -252,8 +252,7 @@ func (v *Verifier) record(req Request, verdict Verdict) Verdict {
 // input, original trace, thresholds, runner) but with fresh counters, log
 // and memo. Clones are how concurrent schedulers call VerifyDetailed from
 // worker goroutines without racing on v's mutable state; the original
-// trace itself must have its lazy indexes pre-built (trace.Ancestry)
-// before clones run concurrently.
+// trace is finished, so its indexes are read-only and clones share it.
 func (v *Verifier) Clone() *Verifier {
 	return &Verifier{
 		C: v.C, Input: v.Input, Orig: v.Orig,
@@ -369,9 +368,9 @@ func (v *Verifier) VerifyDetailed(req Request) *Result {
 
 	if v.PathMode {
 		// Safe variant: any explicit dependence path between p' and u'.
-		// One closure per switched trace: walk the trace directly rather
-		// than building a graph that is discarded immediately.
-		if depgraph.TraceBackward(ep, depgraph.Explicit, u).Has(pPrimeIdx) {
+		// The graph reads the trace's own records, so building one per
+		// switched trace costs nothing.
+		if depgraph.New(ep).BackwardSlice(depgraph.Explicit, u).Has(pPrimeIdx) {
 			res.Verdict = ID
 		}
 		return res

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -479,8 +480,11 @@ func main() {
 	}
 }
 
-// TestRegionTreeWellFormed: parents always precede children, and every
-// non-root parent is a predicate or a call-site statement.
+// TestRegionTreeWellFormed: parents always precede children, and the
+// interval walk over the trace's ancestry (first child right after the
+// parent, each next sibling at the previous one's End) lists exactly the
+// children and roots a scan of the Parent fields finds, in execution
+// order.
 func TestRegionTreeWellFormed(t *testing.T) {
 	src := `
 func helper(n) {
@@ -502,19 +506,26 @@ func main() {
 }`
 	r := run(t, src, []int64{4, 7, 2})
 	tr := r.Trace
+	kids := make([][]int, tr.Len()+1) // kids[p+1] lists p's children; kids[0] the roots
 	for i := 0; i < tr.Len(); i++ {
 		p := int(tr.At(i).Parent)
 		if p >= i {
 			t.Fatalf("entry %d has parent %d (must precede it)", i, p)
 		}
+		kids[p+1] = append(kids[p+1], i)
+	}
+	anc := tr.Ancestry()
+	for p := -1; p < tr.Len(); p++ {
+		lo, hi := 0, tr.Len()
 		if p >= 0 {
-			// children of entry p must be in increasing order
-			kids := tr.Children(p)
-			for j := 1; j < len(kids); j++ {
-				if kids[j] <= kids[j-1] {
-					t.Fatalf("children of %d not ordered: %v", p, kids)
-				}
-			}
+			lo, hi = p+1, anc.End(p)
+		}
+		var got []int
+		for c := lo; c < hi; c = anc.End(c) {
+			got = append(got, c)
+		}
+		if !slices.Equal(got, kids[p+1]) {
+			t.Fatalf("children of %d: interval walk %v, Parent scan %v", p, got, kids[p+1])
 		}
 	}
 }

@@ -35,24 +35,24 @@ type Pairing struct {
 // Pair aligns the faulty trace against the correct (reference) trace.
 func Pair(faulty, correct *trace.Trace) *Pairing {
 	p := &Pairing{faulty: faulty, correct: correct, pair: map[int]int{}}
-	p.pairSiblings(faulty.Roots(), correct.Roots())
+	p.pairSiblings(0, faulty.Len(), 0, correct.Len())
 	return p
 }
 
-func (p *Pairing) pairSiblings(fs, cs []int) {
-	n := len(fs)
-	if len(cs) < n {
-		n = len(cs)
-	}
-	for i := 0; i < n; i++ {
-		fe := p.faulty.At(fs[i])
-		ce := p.correct.At(cs[i])
+// pairSiblings pairs, positionally, the sibling regions that tile the
+// faulty entries [f, fEnd) with those tiling the correct entries
+// [c, cEnd): each sibling starts where the previous one's interval ends.
+func (p *Pairing) pairSiblings(f, fEnd, c, cEnd int) {
+	fa, ca := p.faulty.Ancestry(), p.correct.Ancestry()
+	for ; f < fEnd && c < cEnd; f, c = fa.End(f), ca.End(c) {
+		fe := p.faulty.At(f)
+		ce := p.correct.At(c)
 		if fe.Inst.Stmt != ce.Inst.Stmt {
 			return // structural divergence: stop pairing this level
 		}
-		p.pair[fs[i]] = cs[i]
+		p.pair[f] = c
 		if fe.Branch == ce.Branch {
-			p.pairSiblings(p.faulty.Children(fs[i]), p.correct.Children(cs[i]))
+			p.pairSiblings(f+1, fa.End(f), c+1, ca.End(c))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"testing"
 
+	"eol/internal/cfg"
 	"eol/internal/interp"
 	"eol/internal/testsupport"
 	"eol/internal/trace"
@@ -23,6 +24,59 @@ func TestSelfPairingIsBenign(t *testing.T) {
 	}
 	if len(p.Corrupted()) != 0 {
 		t.Errorf("corrupted = %v, want none", p.Corrupted())
+	}
+}
+
+// forest builds a finished trace from (statement, parent, branch)
+// triples, numbering each statement's occurrences in entry order.
+func forest(nodes [][3]int) *trace.Trace {
+	tr := trace.New()
+	occ := map[int]int{}
+	for _, n := range nodes {
+		occ[n[0]]++
+		tr.Append(trace.Entry{Inst: trace.Instance{Stmt: n[0], Occ: occ[n[0]]},
+			Parent: int32(n[1]), Branch: cfg.Label(n[2])})
+	}
+	tr.Finish()
+	return tr
+}
+
+// TestPairNestedSiblings pins the lockstep walk on nested sibling
+// regions: siblings pair positionally, each next sibling starting where
+// the previous one's region ends, so a region with extra descendants
+// (S10 runs twice in the faulty run) does not shift the pairing of the
+// siblings after it, and a head whose branch differs pairs without its
+// body.
+func TestPairNestedSiblings(t *testing.T) {
+	T, F, N := int(cfg.True), int(cfg.False), int(cfg.None)
+	faulty := forest([][3]int{
+		{1, -1, T}, // 0
+		{2, 0, N},  // 1
+		{3, 0, T},  // 2
+		{4, 2, T},  // 3
+		{10, 3, N}, // 4
+		{10, 3, N}, // 5: no counterpart
+		{5, 2, N},  // 6
+		{6, -1, F}, // 7: branch differs from the correct run
+		{8, 7, N},  // 8: not descended into
+		{11, -1, N},
+	})
+	correct := forest([][3]int{
+		{1, -1, T},
+		{2, 0, N},
+		{3, 0, T},
+		{4, 2, T},
+		{10, 3, N},
+		{5, 2, N},
+		{6, -1, T},
+		{9, 6, N},
+		{11, -1, N},
+	})
+	p := Pair(faulty, correct)
+	for e, want := range []int{0, 1, 2, 3, 4, -1, 5, 6, -1, 8} {
+		if got := p.Match(e); got != want {
+			t.Errorf("Match(%d) = %d, want %d", e, got, want)
+		}
 	}
 }
 

@@ -96,11 +96,11 @@ func assertTraceDeepEqual(t *testing.T, label string, want, got *trace.Trace) {
 		if d := testsupport.EntryDiff(want, got, i); d != "" {
 			t.Fatalf("%s: %s", label, d)
 		}
-		if !reflect.DeepEqual(got.Children(i), want.Children(i)) {
-			t.Fatalf("%s: children(%d) = %v, want %v", label, i, got.Children(i), want.Children(i))
+		if g, w := got.Ancestry().End(i), want.Ancestry().End(i); g != w {
+			t.Fatalf("%s: End(%d) = %d, want %d", label, i, g, w)
 		}
 	}
-	if !reflect.DeepEqual(got.Roots(), want.Roots()) {
-		t.Fatalf("%s: roots diverged", label)
+	if d := testsupport.RegionForestDiff(got); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 }

@@ -129,13 +129,12 @@ func isAncestorWalk(tr *trace.Trace, x, y int) bool {
 // is a contiguous interval — what the Ancestry index relies on);
 // children are in execution order; every non-root parent is a predicate
 // or a call site; the ancestry index agrees with the parent-chain walk;
-// Children and Roots list exactly the entries a scan of the parents
-// finds.
+// the interval walk over the ancestry's ends (first child after the
+// entry, each next sibling at the previous one's End) lists exactly the
+// children and roots a scan of the parents finds.
 func TestRegionTreeInvariants(t *testing.T) {
 	eachIndexedTrace(t, func(t *testing.T, c *interp.Compiled, label string, tr *trace.Trace) {
 		anc := tr.Ancestry()
-		kids := make([][]int, tr.Len())
-		var roots []int
 		var open []int // the previous entry's ancestor chain, root first
 		for i := 0; i < tr.Len(); i++ {
 			p := int(tr.At(i).Parent)
@@ -150,15 +149,12 @@ func TestRegionTreeInvariants(t *testing.T) {
 			}
 			open = append(open, i)
 			if p >= 0 {
-				kids[p] = append(kids[p], i)
 				st := c.Info.Stmt(tr.At(p).Inst.Stmt)
 				isCallSite := len(c.Info.StmtCalls[tr.At(p).Inst.Stmt]) > 0
 				if !ast.IsPredicate(st) && !isCallSite {
 					t.Fatalf("%s: parent %d (%s) is neither predicate nor call site",
 						label, p, ast.StmtString(st))
 				}
-			} else {
-				roots = append(roots, i)
 			}
 			// Sampled ancestry agreement; with proper nesting, End(i) is
 			// right iff End(i)-1 is a descendant of i and End(i) is not.
@@ -175,13 +171,8 @@ func TestRegionTreeInvariants(t *testing.T) {
 				}
 			}
 		}
-		for i, want := range kids {
-			if got := tr.Children(i); !slices.Equal(got, want) {
-				t.Fatalf("%s: children of %d = %v, want %v", label, i, got, want)
-			}
-		}
-		if got := tr.Roots(); !slices.Equal(got, roots) {
-			t.Fatalf("%s: roots = %v, want %v", label, got, roots)
+		if d := testsupport.RegionForestDiff(tr); d != "" {
+			t.Fatalf("%s: %s", label, d)
 		}
 	})
 }

@@ -18,7 +18,6 @@ package region
 
 import (
 	"fmt"
-	"sort"
 
 	"eol/internal/cfg"
 	"eol/internal/trace"
@@ -97,63 +96,38 @@ func (r Region) Branch() cfg.Label {
 	return r.T.At(r.Head).Branch
 }
 
-// children returns the entry indices of the direct subregion heads.
-func (r Region) children() []int {
+// end returns one past r's last entry: r spans the trace indices
+// [Head, end()), the root region [0, Len).
+func (r Region) end() int {
 	if r.Head == Root {
-		return r.T.Roots()
+		return r.T.Len()
 	}
-	return r.T.Children(r.Head)
+	return r.T.Ancestry().End(r.Head)
 }
 
 // FirstSub returns the first immediate subregion of r (the paper's
-// FirstSubRegion), or ok == false if r has none.
+// FirstSubRegion), or ok == false if r has none. Regions are laid out in
+// preorder, so it is the entry right after the head, if r spans it.
 func (r Region) FirstSub() (Region, bool) {
-	kids := r.children()
-	if len(kids) == 0 {
-		return Region{}, false
+	if first := r.Head + 1; first < r.end() {
+		return Region{T: r.T, Head: first}, true
 	}
-	return Region{T: r.T, Head: kids[0]}, true
+	return Region{}, false
 }
 
 // Sibling returns the next sibling subregion of r within its surrounding
-// region (the paper's SiblingRegion), or ok == false if r is the last.
+// region (the paper's SiblingRegion), or ok == false if r is the last. It
+// starts where r ends, if the surrounding region spans that entry.
 func (r Region) Sibling() (Region, bool) {
 	if r.Head == Root {
 		return Region{}, false
 	}
-	sibs := r.Parent().children()
-	// kids are sorted by entry index; locate r.Head.
-	i := sort.SearchInts(sibs, r.Head)
-	if i >= len(sibs) || sibs[i] != r.Head || i+1 >= len(sibs) {
-		return Region{}, false
+	if next := r.end(); next < r.Parent().end() {
+		return Region{T: r.T, Head: next}, true
 	}
-	return Region{T: r.T, Head: sibs[i+1]}, true
-}
-
-// SubRegions returns all immediate subregions in execution order.
-func (r Region) SubRegions() []Region {
-	kids := r.children()
-	res := make([]Region, len(kids))
-	for i, k := range kids {
-		res[i] = Region{T: r.T, Head: k}
-	}
-	return res
+	return Region{}, false
 }
 
 // Size returns the number of entries in the region (head + descendants);
 // the root region spans the whole trace.
-func (r Region) Size() int {
-	if r.Head == Root {
-		return r.T.Len()
-	}
-	n := 0
-	var walk func(int)
-	walk = func(i int) {
-		n++
-		for _, k := range r.T.Children(i) {
-			walk(k)
-		}
-	}
-	walk(r.Head)
-	return n
-}
+func (r Region) Size() int { return r.end() - max(r.Head, 0) }

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"testing"
 
 	"eol/internal/cfg"
@@ -91,23 +92,66 @@ func TestRegionNavigation(t *testing.T) {
 	}
 }
 
+// subHeads walks r's immediate subregions with FirstSub and Sibling.
+func subHeads(r Region) []int {
+	var heads []int
+	for sub, ok := r.FirstSub(); ok; sub, ok = sub.Sibling() {
+		heads = append(heads, sub.Head)
+	}
+	return heads
+}
+
+// checkForest compares FirstSub/Sibling and Size on every region of tr
+// with the forest a scan of the Parent fields finds.
+func checkForest(t *testing.T, tr *trace.Trace) {
+	t.Helper()
+	roots, kids := testsupport.ChildrenByParent(tr)
+	if got := subHeads(Whole(tr)); !slices.Equal(got, roots) {
+		t.Fatalf("root subregions %v, Parent scan %v", got, roots)
+	}
+	size := make([]int, tr.Len())
+	for i := tr.Len() - 1; i >= 0; i-- {
+		size[i]++
+		if p := tr.At(i).Parent; p >= 0 {
+			size[p] += size[i]
+		}
+	}
+	for i, want := range kids {
+		r := Region{T: tr, Head: i}
+		if got := subHeads(r); !slices.Equal(got, want) {
+			t.Fatalf("subregions of %d: %v, Parent scan %v", i, got, want)
+		}
+		if r.Size() != size[i] {
+			t.Fatalf("size of %d = %d, Parent scan %d", i, r.Size(), size[i])
+		}
+	}
+	if Whole(tr).Size() != tr.Len() {
+		t.Fatalf("root size = %d, want %d", Whole(tr).Size(), tr.Len())
+	}
+}
+
 func TestSiblingWalk(t *testing.T) {
 	c, tr := run(t)
-	// Top-level statements of main are roots; walk them via the whole
-	// region's subregions.
-	w := Whole(tr)
-	subs := w.SubRegions()
-	if len(subs) != len(tr.Roots()) {
-		t.Fatalf("subregions = %d, roots = %d", len(subs), len(tr.Roots()))
-	}
-	// FirstSub + Sibling* traverses exactly SubRegions.
-	cur, ok := w.FirstSub()
-	for i := 0; ok; i++ {
-		if cur.Head != subs[i].Head {
-			t.Fatalf("walk diverged at %d", i)
-		}
-		cur, ok = cur.Sibling()
-	}
+	checkForest(t, tr)
+
+	// Nested sibling regions across calls, recursion and loops.
+	nested := testsupport.Compile(t, `
+func f(n) {
+    if (n <= 0) { return 0; }
+    var s = 0;
+    for (var i = 0; i < n; i++) {
+        if (i % 2 == 0) { s += f(n - 2); } else { s -= 1; }
+    }
+    return s;
+}
+func main() {
+    var k = read();
+    while (k > 0) {
+        print(f(k));
+        k = k - 1;
+    }
+}`)
+	checkForest(t, testsupport.Run(t, nested, []int64{4}).Trace)
 
 	// Loop iterations nest: while#2's region is a subregion of while#1's.
 	w1 := inst(t, c, tr, "while (i < 2)", 1)

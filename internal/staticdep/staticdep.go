@@ -13,19 +13,18 @@
 //     uses to generate cross-function candidates, and
 //   - interprocedural summary edges: call site → callee body (execution
 //     and argument influence) and return statement → call site (return
-//     value influence), layered on transitive mod/ref summaries over the
-//     call graph, and
+//     value influence), and
 //   - constant-index element refinement for arrays: a def→use data edge
 //     is dropped when both statements access the array only at provably
 //     constant, disjoint element indexes, with the matching hazard
 //     exemption for provably in-bounds constant indexing.
 //
-// The SPDG reuses internal/depgraph's edge vocabulary and CSR layout
-// (rowStart + flat edge array, Kind bitmask; the Summary kind is this
-// package's contribution), with statement IDs as nodes. It is computed
-// once per compiled program and consumed by the EOL0009/EOL0010 eolvet
-// passes and by `slicer -engine`. See docs/STATICDEP.md for the
-// construction.
+// The SPDG reuses internal/depgraph's edge vocabulary (Edge and the Kind
+// bitmask; the Summary kind is this package's contribution) in a CSR
+// layout (rowStart + flat edge array), with statement IDs as nodes. It
+// is computed once per compiled program and consumed by the
+// EOL0009/EOL0010 eolvet passes and by `slicer -engine`. See
+// docs/STATICDEP.md for the construction.
 package staticdep
 
 import (
@@ -76,8 +75,7 @@ type Graph struct {
 	hazard []bool // 1-based: statement can fault or consumes input
 	output []bool // 1-based: print statement
 
-	calls  map[string][]int        // callee -> call-site statement IDs
-	mayRef map[string]map[int]bool // fn -> globals read, transitively
+	calls map[string][]int // callee -> call-site statement IDs
 
 	// Interprocedural global reaching definitions.
 	gsites  []gsite        // direct global definition sites (index 0.. )
@@ -108,13 +106,11 @@ func New(c *interp.Compiled, flow *dataflow.Analysis) *Graph {
 		info:    info,
 		n:       info.NumStmts(),
 		calls:   map[string][]int{},
-		mayRef:  map[string]map[int]bool{},
 		reachIn: map[int]bitset{},
 		cones:   map[int]*cone{},
 	}
 	g.classify()
 	g.buildCallGraph()
-	g.computeMayRef()
 	g.computeGlobalReaching(c)
 	g.buildEdges(c, flow)
 	g.buildCones()
@@ -166,11 +162,6 @@ func (g *Graph) ConeSilent(pred int) bool {
 	c := g.cones[pred]
 	return c != nil && c.silent
 }
-
-// MayRef returns the set of global symbol IDs function fn may read,
-// transitively through callees — the ref half of the mod/ref summary
-// (dataflow.MayDefineGlobals is the mod half).
-func (g *Graph) MayRef(fn string) map[int]bool { return g.mayRef[fn] }
 
 // GlobalDefsReaching returns the statement IDs of direct global
 // definition sites of sym that may reach the entry of useStmt through
@@ -430,38 +421,6 @@ func (g *Graph) buildCallGraph() {
 	}
 	for _, sites := range g.calls {
 		sort.Ints(sites)
-	}
-}
-
-// computeMayRef runs the ref half of the mod/ref fixpoint over the call
-// graph, mirroring dataflow's may-def computation.
-func (g *Graph) computeMayRef() {
-	for name := range g.info.Funcs {
-		g.mayRef[name] = map[int]bool{}
-	}
-	for name, fi := range g.info.Funcs {
-		for _, id := range fi.StmtIDs {
-			for _, sym := range g.info.StmtUses[id] {
-				if sym.Kind == sem.Global {
-					g.mayRef[name][sym.ID] = true
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for name, fi := range g.info.Funcs {
-			for _, id := range fi.StmtIDs {
-				for _, callee := range g.info.StmtCalls[id] {
-					for s := range g.mayRef[callee] {
-						if !g.mayRef[name][s] {
-							g.mayRef[name][s] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

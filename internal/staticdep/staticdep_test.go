@@ -203,29 +203,6 @@ func main() {
 	}
 }
 
-func TestMayRef(t *testing.T) {
-	c := compile(t, crossSrc)
-	g := New(c, nil)
-	var gID, sumID int
-	for _, sym := range c.Info.Symbols {
-		switch sym.Name {
-		case "g":
-			gID = sym.ID
-		case "sum":
-			sumID = sym.ID
-		}
-	}
-	if !g.MayRef("report")[gID] || !g.MayRef("report")[sumID] {
-		t.Errorf("report must ref g and sum: %v", g.MayRef("report"))
-	}
-	if !g.MayRef("main")[gID] {
-		t.Errorf("main must ref g transitively through report: %v", g.MayRef("main"))
-	}
-	if g.MayRef("bump")[gID] {
-		t.Errorf("bump only writes g, must not ref it: %v", g.MayRef("bump"))
-	}
-}
-
 func TestDeadGlobalStores(t *testing.T) {
 	src := `
 var used;

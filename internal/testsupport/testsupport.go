@@ -54,6 +54,49 @@ func EntryDiff(want, got *trace.Trace, i int) string {
 	return ""
 }
 
+// ChildrenByParent lists a trace's region forest by brute force from
+// the Parent fields: kids[p] holds entry p's children and roots the
+// entries without a parent, each in execution order.
+func ChildrenByParent(tr *trace.Trace) (roots []int, kids [][]int) {
+	kids = make([][]int, tr.Len())
+	for i := 0; i < tr.Len(); i++ {
+		if p := int(tr.At(i).Parent); p >= 0 {
+			kids[p] = append(kids[p], i)
+		} else {
+			roots = append(roots, i)
+		}
+	}
+	return roots, kids
+}
+
+// RegionForestDiff compares the region forest that tr's interval ends
+// describe with the one ChildrenByParent finds. The interval walk lists
+// an entry's children from the entry after it, each next sibling
+// starting at the previous one's End, while inside the entry's own End;
+// the roots are walked the same way over [0, Len). It returns "" when
+// the two agree for the roots and every entry, else the first
+// difference.
+func RegionForestDiff(tr *trace.Trace) string {
+	anc := tr.Ancestry()
+	walk := func(lo, hi int) []int {
+		var res []int
+		for c := lo; c < hi; c = anc.End(c) {
+			res = append(res, c)
+		}
+		return res
+	}
+	roots, kids := ChildrenByParent(tr)
+	if got := walk(0, tr.Len()); !slices.Equal(got, roots) {
+		return fmt.Sprintf("roots: interval walk %v, Parent scan %v", got, roots)
+	}
+	for p, want := range kids {
+		if got := walk(p+1, anc.End(p)); !slices.Equal(got, want) {
+			return fmt.Sprintf("children of %d: interval walk %v, Parent scan %v", p, got, want)
+		}
+	}
+	return ""
+}
+
 // Run executes a compiled program with tracing and fails the test on a
 // runtime error.
 func Run(t TB, c *interp.Compiled, input []int64) *interp.Result {

@@ -1,46 +1,45 @@
 package trace
 
-// Ancestry is an ancestor index over the region forest, answering
-// ancestor queries in O(1). Loop iterations nest (each re-evaluation of a
-// loop predicate is a child of the previous one), so the naive
-// parent-chain walk is O(iterations); analyses that test many pairs use
-// this index instead.
+// Ancestry is the region forest's interval index, answering ancestor
+// queries in O(1). Loop iterations nest (each re-evaluation of a loop
+// predicate is a child of the previous one), so the naive parent-chain
+// walk is O(iterations); analyses that test many pairs use this index
+// instead.
 //
 // Every trace comes from an interpreter run or a fork of one, and both
 // backends emit a preorder walk of the region forest: every region is a
 // contiguous interval of trace indices (TestRegionTreeInvariants checks
 // this on tree-walker, VM and forked traces). The index is just the
-// interval ends.
+// interval ends, and with Parent they are the whole forest: entry i's
+// children are i+1 (when below End(i)) and then, while below End(i),
+// each child's End in turn; the roots are 0 and so on by End up to Len.
 type Ancestry struct {
 	out []int32 // out[i] is one past the last descendant of i
 }
 
-// Ancestry builds (or returns the cached) ancestor index. The trace must
-// not be appended to afterwards.
+// Ancestry returns the interval index Finish built.
 func (t *Trace) Ancestry() *Ancestry {
 	t.ensureFinished()
-	n := t.Len()
-	if t.anc != nil && len(t.anc.out) == n {
-		return t.anc
-	}
-	out := make([]int32, n)
+	return t.anc
+}
 
-	// Forks of a base whose ancestry is already built seed from it: a
-	// prefix interval wholly inside the cut keeps its end; one still
-	// open at the cut spans exactly [i, cut) here (while open,
-	// everything appended is its descendant), so its end clamps to the
-	// cut and the suffix pass below re-extends the open chain.
-	nb := 0
-	if t.baseAnc != nil {
-		nb = len(t.base)
-		for i, v := range t.baseAnc.out[:nb] {
+// buildAncestry computes the interval ends of every entry. A fork seeds
+// its prefix from src's index: a prefix interval wholly inside the cut
+// keeps its end; one still open at the cut spans exactly [i, cut) here
+// (while open, everything appended is its descendant), so its end clamps
+// to the cut and the suffix pass below re-extends the open chain.
+func (t *Trace) buildAncestry() *Ancestry {
+	n, nb := t.Len(), len(t.base)
+	out := make([]int32, n)
+	if nb > 0 {
+		for i, v := range t.src.anc.out[:nb] {
 			out[i] = min(v, int32(nb))
 		}
 	}
 
-	// Interval pass over the entries not seeded, bottom-up (children
-	// precede their parent in the reverse scan, so out[p] accumulates
-	// the max over its subtree).
+	// Interval pass over the suffix, bottom-up (children precede their
+	// parent in the reverse scan, so out[p] accumulates the max over its
+	// subtree).
 	var ext []int
 	for i := n - 1; i >= nb; i-- {
 		out[i] = max(out[i], int32(i+1))
@@ -59,8 +58,7 @@ func (t *Trace) Ancestry() *Ancestry {
 			p = q
 		}
 	}
-	t.anc = &Ancestry{out: out}
-	return t.anc
+	return &Ancestry{out: out}
 }
 
 // IsAncestor reports whether x is an ancestor of y in the region forest

@@ -22,9 +22,8 @@ type Prefix struct {
 	t *Trace
 	n int
 
-	once   sync.Once
-	nRoots int // rootsList entries < n
-	nOuts  int // outputs produced by entries < n
+	once  sync.Once
+	nOuts int // outputs produced by entries < n
 	// The base suffix's entry count and the arena lengths its records
 	// occupy: the capacity a fork reserves, since a switched suffix
 	// usually runs to a length comparable to the original one.
@@ -47,17 +46,16 @@ func (t *Trace) PrefixAt(n int) *Prefix {
 // Len returns the prefix length in entries.
 func (p *Prefix) Len() int { return p.n }
 
-// build finds the cut in the base's roots list and outputs (both are in
-// entry order) and sizes the base suffix. Entries, records, rootsList
-// and Outputs of the base trace are final for indices < n once its run
-// has finished, so this is safe to run lazily, on the first Fork.
+// build finds the cut in the base's outputs (they are in entry order)
+// and sizes the base suffix. Entries, records and Outputs of the base
+// trace are final for indices < n once its run has finished, so this is
+// safe to run lazily, on the first Fork.
 func (p *Prefix) build() {
 	// The base must have been finished by its run before any fork (a
-	// fork reads its roots list, children rows and instance rows); fail
-	// loudly if not.
+	// fork reads its interval ends and instance rows); fail loudly if
+	// not.
 	t := p.t
 	t.ensureFinished()
-	p.nRoots = sort.SearchInts(t.rootsList, p.n)
 	p.nOuts = sort.Search(len(t.Outputs), func(k int) bool { return t.Outputs[k].Entry >= p.n })
 	// The suffix's records start at the lowest offset any of its
 	// entries holds; the arena past that point includes the copies left
@@ -82,22 +80,20 @@ func (p *Prefix) build() {
 // instead of scribbling on the base trace; the prefix entries themselves
 // are read-only through the fork (Trace.At documents this, and AddUse
 // and AddDef panic on them). The suffix run appends to the fork and
-// calls Finish; prefix records, children rows and instances resolve
-// through the base trace, so the fork itself allocates no O(prefix)
-// state. Its entries and record arenas start with the base suffix's
-// sizes reserved.
+// calls Finish; prefix records and instances resolve through the base
+// trace, and the fork's interval ends (the one O(prefix) array it
+// allocates) are seeded from the base's. Its entries and record arenas
+// start with the base suffix's sizes reserved.
 func (p *Prefix) Fork() *Trace {
 	p.once.Do(p.build)
 	t := p.t
 	const slack = 64
 	return &Trace{
-		base:      t.entries[:p.n:p.n],
-		src:       t,
-		entries:   make([]Entry, 0, p.sufEntries+slack),
-		uses:      make([]UseRec, 0, p.sufUses+slack),
-		defs:      make([]DefRec, 0, p.sufDefs+slack),
-		Outputs:   t.Outputs[:p.nOuts:p.nOuts],
-		rootsList: t.rootsList[:p.nRoots:p.nRoots],
-		baseAnc:   t.anc,
+		base:    t.entries[:p.n:p.n],
+		src:     t,
+		entries: make([]Entry, 0, p.sufEntries+slack),
+		uses:    make([]UseRec, 0, p.sufUses+slack),
+		defs:    make([]DefRec, 0, p.sufDefs+slack),
+		Outputs: t.Outputs[:p.nOuts:p.nOuts],
 	}
 }

@@ -3,26 +3,26 @@ package trace
 import "sort"
 
 // Deferred index construction: the VM appends tens of thousands of
-// entries per run, and per-append index maintenance — a children row
-// append, an instance-map insert — would dominate trace construction.
-// A trace therefore records entries only while its run executes;
-// Finish, called once when the run completes, materializes every
-// derived index in flat exact-sized passes:
+// entries per run, and per-append index maintenance — an instance-map
+// insert, an interval update up the open chain — would dominate trace
+// construction. A trace therefore records entries only while its run
+// executes; Finish, called once when the run completes, materializes
+// every derived index in flat exact-sized passes:
 //
-//   - the children rows are one CSR (row starts over one index array)
-//     sized by a counting pass, with no per-parent allocations,
-//   - the instance index is a per-statement row table (rows[s][k] is
-//     the trace index of S<s>#<start[s]+k>) instead of a hash map keyed
-//     by Instance.
+//   - the region forest's interval ends (Ancestry), one reverse pass,
+//   - the instance index, a per-statement row table (rows[s][k] is the
+//     trace index of S<s>#<start[s]+k>) instead of a hash map keyed by
+//     Instance.
 //
-// The row table relies on two properties every interpreter trace has:
-// statement IDs are non-negative, and each statement's occurrences are
-// numbered 1, 2, ... in entry order. internal/proptest checks every index against a brute-force
-// scan of the entries on both backends' traces and on VM forks.
-// Querying a trace before Finish (or appending after it) is a
-// programming error and panics, which is also what makes the scheme
-// race-free: Finish runs on the executing goroutine before the trace is
-// ever shared.
+// Children and roots are not stored: they are read from the interval
+// ends (see Ancestry). The row table relies on two properties every
+// interpreter trace has: statement IDs are non-negative, and each
+// statement's occurrences are numbered 1, 2, ... in entry order.
+// internal/proptest checks every index against a brute-force scan of the
+// entries on both backends' traces and on VM forks. Querying a trace
+// before Finish (or appending after it) is a programming error and
+// panics, which is also what makes the scheme race-free: Finish runs on
+// the executing goroutine before the trace is ever shared.
 
 // instRows is the instance index of a finished trace, covering the
 // owned suffix only (the whole trace when unforked). rows[s] lists the
@@ -44,62 +44,14 @@ func (t *Trace) Finish() {
 	}
 	nb := len(t.base)
 	n := len(t.entries)
+	t.anc = t.buildAncestry()
 
-	// Children and roots. Owned parents' rows form one CSR, sized by a
-	// counting pass into kidStart; on unforked traces that is every row.
-	// On forked traces the prefix rows stay in src, clipped at the cut
-	// on read, with the handful of prefix parents that gained suffix
-	// children (the control chain open at the checkpoint cut) overridden
-	// in a sparse map — no O(prefix) copy per fork.
-	start := make([]int32, n+1)
-	roots, maxStmt := 0, 0
+	// Instance rows: a counting pass sizes each statement's row, then
+	// the rows are carved from one arena and filled in entry order.
+	maxStmt := 0
 	for i := range t.entries {
-		e := &t.entries[i]
-		if p := int(e.Parent); p < 0 {
-			roots++
-		} else if p >= nb {
-			start[p-nb+1]++
-		}
-		maxStmt = max(maxStmt, e.Inst.Stmt)
+		maxStmt = max(maxStmt, t.entries[i].Inst.Stmt)
 	}
-	for i := 1; i <= n; i++ {
-		start[i] += start[i-1]
-	}
-	kids := make([]int, start[n])
-	if roots > 0 {
-		grown := make([]int, len(t.rootsList), len(t.rootsList)+roots)
-		copy(grown, t.rootsList)
-		t.rootsList = grown
-	}
-	// Fill each row through start[p] as its cursor, which leaves start[p]
-	// at the row's end; shifting start one place right restores it.
-	for i := range t.entries {
-		idx := nb + i
-		switch p := int(t.entries[i].Parent); {
-		case p < 0:
-			t.rootsList = append(t.rootsList, idx)
-		case p >= nb:
-			kids[start[p-nb]] = idx
-			start[p-nb]++
-		default:
-			// Suffix child of a prefix parent: start from the clipped
-			// base row (so this append reallocates a fresh copy) and
-			// record the override.
-			if t.childOver == nil {
-				t.childOver = map[int][]int{}
-			}
-			row, ok := t.childOver[p]
-			if !ok {
-				row = t.prefixRow(p)
-			}
-			t.childOver[p] = append(row, idx)
-		}
-	}
-	copy(start[1:], start[:n])
-	start[0] = 0
-	t.kidStart, t.kids = start, kids
-
-	// Instance rows, same counting-pass-then-carve shape.
 	r := &instRows{
 		rows:  make([][]int, maxStmt+1),
 		start: make([]int32, maxStmt+1),
@@ -125,14 +77,6 @@ func (t *Trace) Finish() {
 		r.rows[s] = append(r.rows[s], nb+i)
 	}
 	t.own = r
-}
-
-// prefixRow returns the children of prefix entry p that lie inside the
-// cut: src's row, clipped by binary search.
-func (t *Trace) prefixRow(p int) []int {
-	row := t.src.Children(p)
-	cut := sort.SearchInts(row, len(t.base))
-	return row[:cut:cut]
 }
 
 // ensureFinished guards every index query.

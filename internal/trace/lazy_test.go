@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // buildLazyBase constructs a finished trace shaped like an
 // interpreter run: properly nested regions, an open loop chain at the
@@ -31,11 +34,14 @@ func TestLazyMatchesEager(t *testing.T) {
 	if lz.Len() != 7 {
 		t.Fatalf("len = %d", lz.Len())
 	}
-	if got := lz.Roots(); len(got) != 2 || got[0] != 0 || got[1] != 4 {
+	if got := intervalChildren(lz, -1); !slices.Equal(got, []int{0, 4}) {
 		t.Errorf("roots = %v", got)
 	}
-	if got := lz.Children(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+	if got := intervalChildren(lz, 0); !slices.Equal(got, []int{1, 3}) {
 		t.Errorf("children(0) = %v", got)
+	}
+	if d := forestDiff(lz); d != "" {
+		t.Error(d)
 	}
 	if got := lz.FindInstance(Instance{Stmt: 2, Occ: 2}); got != 3 {
 		t.Errorf("FindInstance = %d", got)
@@ -48,18 +54,14 @@ func TestLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// TestLazyForkSeededAncestry pins the seeded interval path: a fork of a
-// base with a prebuilt ancestry must answer every IsAncestor pair
-// exactly like the parent-chain walk, including pairs that mix prefix
-// and suffix entries and the re-extended open chain (4 → 5).
+// TestLazyForkSeededAncestry pins the seeded interval path: a fork's
+// interval ends, seeded from the base's, must answer every IsAncestor
+// pair exactly like the parent-chain walk, including pairs that mix
+// prefix and suffix entries and the re-extended open chain (4 → 5), and
+// must walk the same forest as the Parent fields.
 func TestLazyForkSeededAncestry(t *testing.T) {
 	base := buildLazyBase()
-	base.Ancestry() // the fork will seed from this
-
 	f := base.PrefixAt(6).Fork()
-	if f.baseAnc == nil {
-		t.Fatal("fork did not capture the base ancestry seed")
-	}
 	// Suffix: the switched run closes 5's region after one more child
 	// and continues with a new root region.
 	f.Append(Entry{Inst: Instance{Stmt: 7, Occ: 1}, Parent: 5})
@@ -75,10 +77,13 @@ func TestLazyForkSeededAncestry(t *testing.T) {
 			}
 		}
 	}
+	if d := forestDiff(f); d != "" {
+		t.Error(d)
+	}
 }
 
-// TestLazyForkPrefixQueries pins the two-level children and instance
-// resolution of a finished fork.
+// TestLazyForkPrefixQueries pins the region forest and the two-level
+// instance resolution of a finished fork.
 func TestLazyForkPrefixQueries(t *testing.T) {
 	base := buildLazyBase()
 	f := base.PrefixAt(6).Fork()
@@ -86,16 +91,20 @@ func TestLazyForkPrefixQueries(t *testing.T) {
 	f.Append(Entry{Inst: Instance{Stmt: 3, Occ: 2}, Parent: -1})
 	f.Finish()
 
-	// Prefix row clipped from the base row; parent 5 gained a suffix
-	// child through the override map.
-	if got := f.Children(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+	// A prefix region closed before the cut keeps its children; prefix
+	// parent 5, open at the cut, gained a suffix child; the suffix
+	// added a root.
+	if got := intervalChildren(f, 0); !slices.Equal(got, []int{1, 3}) {
 		t.Errorf("children(0) = %v", got)
 	}
-	if got := f.Children(5); len(got) != 1 || got[0] != 6 {
+	if got := intervalChildren(f, 5); !slices.Equal(got, []int{6}) {
 		t.Errorf("children(5) = %v", got)
 	}
-	if got := f.Roots(); len(got) != 3 || got[2] != 7 {
+	if got := intervalChildren(f, -1); !slices.Equal(got, []int{0, 4, 7}) {
 		t.Errorf("roots = %v", got)
+	}
+	if d := forestDiff(f); d != "" {
+		t.Error(d)
 	}
 	// Instance inside the cut resolves through the base rows; the
 	// occurrence past the cut resolves through the suffix rows; the

@@ -24,9 +24,16 @@
 // Entries hold no records and no pointers. Each entry's use and
 // definition records are one contiguous run in the trace's two record
 // arenas; Uses and Defs read them, and AddUse and AddDef, called while
-// the entry's statement runs, write them. The entry, record and
-// children arrays hold no pointers, so the garbage collector never scans
-// them.
+// the entry's statement runs, write them. The entry, record and interval
+// arrays hold no pointers, so the garbage collector never scans them.
+//
+// The trace is the only store of the relations the analyses read. The
+// use records and Parent fields are the explicit edges of the dynamic
+// dependence graph (internal/depgraph reads them in place), and the
+// region forest is Parent plus the interval ends of Ancestry: both
+// backends emit a preorder walk of the forest, so entry i's region is
+// the indices [i, End(i)), its first child is i+1 when that lies inside
+// it, and each next sibling starts at the previous one's End.
 //
 // Entries are stored in up to two levels: a shared immutable prefix (set
 // only on traces created by Prefix.Fork, which is how checkpointed
@@ -34,14 +41,14 @@
 // forked switched run — see docs/CHECKPOINT.md) and an owned suffix that
 // Append extends. A fork reads the prefix entries' records from the base
 // trace's arenas and keeps the suffix entries' records in arenas of its
-// own. All accessors (At, Len, Uses, Children, FindInstance, ...)
-// present the two levels as one contiguous trace.
+// own. All accessors (At, Len, Uses, FindInstance, ...) present the two
+// levels as one contiguous trace.
 //
 // Both execution backends build traces the same way: they append
 // entries during the run and call Finish once at its end, which builds
-// the children, roots and per-statement instance indices in flat passes
-// (lazy.go). Traces only ever come from a run (or a fork of one), so
-// Finish trusts its input: parents precede their children and regions
+// the interval ends and the per-statement instance indices in flat
+// passes (lazy.go). Traces only ever come from a run (or a fork of one),
+// so Finish trusts its input: parents precede their children and regions
 // nest properly.
 package trace
 
@@ -133,8 +140,8 @@ type Trace struct {
 	// forces any append to reallocate).
 	base []Entry
 	// src, set by Fork, is the finished trace base was cut from. The
-	// prefix entries' records, children rows and instance rows are read
-	// from it.
+	// prefix entries' records and instance rows are read from it, and
+	// Finish seeds the prefix's interval ends from its Ancestry.
 	src *Trace
 	// entries is the owned suffix Append extends; uses and defs are the
 	// record arenas its entries' spans point into.
@@ -143,22 +150,8 @@ type Trace struct {
 	defs    []DefRec
 	Outputs []Output
 
-	// The children of owned entry i are kids[kidStart[i-len(base)]:
-	// kidStart[i-len(base)+1]]. On a fork, the row of prefix entry p is
-	// src's row clipped at the cut, or childOver[p] for the few prefix
-	// parents whose rows gained suffix children. Roots (Parent == -1)
-	// are in rootsList, which covers base and suffix uniformly.
-	kidStart  []int32
-	kids      []int
-	childOver map[int][]int
-	rootsList []int
-
-	// anc is the lazily built ancestor index; see Ancestry. baseAnc, set
-	// by Fork when the base already has an ancestry index, seeds this
-	// fork's Ancestry with the base's interval ends instead of a full
-	// recomputation.
-	anc     *Ancestry
-	baseAnc *Ancestry
+	// anc holds the region forest's interval ends, built by Finish.
+	anc *Ancestry
 
 	// own, the per-statement instance rows of the owned entries, doubles
 	// as the "Finish ran" marker.
@@ -253,30 +246,6 @@ func (t *Trace) At(i int) *Entry {
 		return &t.base[i]
 	}
 	return &t.entries[i-len(t.base)]
-}
-
-// Children returns the trace indices directly control dependent on entry
-// i (the members of entry i's region, excluding i itself and excluding
-// nested regions' members), in execution order. The slice aliases the
-// trace and must not be modified.
-func (t *Trace) Children(i int) []int {
-	t.ensureFinished()
-	nb := len(t.base)
-	if i >= nb {
-		lo, hi := t.kidStart[i-nb], t.kidStart[i-nb+1]
-		return t.kids[lo:hi:hi]
-	}
-	if row, ok := t.childOver[i]; ok {
-		return row
-	}
-	return t.prefixRow(i)
-}
-
-// Roots returns the top-level entries (global initializers and the
-// statements of main's body not nested in any predicate).
-func (t *Trace) Roots() []int {
-	t.ensureFinished()
-	return t.rootsList
 }
 
 // OutputAt returns the output event with the given sequence number, or

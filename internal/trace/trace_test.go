@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -38,22 +39,64 @@ func isAncestorWalk(t *Trace, x, y int) bool {
 	return false
 }
 
+// childrenByParent lists the region forest by brute force from the
+// Parent fields: kids[p+1] holds entry p's children and kids[0] the
+// roots, each in execution order.
+func childrenByParent(t *Trace) [][]int {
+	kids := make([][]int, t.Len()+1)
+	for i := 0; i < t.Len(); i++ {
+		p := int(t.At(i).Parent)
+		kids[p+1] = append(kids[p+1], i)
+	}
+	return kids
+}
+
+// intervalChildren lists entry p's children (the roots when p is -1) by
+// the interval walk: the first child is p+1 and each next sibling starts
+// at the previous one's End, while inside End(p).
+func intervalChildren(t *Trace, p int) []int {
+	anc := t.Ancestry()
+	lo, hi := 0, t.Len()
+	if p >= 0 {
+		lo, hi = p+1, anc.End(p)
+	}
+	var kids []int
+	for c := lo; c < hi; c = anc.End(c) {
+		kids = append(kids, c)
+	}
+	return kids
+}
+
+// forestDiff compares the interval walk with childrenByParent for the
+// roots and every entry, and returns the first difference or "".
+func forestDiff(t *Trace) string {
+	for p, want := range childrenByParent(t) {
+		if got := intervalChildren(t, p-1); !slices.Equal(got, want) {
+			return fmt.Sprintf("children of %d: interval walk %v, Parent scan %v", p-1, got, want)
+		}
+	}
+	return ""
+}
+
 func TestTreeStructure(t *testing.T) {
 	tr := buildTree()
 	if tr.Len() != 5 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	if got := tr.Roots(); len(got) != 2 || got[0] != 0 || got[1] != 4 {
+	if got := intervalChildren(tr, -1); !slices.Equal(got, []int{0, 4}) {
 		t.Errorf("roots = %v", got)
 	}
-	if got := tr.Children(0); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+	if got := intervalChildren(tr, 0); !slices.Equal(got, []int{1, 3}) {
 		t.Errorf("children(0) = %v", got)
 	}
-	if got := tr.Children(1); len(got) != 1 || got[0] != 2 {
+	if got := intervalChildren(tr, 1); !slices.Equal(got, []int{2}) {
 		t.Errorf("children(1) = %v", got)
 	}
-	if got := tr.Children(4); len(got) != 0 {
+	if got := intervalChildren(tr, 4); len(got) != 0 {
 		t.Errorf("children(4) = %v", got)
+	}
+	if d := forestDiff(tr); d != "" {
+		t.Error(d)
 	}
 }
 
@@ -163,7 +206,7 @@ func TestAncestryAgreesWithWalk(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return forestDiff(tr) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

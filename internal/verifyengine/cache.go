@@ -57,8 +57,8 @@ type CacheStats struct {
 // same predicate share one interpreter run.
 //
 // Stored results — including their traces — are shared across callers
-// and must be treated as read-only; the engine pre-builds each trace's
-// lazy ancestry index before publishing it.
+// and must be treated as read-only; a trace is finished (every index
+// built) before its run returns, so reading it needs no lock.
 type RunCache struct {
 	mu       sync.Mutex
 	cap      int

@@ -159,8 +159,8 @@ type Engine struct {
 }
 
 // New builds an engine over base and installs itself as base's Runner.
-// The base verifier's original trace gets its lazy ancestry index built
-// here, before any worker can race on it.
+// Workers may share the base verifier's original trace: a finished trace
+// is read-only, since Finish built every index it has.
 func New(base *implicit.Verifier, cfg Config) *Engine {
 	w := cfg.Workers
 	if w <= 0 {
@@ -183,9 +183,6 @@ func New(base *implicit.Verifier, cfg Config) *Engine {
 		e.backend = backend.Default()
 	}
 	e.backendName = e.backend.Name()
-	if base.Orig != nil {
-		base.Orig.Ancestry()
-	}
 	base.Runner = e
 	e.clones = make([]*implicit.Verifier, w)
 	for i := range e.clones {
@@ -196,8 +193,7 @@ func New(base *implicit.Verifier, cfg Config) *Engine {
 
 // SwitchedRun implements implicit.SwitchedRunner: one switched
 // re-execution, served from the cache when possible. Cached traces are
-// published with their ancestry index pre-built so concurrent alignment
-// against them is read-only.
+// finished, so concurrent alignment against them is read-only.
 //
 // With a shared cache, a single-flight wait can hand this engine a run
 // that was aborted by ANOTHER engine's context (cancellation results
@@ -220,11 +216,7 @@ func (e *Engine) switchedRunOnce(pred trace.Instance, budget int) *interp.Result
 	}
 	key := RunKey{Prog: e.progHash, Input: e.inputHash, Backend: e.backendName, Pred: pred, Budget: budget}
 	res, hit := e.cache.GetOrRun(key, func() *interp.Result {
-		r := e.runSwitched(pred, budget)
-		if r.Trace != nil {
-			r.Trace.Ancestry()
-		}
-		return r
+		return e.runSwitched(pred, budget)
 	})
 	if hit {
 		e.cacheHits.Add(1)

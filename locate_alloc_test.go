@@ -60,14 +60,17 @@ func grepLongSpec(tb testing.TB) func() *core.Spec {
 // window, 17.51 MB in 28,180. With 56-byte pointer-free trace entries
 // whose records live in per-trace arenas, and forks that reserve their
 // entries and arenas at the sizes the failing run's suffix took,
-// 10.88 MB in 28,000. Each ceiling sits 10% above that reading.
+// 10.88 MB in 28,000. With each trace relation stored once — no
+// dependence-graph copy of the trace's edges, one forward index, and the
+// region forest read from interval ends instead of children rows —
+// 9.96 MB in 24,652. Each ceiling sits 10% above that reading.
 func TestGrepLongLocateAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxBytes  = 11_970_000
-		maxAllocs = 30_800
+		maxBytes  = 10_960_000
+		maxAllocs = 27_120
 	)
 	spec := grepLongSpec(t)
 	var rep *core.Report
@@ -139,15 +142,16 @@ func paper9Specs(tb testing.TB) func() []*core.Spec {
 // Readings on linux/amd64, Go 1.24: rebuilding the analysis in every
 // Locate's slicing context, a round allocated 4.75 MB in 24,160
 // allocations; with the cached analysis, 4.34 MB in 14,930; with compact
-// trace entries and record arenas, 3.19 MB in 14,909. Each ceiling sits
-// 10% above the latest reading.
+// trace entries and record arenas, 3.19 MB in 14,909; with each trace
+// relation stored once, 2.94 MB in 13,135. Each ceiling sits 10% above
+// the latest reading.
 func TestPaper9LocateAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxBytes  = 3_510_000
-		maxAllocs = 16_400
+		maxBytes  = 3_240_000
+		maxAllocs = 14_450
 	)
 	specs := paper9Specs(t)
 	var reps []*core.Report
