@@ -70,8 +70,10 @@ verify-table:
 # ephemeral port and drive it with eoloadgen — health probe; a corpus
 # request whose response must be byte-identical to eolcorpus batch
 # output (the A/B contract); an async job whose NDJSON event stream
-# must validate as a corpus journal; and an open-loop load burst that
-# must observe at least one rate-limit 429.
+# must validate as a corpus journal; a soak of 40 salted copies of the
+# grepsim subject (80 new programs) after which the server must hold at
+# most 64 compiled programs; and an open-loop load burst that must
+# observe at least one rate-limit 429.
 serve-smoke:
 	$(GO) build -o /tmp/eolserve-smoke ./cmd/eolserve
 	$(GO) build -o /tmp/eoloadgen-smoke ./cmd/eoloadgen
@@ -92,6 +94,9 @@ serve-smoke:
 	/tmp/eoloadgen-smoke -base $$BASE -tenant jobs \
 		-corpus testdata/corpus/smoke.json -async \
 		-events /tmp/eol-serve-events.jsonl -o /tmp/eol-serve-job.json && \
+	/tmp/eoloadgen-smoke -base $$BASE -tenant soak \
+		-corpus testdata/corpus/checkpoint.json -salt 40 -max-compiled 64 \
+		-o /tmp/eol-serve-soak.json && \
 	/tmp/eoloadgen-smoke -base $$BASE -tenant hammer \
 		-subject testdata/corpus/smoke.json -n 12 -rate 100 \
 		-min-rejected 1 -o /tmp/eol-serve-load.json

@@ -13,7 +13,11 @@
 //	    byte-identical to `eolcorpus -o` for the same subjects. With
 //	    -async the manifest is submitted as a job, the event stream is
 //	    written to -events FILE (NDJSON, journalcheck-compatible), and
-//	    the final job report is the output.
+//	    the final job report is the output. -salt N sends N copies of
+//	    each subject instead, every copy's sources ending in a comment
+//	    of its own, so the server sees N new programs per source (a
+//	    soak of its warm state); -max-compiled M then reads /v1/statsz
+//	    and fails if the server holds more than M compiled programs.
 //
 //	eoloadgen -base URL -subject manifest.json [-index N] -n N -rate R
 //	    open-loop load run against POST /v1/locate: fire subject N of
@@ -37,6 +41,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 
 	"eol/internal/api"
 	"eol/internal/cliutil"
@@ -52,6 +57,8 @@ func main() {
 	corpusFlag := flag.String("corpus", "", "POST this manifest `file` to /v1/corpus")
 	asyncFlag := flag.Bool("async", false, "submit -corpus as an async job")
 	eventsFlag := flag.String("events", "", "with -async: write the NDJSON event stream to this `file`")
+	saltFlag := flag.Int("salt", 0, "corpus mode: send `N` copies of each subject, each with a unique trailing comment (0 = the manifest as is)")
+	maxCompiledFlag := flag.Int("max-compiled", 0, "corpus mode: afterwards, fail if /v1/statsz reports more than `M` compiled programs (0 = no check)")
 	subjectFlag := flag.String("subject", "", "load mode: manifest `file` supplying the locate subject")
 	indexFlag := flag.Int("index", 0, "load mode: subject index within -subject")
 	nFlag := flag.Int("n", 100, "load mode: total requests")
@@ -63,6 +70,9 @@ func main() {
 	if *baseFlag == "" || flag.NArg() != 0 {
 		cliutil.Usagef("usage: eoloadgen -base URL (-healthz | -statsz | -corpus FILE | -subject FILE) [flags] (see -h)")
 	}
+	if *saltFlag < 0 || *maxCompiledFlag < 0 {
+		cliutil.Usagef("eoloadgen: -salt and -max-compiled must not be negative")
+	}
 
 	switch {
 	case *healthzFlag:
@@ -70,10 +80,14 @@ func main() {
 	case *statszFlag:
 		runGet(*baseFlag+"/v1/statsz", *tenantFlag, *outFlag)
 	case *corpusFlag != "":
+		body := wireManifest(*corpusFlag, *saltFlag)
 		if *asyncFlag {
-			runAsync(*baseFlag, *tenantFlag, *corpusFlag, *eventsFlag, *outFlag)
+			runAsync(*baseFlag, *tenantFlag, body, *eventsFlag, *outFlag)
 		} else {
-			runCorpus(*baseFlag, *tenantFlag, *corpusFlag, *outFlag)
+			runCorpus(*baseFlag, *tenantFlag, body, *outFlag)
+		}
+		if *maxCompiledFlag > 0 {
+			checkCompiled(*baseFlag, *tenantFlag, *maxCompiledFlag)
 		}
 	case *subjectFlag != "":
 		runLoad(*baseFlag, *tenantFlag, *subjectFlag, *indexFlag, *nFlag, *rateFlag, *minRejectedFlag, *outFlag)
@@ -139,11 +153,31 @@ func runGet(url, tenant, out string) {
 }
 
 // wireManifest loads a manifest file and converts it to the wire form
-// (sources inlined, file references cleared).
-func wireManifest(path string) []byte {
+// (sources inlined, file references cleared). With salt > 0 each subject
+// becomes salt copies of itself, salted as eolbench salts its subjects:
+// both sources end in "// salt K" with K unique to the copy, so every
+// copy is a new program text that behaves exactly like the original.
+func wireManifest(path string, salt int) []byte {
 	m, err := corpus.Load(path)
 	if err != nil {
 		cliutil.Fatalf("eoloadgen: %v", err)
+	}
+	if salt > 0 {
+		var copies []corpus.Subject
+		for _, s := range m.Subjects {
+			for range salt {
+				c := s
+				tag := strconv.Itoa(len(copies))
+				tail := "\n// salt " + tag + "\n"
+				c.Name += "+salt" + tag
+				c.Source += tail
+				if c.CorrectSource != "" {
+					c.CorrectSource += tail
+				}
+				copies = append(copies, c)
+			}
+		}
+		m.Subjects = copies
 	}
 	var buf bytes.Buffer
 	if err := api.Encode(&buf, api.RequestFromManifest(m)); err != nil {
@@ -152,16 +186,16 @@ func wireManifest(path string) []byte {
 	return buf.Bytes()
 }
 
-func runCorpus(base, tenant, manifest, out string) {
-	code, b := do(http.MethodPost, base+"/v1/corpus", tenant, wireManifest(manifest))
+func runCorpus(base, tenant string, body []byte, out string) {
+	code, b := do(http.MethodPost, base+"/v1/corpus", tenant, body)
 	if code != http.StatusOK {
 		cliutil.Fatalf("eoloadgen: corpus: status %d: %s", code, b)
 	}
 	emit(out, b)
 }
 
-func runAsync(base, tenant, manifest, events, out string) {
-	code, b := do(http.MethodPost, base+"/v1/corpus?async=1", tenant, wireManifest(manifest))
+func runAsync(base, tenant string, body []byte, events, out string) {
+	code, b := do(http.MethodPost, base+"/v1/corpus?async=1", tenant, body)
 	if code != http.StatusAccepted {
 		cliutil.Fatalf("eoloadgen: async submit: status %d: %s", code, b)
 	}
@@ -196,6 +230,23 @@ func runAsync(base, tenant, manifest, events, out string) {
 		cliutil.Fatalf("eoloadgen: %v", err)
 	}
 	emit(out, buf.Bytes())
+}
+
+// checkCompiled fails unless the server's compile cache holds at most
+// max programs.
+func checkCompiled(base, tenant string, max int) {
+	code, b := do(http.MethodGet, base+"/v1/statsz", tenant, nil)
+	if code != http.StatusOK {
+		cliutil.Fatalf("eoloadgen: statsz: status %d: %s", code, b)
+	}
+	var st serve.Statsz
+	if err := json.Unmarshal(b, &st); err != nil {
+		cliutil.Fatalf("eoloadgen: statsz: %v", err)
+	}
+	if st.CompiledPrograms > max {
+		cliutil.Fatalf("eoloadgen: server holds %d compiled programs, want <= %d", st.CompiledPrograms, max)
+	}
+	fmt.Fprintf(os.Stderr, "eoloadgen: %d compiled programs (<= %d)\n", st.CompiledPrograms, max)
 }
 
 func runLoad(base, tenant, manifest string, index, n int, rate float64, minRejected int, out string) {

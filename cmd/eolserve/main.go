@@ -1,7 +1,7 @@
 // Command eolserve is the resident localization server: the corpus
-// driver behind HTTP/JSON, holding warm state (compile cache,
-// switched-run cache, static dependence cache) across requests, with
-// per-tenant token-bucket rate limiting and bounded-queue admission
+// driver behind HTTP/JSON, holding bounded warm state (an LRU compile
+// cache of 64 programs and an LRU switched-run cache) across requests,
+// with per-tenant token-bucket rate limiting and bounded-queue admission
 // control. See docs/SERVER.md for the API and docs/CORPUS.md for the
 // manifest format.
 //

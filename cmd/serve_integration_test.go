@@ -100,6 +100,18 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Errorf("event stream missing or empty: %v", err)
 	}
 
+	// Soak: 30 salted copies of each subject are 150 new programs, after
+	// which the server holds its compile cache's bound of 64, so a
+	// -max-compiled below the bound fails.
+	soak := []string{"-base", base, "-tenant", "soak", "-corpus", "testdata/corpus/smoke.json",
+		"-o", filepath.Join(dir, "soak.json")}
+	if out, err := runTool(t, "eoloadgen", append(soak, "-salt", "30", "-max-compiled", "64")...); err != nil {
+		t.Fatalf("soak: %v\n%s", err, out)
+	}
+	if out, code := runExit(t, "eoloadgen", append(soak, "-max-compiled", "63")...); code != 1 {
+		t.Errorf("-max-compiled 63 after the soak: exit %d, want 1\n%s", code, out)
+	}
+
 	// SIGINT drains and exits 0.
 	if err := srv.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)

@@ -818,13 +818,15 @@ func LocateCorpus(ctx context.Context, m *CorpusManifest, opts CorpusOptions) (*
 }
 
 // CorpusShared is warm state shared across corpus runs: the compile
-// cache and the switched-run cache. Pass one via CorpusOptions.Shared to
-// keep caches hot between LocateCorpus calls (this is what the eolserve
-// daemon does per process).
+// cache, which holds at most 64 programs, and the switched-run cache,
+// both bounded LRU caches. Pass one via CorpusOptions.Shared to keep
+// caches hot between LocateCorpus calls (this is what the eolserve
+// daemon does per process). Eviction costs time, never results.
 type CorpusShared = corpus.Shared
 
-// NewCorpusShared builds warm corpus state. cacheSize sizes the
-// switched-run cache (0 = default, negative = disabled).
+// NewCorpusShared builds warm corpus state: a compile cache of 64
+// programs and a switched-run cache of cacheSize entries (0 = default,
+// negative = disabled).
 func NewCorpusShared(cacheSize int) *CorpusShared { return corpus.NewShared(cacheSize) }
 
 // ---------------------------------------------------------------------------

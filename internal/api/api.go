@@ -34,6 +34,7 @@ import (
 
 	"eol/internal/core"
 	"eol/internal/corpus"
+	"eol/internal/lru"
 )
 
 // SchemaVersion is the current wire schema version.
@@ -177,13 +178,19 @@ type LocateResponse struct {
 	SubjectResult
 }
 
-// CacheStats reports shared switched-run cache traffic (timing output
-// only: hit/miss splits are scheduling-dependent).
+// CacheStats reports the traffic of a shared cache: the switched-run
+// cache, or on /v1/statsz also the compile cache (timing output only:
+// hit/miss splits are scheduling-dependent).
 type CacheStats struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
 	HitRate   float64 `json:"hit_rate"`
+}
+
+// NewCacheStats converts a cache's counters to their wire form.
+func NewCacheStats(c lru.Stats) CacheStats {
+	return CacheStats{Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, HitRate: c.HitRate()}
 }
 
 // CorpusReport is the whole-corpus result document: eolcorpus output
@@ -267,12 +274,8 @@ func NewCorpusReport(res *corpus.Result, timing bool, shards int) *CorpusReport 
 		out.ElapsedMS = float64(res.Elapsed) / float64(time.Millisecond)
 		out.Shards = shards
 		if res.SharedCache {
-			c := res.Cache
-			rate := 0.0
-			if c.Hits+c.Misses > 0 {
-				rate = float64(c.Hits) / float64(c.Hits+c.Misses)
-			}
-			out.Cache = &CacheStats{Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, HitRate: rate}
+			c := NewCacheStats(res.Cache)
+			out.Cache = &c
 		}
 	}
 	return out

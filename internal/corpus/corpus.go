@@ -40,6 +40,7 @@ import (
 	"eol/internal/core"
 	"eol/internal/interp"
 	"eol/internal/lang/ast"
+	"eol/internal/lru"
 	"eol/internal/obs"
 	"eol/internal/oracle"
 	"eol/internal/verifyengine"
@@ -126,55 +127,50 @@ type Result struct {
 	SharedCache bool
 }
 
-// compileEntry dedupes compilation: all subjects referencing the same
-// source text share one compile (and hence one *interp.Compiled, which
-// is what lets the switched-run cache key match across subjects).
-type compileEntry struct {
-	once sync.Once
-	c    *interp.Compiled
-	err  error
+// compileCacheSize bounds a resident Shared's compile cache. A cached
+// program costs tens of kilobytes of heap (its dataflow analysis and
+// bytecode live on it) and recompiles in well under a millisecond, so
+// the bound trades little time for memory that no longer grows with
+// every distinct source a server sees. 64 is several times the warm
+// working set of the nine paper cases in both versions.
+const compileCacheSize = 64
+
+// compiled is a compile cache value: a program or its compile error.
+// Keyed by source text, it is what lets subjects referencing the same
+// source share one *interp.Compiled.
+type compiled struct {
+	c   *interp.Compiled
+	err error
 }
 
-type compileCache struct {
-	mu sync.Mutex
-	m  map[string]*compileEntry
-}
-
-func (cc *compileCache) get(src string) (*interp.Compiled, error) {
-	cc.mu.Lock()
-	e, ok := cc.m[src]
-	if !ok {
-		e = &compileEntry{}
-		cc.m[src] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() { e.c, e.err = interp.Compile(src) })
-	return e.c, e.err
-}
-
-func (cc *compileCache) len() int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return len(cc.m)
+// compile returns src compiled, through the cache cc.
+func compile(cc *lru.Cache[string, compiled], src string) (*interp.Compiled, error) {
+	v, _ := cc.GetOrRun(src, func() compiled {
+		c, err := interp.Compile(src)
+		return compiled{c, err}
+	})
+	return v.c, v.err
 }
 
 // Shared is the warm state a resident driver keeps across Run calls:
-// the content-keyed compile cache and the cross-request switched-run
-// cache. Both are safe for concurrent use, so one Shared may serve
-// overlapping Run calls. A batch Run without Options.Shared builds the
-// equivalent state privately and discards it afterwards; the only
+// the content-keyed compile cache, holding at most 64 programs, and the
+// cross-request switched-run cache. Both are LRU caches, safe for
+// concurrent use, so one Shared may serve overlapping Run calls. A batch
+// Run without Options.Shared builds the equivalent state privately,
+// sized so that it never evicts, and discards it afterwards. The only
 // difference warm state makes is wall-clock time and the cache hit/miss
-// split — never results.
+// split — never results: the switched-run key hashes the source text,
+// so a program compiled again after eviction still finds its runs.
 type Shared struct {
 	runs    *verifyengine.RunCache // nil when run caching is disabled
-	compile *compileCache
+	compile *lru.Cache[string, compiled]
 }
 
 // NewShared builds warm state with a switched-run cache of cacheSize
 // entries (0 = verifyengine.DefaultCacheSize, negative = no shared run
-// cache).
+// cache) and a compile cache of 64 programs.
 func NewShared(cacheSize int) *Shared {
-	s := &Shared{compile: &compileCache{m: map[string]*compileEntry{}}}
+	s := &Shared{compile: lru.New[string, compiled](compileCacheSize, nil)}
 	if cacheSize >= 0 {
 		s.runs = verifyengine.NewRunCache(cacheSize)
 	}
@@ -191,9 +187,13 @@ func (s *Shared) RunCacheStats() verifyengine.CacheStats {
 	return s.runs.Stats()
 }
 
+// CompileCacheStats snapshots the compile cache counters, cumulative
+// across every Run call that used this Shared.
+func (s *Shared) CompileCacheStats() lru.Stats { return s.compile.Stats() }
+
 // CompiledPrograms reports how many distinct program texts the compile
-// cache holds.
-func (s *Shared) CompiledPrograms() int { return s.compile.len() }
+// cache holds: at most 64.
+func (s *Shared) CompiledPrograms() int { return s.compile.Stats().Len }
 
 // Run localizes every subject of m under ctx and opts. The returned
 // Result is non-nil unless the manifest itself is invalid; individual
@@ -216,7 +216,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 	}
 
 	var shared *verifyengine.RunCache
-	var cc *compileCache
+	var cc *lru.Cache[string, compiled]
 	if opts.Shared != nil {
 		// Resident mode: warm state owned by the caller, reused across
 		// Run calls.
@@ -225,7 +225,9 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 		if opts.CacheSize >= 0 {
 			shared = verifyengine.NewRunCache(opts.CacheSize)
 		}
-		cc = &compileCache{m: map[string]*compileEntry{}}
+		// Room for both versions of every subject: a batch run never
+		// evicts a program.
+		cc = lru.New[string, compiled](2*len(m.Subjects), nil)
 	}
 
 	runCtx := ctx
@@ -276,18 +278,29 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runSubject performs one localization session end to end.
-func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine.RunCache, cc *compileCache, opts *Options) SubjectResult {
+// locate is core.LocateContext; tests replace it to inject a fault.
+var locate = core.LocateContext
+
+// runSubject performs one localization session end to end. A panic
+// anywhere in it — compile, correct run or localization, including a
+// verification worker's, which the engine re-raises here — fails this
+// subject alone with class "error", instead of the whole process.
+func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine.RunCache, cc *lru.Cache[string, compiled], opts *Options) (sr SubjectResult) {
 	start := time.Now()
-	sr := SubjectResult{Name: s.Name, Shard: shard, Report: &core.Report{}}
+	sr = SubjectResult{Name: s.Name, Shard: shard, Report: &core.Report{}}
 	fail := func(err error) SubjectResult {
 		sr.Err = err
 		sr.Class = core.ErrClass(err)
 		sr.Elapsed = time.Since(start)
 		return sr
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			sr = fail(fmt.Errorf("internal: panic: %v", p))
+		}
+	}()
 
-	faulty, err := cc.get(s.Source)
+	faulty, err := compile(cc, s.Source)
 	if err != nil {
 		return fail(fmt.Errorf("compile: %w", err))
 	}
@@ -323,7 +336,7 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 	}
 
 	if s.CorrectSource != "" {
-		correct, err := cc.get(s.CorrectSource)
+		correct, err := compile(cc, s.CorrectSource)
 		if err != nil {
 			return fail(fmt.Errorf("compile correct: %w", err))
 		}
@@ -353,7 +366,7 @@ func runSubject(ctx context.Context, s *Subject, shard int, shared *verifyengine
 		}
 	}
 
-	rep, err := core.LocateContext(sctx, spec)
+	rep, err := locate(sctx, spec)
 	if rep != nil {
 		sr.Report = rep
 	}

@@ -35,7 +35,7 @@ func BenchmarkServeLocateWarm(b *testing.B) {
 }
 
 // BenchmarkServeLocateCold measures first-request latency against a
-// fresh server per iteration: compile + SPDG + every switched run paid
+// fresh server per iteration: the compile and every switched run paid
 // in full.
 func BenchmarkServeLocateCold(b *testing.B) {
 	body := locateBody(b, 0)

@@ -1,9 +1,9 @@
 // Package serve is the resident localization server: the corpus driver
 // (internal/corpus) promoted from a batch process to a long-running
-// multi-tenant HTTP daemon holding persistent warm state — the
-// content-keyed compile cache, the cross-request switched-run cache,
-// and the shared SPDG cache (one corpus.Shared) — behind per-tenant
-// token-bucket rate limiting and bounded-queue admission control.
+// multi-tenant HTTP daemon holding bounded warm state — the
+// content-keyed compile cache and the cross-request switched-run cache,
+// both LRU caches in one corpus.Shared — behind per-tenant token-bucket
+// rate limiting and bounded-queue admission control.
 //
 // # Endpoints (all JSON, wire types from internal/api)
 //
@@ -89,6 +89,8 @@ type Config struct {
 // Statsz is the GET /v1/statsz body: operational counters. Unlike the
 // result documents these are deliberately scheduling-dependent — cache
 // warmth, queue depth, and tenant traffic are what an operator watches.
+// CompiledPrograms is the compile cache's size (at most 64), Cache the
+// switched-run cache's traffic and CompileCache the compile cache's.
 type Statsz struct {
 	SchemaVersion    int            `json:"schema_version"`
 	UptimeMS         float64        `json:"uptime_ms"`
@@ -103,6 +105,7 @@ type Statsz struct {
 	Tenants          int            `json:"tenants"`
 	CompiledPrograms int            `json:"compiled_programs"`
 	Cache            api.CacheStats `json:"cache"`
+	CompileCache     api.CacheStats `json:"compile_cache"`
 }
 
 // Health is the GET /v1/healthz body.
@@ -411,11 +414,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	inflight, queued := s.adm.load()
-	c := s.shared.RunCacheStats()
-	rate := 0.0
-	if c.Hits+c.Misses > 0 {
-		rate = float64(c.Hits) / float64(c.Hits+c.Misses)
-	}
 	writeJSON(w, http.StatusOK, &Statsz{
 		SchemaVersion:    api.SchemaVersion,
 		UptimeMS:         float64(time.Since(s.start)) / float64(time.Millisecond),
@@ -429,7 +427,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Jobs:             s.jobs.len(),
 		Tenants:          s.buckets.tenants(),
 		CompiledPrograms: s.shared.CompiledPrograms(),
-		Cache:            api.CacheStats{Hits: c.Hits, Misses: c.Misses, Evictions: c.Evictions, HitRate: rate},
+		Cache:            api.NewCacheStats(s.shared.RunCacheStats()),
+		CompileCache:     api.NewCacheStats(s.shared.CompileCacheStats()),
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -104,11 +105,7 @@ func get(t testing.TB, url, tenant string) (int, []byte) {
 // corpusBody marshals the smoke manifest as a wire corpus request.
 func corpusBody(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := api.Encode(&buf, api.RequestFromManifest(loadManifest(t))); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return manifestBody(t, loadManifest(t))
 }
 
 func TestHealthz(t *testing.T) {
@@ -277,6 +274,125 @@ func TestStatszWarmState(t *testing.T) {
 	if st2.CorpusRequests != 2 || st2.Admitted != 2 {
 		t.Errorf("request accounting: %+v", st2)
 	}
+}
+
+// TestCompileCacheBound: the compile cache keeps at most 64 programs,
+// least recently used out first, and eviction never changes an answer.
+// 40 salted copies of one subject are 80 programs; the first copy's two
+// are among the 16 evicted (with two shards, copy 2 starts only after
+// copy 0 or 1 has compiled both its versions), yet re-posting it gives
+// the same bytes as before and as batch output, with its switched runs
+// still cached. A warm subject posted between batches of 62 new
+// programs stays in the cache: it is touched each time, so 62 newer
+// programs leave it at the back of the 64 but never evict it.
+func TestCompileCacheBound(t *testing.T) {
+	_, ts := startServer(t, Config{Corpus: corpus.Options{Shards: 2}})
+	warm := loadManifest(t).Subjects[0]
+	salts := 0
+	salted := func(n int) *corpus.Manifest {
+		m := &corpus.Manifest{}
+		for i := 0; i < n; i++ {
+			s := warm
+			tail := fmt.Sprintf("\n// salt %d\n", salts)
+			s.Name += fmt.Sprintf("+salt%d", salts)
+			s.Source += tail
+			s.CorrectSource += tail
+			m.Subjects = append(m.Subjects, s)
+			salts++
+		}
+		return m
+	}
+	postManifest := func(m *corpus.Manifest) *api.CorpusReport {
+		t.Helper()
+		code, _, b := post(t, ts.URL+"/v1/corpus", "", manifestBody(t, m))
+		if code != 200 {
+			t.Fatalf("corpus: %d %s", code, b)
+		}
+		var rep api.CorpusReport
+		if err := json.Unmarshal(b, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return &rep
+	}
+
+	copies := salted(40)
+	first := postManifest(copies)
+	st1 := statsz(t, ts)
+	if st1.CompiledPrograms != 64 || st1.CompileCache.Evictions != 16 || st1.CompileCache.Misses != 80 {
+		t.Errorf("after 80 programs: %d compiled, compile cache %+v; want 64 compiled, 80 misses, 16 evictions",
+			st1.CompiledPrograms, st1.CompileCache)
+	}
+
+	again := &corpus.Manifest{Subjects: copies.Subjects[:1]}
+	rep := postManifest(again)
+	if got, want := encode(t, rep), encode(t, batchReport(t, again)); !bytes.Equal(got, want) {
+		t.Errorf("re-posted copy differs from batch output:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := encode(t, rep.Subjects[0]), encode(t, first.Subjects[0]); !bytes.Equal(got, want) {
+		t.Errorf("re-posted copy differs from its first response:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	st2 := statsz(t, ts)
+	if st2.CompileCache.Misses != st1.CompileCache.Misses+2 {
+		t.Errorf("re-post: compile misses %d -> %d, want +2 (both versions were evicted)",
+			st1.CompileCache.Misses, st2.CompileCache.Misses)
+	}
+	if st2.Cache.Hits <= st1.Cache.Hits || st2.Cache.Misses != st1.Cache.Misses {
+		t.Errorf("re-post: run cache %+v -> %+v, want only hits: the runs are keyed by source text",
+			st1.Cache, st2.Cache)
+	}
+
+	warmOnly := &corpus.Manifest{Subjects: []corpus.Subject{warm}}
+	postManifest(warmOnly)
+	for round := 0; round < 3; round++ {
+		postManifest(salted(31))
+		before := statsz(t, ts).CompileCache.Misses
+		postManifest(warmOnly)
+		if after := statsz(t, ts).CompileCache.Misses; after != before {
+			t.Fatalf("round %d: the warm subject was recompiled (%d -> %d compile misses)", round, before, after)
+		}
+	}
+	if st := statsz(t, ts); st.CompiledPrograms != 64 {
+		t.Errorf("compiled programs = %d, want 64", st.CompiledPrograms)
+	}
+}
+
+// manifestBody marshals m as a wire corpus request.
+func manifestBody(t testing.TB, m *corpus.Manifest) []byte {
+	t.Helper()
+	return encode(t, api.RequestFromManifest(m))
+}
+
+// batchReport runs m as `eolcorpus -o` does and returns its report.
+func batchReport(t testing.TB, m *corpus.Manifest) *api.CorpusReport {
+	t.Helper()
+	res, err := corpus.Run(context.Background(), m, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return api.NewCorpusReport(res, false, 0)
+}
+
+// encode renders v with the wire encoding.
+func encode(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := api.Encode(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func statsz(t testing.TB, ts *httptest.Server) Statsz {
+	t.Helper()
+	var st Statsz
+	code, b := get(t, ts.URL+"/v1/statsz", "")
+	if code != 200 {
+		t.Fatalf("statsz: %d %s", code, b)
+	}
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestLoadGen exercises the open-loop harness against a live server:

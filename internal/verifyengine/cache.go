@@ -1,10 +1,8 @@
 package verifyengine
 
 import (
-	"container/list"
-	"sync"
-
 	"eol/internal/interp"
+	"eol/internal/lru"
 	"eol/internal/trace"
 )
 
@@ -42,13 +40,7 @@ type RunKey struct {
 }
 
 // CacheStats is a point-in-time snapshot of a RunCache's counters.
-type CacheStats struct {
-	Hits      int64 // lookups served from a stored or in-flight run
-	Misses    int64 // lookups that had to execute
-	Evictions int64 // entries dropped by the LRU policy
-	Len       int   // entries currently stored
-	Cap       int   // capacity
-}
+type CacheStats = lru.Stats
 
 // RunCache is a bounded LRU cache of switched re-executions, safe for
 // concurrent use. Lookups of a key whose run is currently being computed
@@ -59,25 +51,7 @@ type CacheStats struct {
 // Stored results — including their traces — are shared across callers
 // and must be treated as read-only; a trace is finished (every index
 // built) before its run returns, so reading it needs no lock.
-type RunCache struct {
-	mu       sync.Mutex
-	cap      int
-	ll       *list.List // front = most recently used
-	items    map[RunKey]*list.Element
-	inflight map[RunKey]*inflightRun
-
-	hits, misses, evictions int64
-}
-
-type cacheEntry struct {
-	key RunKey
-	res *interp.Result
-}
-
-type inflightRun struct {
-	done chan struct{}
-	res  *interp.Result
-}
+type RunCache = lru.Cache[RunKey, *interp.Result]
 
 // NewRunCache returns a cache bounded to max entries (<= 0 means
 // DefaultCacheSize).
@@ -85,67 +59,16 @@ func NewRunCache(max int) *RunCache {
 	if max <= 0 {
 		max = DefaultCacheSize
 	}
-	return &RunCache{
-		cap:      max,
-		ll:       list.New(),
-		items:    map[RunKey]*list.Element{},
-		inflight: map[RunKey]*inflightRun{},
-	}
+	return lru.New[RunKey](max, storable)
 }
 
-// GetOrRun returns the cached run for key, or executes run exactly once
-// per key (concurrent callers for the same key wait for the first) and
-// stores the result. hit reports whether an execution was avoided.
-func (c *RunCache) GetOrRun(key RunKey, run func() *interp.Result) (res *interp.Result, hit bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		res = el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res, true
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.res, true
-	}
-	fl := &inflightRun{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.misses++
-	c.mu.Unlock()
-
-	fl.res = run()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	// A run aborted by its caller's context is NOT a value of the pure
-	// function the key names — it is an artifact of that caller's
-	// deadline. Storing it would poison every later localization sharing
-	// this cache with a wrong NOT_ID verdict. Deliver it to current
-	// waiters only (they re-check their own contexts and retry) and leave
-	// the key uncached so the next lookup re-executes.
-	if fl.res == nil || !interp.IsCancellation(fl.res.Err) {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: fl.res})
-		for c.ll.Len() > c.cap {
-			back := c.ll.Back()
-			c.ll.Remove(back)
-			delete(c.items, back.Value.(*cacheEntry).key)
-			c.evictions++
-		}
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.res, false
-}
-
-// Stats snapshots the cache counters.
-func (c *RunCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Len: c.ll.Len(), Cap: c.cap,
-	}
+// storable is the RunCache's rule for which runs it keeps. A run aborted
+// by its caller's context is NOT a value of the pure function the key
+// names — it is an artifact of that caller's deadline. Storing it would
+// poison every later localization sharing this cache with a wrong NOT_ID
+// verdict. It goes to current waiters only (they re-check their own
+// contexts and retry), and the key stays uncached so the next lookup
+// re-executes.
+func storable(res *interp.Result) bool {
+	return res == nil || !interp.IsCancellation(res.Err)
 }

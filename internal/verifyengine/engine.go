@@ -254,7 +254,8 @@ func (e *Engine) runSwitched(pred trace.Instance, budget int) *interp.Result {
 // batch would leave wrong NOT_ID verdicts in the memo and log — and the
 // error wraps interp.ErrDeadline/ErrCanceled. ctx should equal or derive
 // from Config.Ctx so the workers' interpreter runs observe the same
-// cancellation.
+// cancellation. A verification that panics on a worker is re-raised
+// here, on the caller's goroutine, once every worker has exited.
 func (e *Engine) VerifyBatchContext(ctx context.Context, reqs []implicit.Request) ([]implicit.Verdict, error) {
 	if ctx == nil {
 		ctx = e.ctx
@@ -307,16 +308,25 @@ func (e *Engine) VerifyBatchContext(ctx context.Context, reqs []implicit.Request
 		}
 		var next atomic.Int64
 		var wg sync.WaitGroup
+		// Nothing else can recover a panic on these goroutines: a worker
+		// keeps the first value, the pool stops claiming jobs, and the
+		// value is re-raised below.
+		var firstPanic atomic.Pointer[any]
 		for k := 0; k < w; k++ {
 			wg.Add(1)
 			go func(cl *implicit.Verifier) {
 				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						firstPanic.CompareAndSwap(nil, &p)
+					}
+				}()
 				for {
 					// Stop claiming jobs once the batch is cancelled; the
 					// job in flight aborts on the interpreter's own ctx
 					// checkpoints, so the pool drains promptly and
 					// wg.Wait below never leaks a goroutine.
-					if ctx.Err() != nil {
+					if ctx.Err() != nil || firstPanic.Load() != nil {
 						return
 					}
 					i := int(next.Add(1)) - 1
@@ -328,6 +338,9 @@ func (e *Engine) VerifyBatchContext(ctx context.Context, reqs []implicit.Request
 			}(e.clones[k])
 		}
 		wg.Wait()
+		if p := firstPanic.Load(); p != nil {
+			panic(*p)
+		}
 	} else {
 		for _, idx := range jobs {
 			if ctx.Err() != nil {
